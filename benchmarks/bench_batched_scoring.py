@@ -3,9 +3,10 @@
 The search's hot loop scores hundreds of candidate transformations of
 one program.  ``window.batched.batched_mws`` folds each candidate's
 mixed-radix pack into one weight vector, computes every candidate's time
-keys with a single integer matmul and sweeps them through a
-codegen-specialized kernel — the per-candidate path pays K separate
-matmuls, packings, sweeps and Python round trips for the same answers.
+keys with a single integer matmul and runs one vectorized first/last-touch
+sweep over all of them — the per-candidate path (the same scorer at K=1)
+pays K separate matmuls, sweeps and Python round trips for the same
+answers.
 
 The CI gate pins the ratios via
 benchmarks/baselines/BENCH_batched_scoring.json: ``speedup`` metrics are
@@ -118,38 +119,3 @@ def test_full_search_batched_speedup(benchmark):
         batched_wall=round(batch_s, 6),
     )
 
-
-def test_specialized_kernel_vs_generic(benchmark):
-    """The codegen-specialized kernel vs the generic batched sweep
-    (``REPRO_KERNEL=off``) on identical keys — specialization must not
-    lose to the fallback it replaces."""
-    import repro.window.batched as batched_mod
-
-    program = parse_program(EXAMPLE_8)
-    candidates = _legal_pool(bounded_unimodular_matrices(2, 2))
-    keys = batched_mod._batched_time_keys(program, candidates)
-    arrays = tuple(program.arrays)
-    states = batched_mod._array_states(program, arrays)
-    kernel = batched_mod._sweep_kernel(program, arrays, "python")
-    assert list(kernel(keys)) == list(batched_mod._generic_sweep(states, keys))
-
-    def specialized():
-        return kernel(keys)
-
-    def generic():
-        return batched_mod._generic_sweep(states, keys)
-
-    def measure():
-        spec_s = min(timeit.repeat(specialized, number=5, repeat=3))
-        gen_s = min(timeit.repeat(generic, number=5, repeat=3))
-        return spec_s, gen_s
-
-    spec_s, gen_s = benchmark.pedantic(measure, rounds=1, iterations=1)
-    ratio = gen_s / spec_s
-    assert ratio >= 0.8, f"specialized kernel {ratio:.2f}x vs generic sweep"
-    record(
-        benchmark,
-        specialization_speedup=round(ratio, 2),
-        specialized_wall=round(spec_s, 6),
-        generic_wall=round(gen_s, 6),
-    )

@@ -25,8 +25,8 @@ Global flags (before the subcommand):
 
     --workers N        parallelize candidate evaluation over N processes
     --engine NAME      window engine: auto | reference | fast | streaming
-                       | zhao_malik (auto picks fast or, past the dense
-                       budget, streaming)
+                       (auto picks fast or, past the dense budget,
+                       streaming)
     --trace out.jsonl  record an observability trace; prints a span
                        summary on exit (see docs/observability.md)
     --store DIR        persist/reuse exact windows and search results in
@@ -700,7 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default="auto",
-        help="window engine (auto = fast, or streaming past the dense budget)",
+        help="window engine: reference (pure-Python ground truth), fast "
+        "(the batched numpy sweep), streaming (chunked, bounded memory); "
+        "auto = fast, or streaming past the dense budget",
     )
     parser.add_argument(
         "--trace",

@@ -6,14 +6,12 @@ Every numeric tuning knob (``REPRO_DENSE_BUDGET``, ``REPRO_CLIP_BUDGET``,
 typo'd value fails fast with the variable's name in the message instead
 of raising a bare ``ValueError`` from deep inside an engine — and a
 zero/negative value can never silently disable dense mode or tier-2
-pruning.  Enumerated knobs (``REPRO_KERNEL``) go through
-:func:`env_choice` with the same fail-fast discipline.
+pruning.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Sequence
 
 
 def env_int(name: str, default: int, minimum: int = 1) -> int:
@@ -35,18 +33,3 @@ def env_int(name: str, default: int, minimum: int = 1) -> int:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 
-
-def env_choice(name: str, default: str, choices: Sequence[str]) -> str:
-    """``os.environ[name]`` validated against ``choices``, or ``default``.
-
-    Raises :class:`ValueError` naming the variable and the accepted
-    values when the value is not one of ``choices``.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    if raw not in choices:
-        raise ValueError(
-            f"{name} must be one of {', '.join(choices)}, got {raw!r}"
-        )
-    return raw

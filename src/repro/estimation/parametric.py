@@ -497,6 +497,7 @@ def resolve_parametric(
     key = (psig, kind, array, rows)
     cached = _PARAM_CACHE.get(key)
     if cached is not None:
+        obs.counter("param.cache.hits")
         return None if cached is _FAILED else cached
     store_key = {"psig": psig, "kind": kind, "array": array, "t": rows}
     if store is not None:

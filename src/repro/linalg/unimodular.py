@@ -9,8 +9,10 @@ same integer points, once each.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from typing import Sequence
 
+from repro.linalg.gcd import gcd_list
 from repro.linalg.hermite import hermite_normal_form
 from repro.linalg.matrix import IntMatrix
 
@@ -31,9 +33,10 @@ def complete_unimodular(rows: Sequence[Sequence[int]]) -> IntMatrix:
 
     The construction: compute ``H = U @ R^T`` (column relations of the row
     space).  When the rows span a *direct summand* of ``Z^n`` (equivalently
-    the HNF of ``R^T`` has unit pivots), ``inv(U)``'s trailing rows complete
-    the basis.  Raises ``ValueError`` when no unimodular completion exists,
-    e.g. ``rows = [[2, 0]]`` (the row is not primitive).
+    the gcd of their ``k x k`` minors is 1), ``inv(U)``'s trailing rows
+    complete the basis.  Raises ``ValueError`` when no unimodular
+    completion exists, e.g. ``rows = [[2, 0]]`` (the row is not primitive)
+    or ``[[0, 3, 2], [-3, -3, -1]]`` (its minors are 9, 6 and 3).
 
     >>> complete_unimodular([[2, -3]]).det() in (1, -1)
     True
@@ -44,25 +47,23 @@ def complete_unimodular(rows: Sequence[Sequence[int]]) -> IntMatrix:
     k, n = r.shape
     if k > n:
         raise ValueError("more rows than columns; cannot complete")
-    h, u = hermite_normal_form(r.transpose())
-    # H = U @ R^T is n x k, echelon.  A unimodular completion of the rows of
-    # R exists iff the lattice they generate is a direct summand, i.e. every
-    # pivot of H is +-1.
-    pivots = []
-    for col in range(k):
-        col_vals = [h[i, col] for i in range(n)]
-        nonzero = [i for i, v in enumerate(col_vals) if v != 0]
-        if not nonzero:
-            raise ValueError("rows are linearly dependent; cannot complete")
-        pivots.append((min(nonzero), col_vals[min(nonzero)]))
-    if any(abs(p) != 1 for _, p in pivots):
+    # A completion exists iff the rows generate a direct summand of Z^n,
+    # i.e. their maximal minors have gcd 1 (all zero: dependent rows).
+    minors_gcd = gcd_list(
+        IntMatrix([[row[c] for c in cols] for row in r.to_lists()]).det()
+        for cols in combinations(range(n), k)
+    )
+    if minors_gcd == 0:
+        raise ValueError("rows are linearly dependent; cannot complete")
+    if minors_gcd != 1:
         raise ValueError(
-            "rows do not generate a direct summand of Z^n (non-unit HNF pivot); "
-            "no unimodular completion exists"
+            f"rows do not generate a direct summand of Z^n (maximal minors "
+            f"have gcd {minors_gcd}); no unimodular completion exists"
         )
-    # With unit pivots, U @ R^T = [T; 0] where T is k x k unimodular; then
-    # R = [T^T  0] @ inv(U)^T, so the rows of inv(U)^T past the first k,
-    # together with R's own rows, form a basis.
+    _, u = hermite_normal_form(r.transpose())
+    # U @ R^T = [B; 0] with B k x k, so R = [B^T  0] @ inv(U)^T: the rows
+    # of inv(U)^T past the first k complete R's rows to a matrix of det
+    # +-det(B), which is +-(gcd of R's maximal minors) = +-1.
     u_inv_t = u.inverse_unimodular().transpose()
     completion_rows = list(rows) + [list(u_inv_t.row(i)) for i in range(k, n)]
     result = IntMatrix(completion_rows)

@@ -158,9 +158,9 @@ def _default_evaluator(
 def _batch_task(payload) -> tuple[dict[str, Any], dict[str, int]]:
     """Worker-process entry point (module-level for pickling).
 
-    Like ``transform.search._eval_task``: returns the result together
-    with the worker-side counter delta, drained per task so serial and
-    parallel counter totals match.
+    Like ``transform.search._eval_batch_task``: returns the result
+    together with the worker-side counter delta, drained per task so
+    serial and parallel counter totals match.
 
     While the item runs, a :class:`repro.obs.flight.HeartbeatThread`
     periodically snapshots the worker's counters to the run's live file.
@@ -217,14 +217,29 @@ def _recover_timeout_delta(item_label: str) -> dict[str, int]:
     return recovered
 
 
-def _observe_latency(wall_s: float, delta: Mapping[str, int]) -> None:
-    """File the item's wall time under the warm or cold histogram.
+def _observe_latency(wall_s: float, delta: Mapping[str, int]) -> bool:
+    """File the item's wall time under the warm or cold histogram, and
+    return whether the item was warm.
 
-    *Warm* means the store answered everything (no ``store.misses``
-    during the item and at least one hit); anything else is cold.
+    *Warm* means cached answers served the whole item: no ``store.misses``,
+    no window-engine work (every ``engine.*.calls`` and
+    ``batch.candidates`` zero), and at least one hit in the store or in
+    the in-process memos (``search.cache``, ``search.memo``,
+    ``param.cache``), which answer repeats without touching the store.
+    Anything else is cold.
     """
-    hits = delta.get("store.mem.hits", 0) + delta.get("store.disk.hits", 0)
-    warm = hits > 0 and delta.get("store.misses", 0) == 0
+    hits = sum(
+        delta.get(f"{cache}.hits", 0)
+        for cache in (
+            "store.mem", "store.disk", "search.cache", "search.memo",
+            "param.cache",
+        )
+    )
+    engine_work = delta.get("batch.candidates", 0) + sum(
+        value for name, value in delta.items()
+        if name.startswith("engine.") and name.endswith(".calls")
+    )
+    warm = hits > 0 and engine_work == 0 and delta.get("store.misses", 0) == 0
     name = "batch.latency.warm_s" if warm else "batch.latency.cold_s"
     obs_metrics.observe(name, wall_s, buckets=LATENCY_BUCKETS)
     return warm

@@ -243,50 +243,6 @@ def _search_store_put(
     )
 
 
-def _eval_one(
-    program: Program,
-    array: str | None,
-    t: IntMatrix | None,
-    engine: str = "auto",
-) -> int:
-    from repro.window.simulator import max_total_window, max_window_size
-
-    if array is None:
-        return max_total_window(program, t, engine=engine)
-    return max_window_size(program, array, t, engine=engine)
-
-
-def _score_misses(
-    program: Program,
-    array: str | None,
-    ts: Sequence[IntMatrix | None],
-    engine: str,
-) -> list[int]:
-    """Exact MWS for a list of cache misses, scored as one batch.
-
-    Thin wrapper over :func:`repro.window.batched.batched_mws` (which
-    bumps ``batch.candidates`` and the per-candidate simulator counters
-    so serial, parallel, and batched totals reconcile).
-    """
-    from repro.window.batched import batched_mws
-
-    return batched_mws(program, ts, array=array, engine=engine)
-
-
-def _eval_task(payload) -> tuple[int, dict[str, int]]:
-    """Single-candidate worker entry point (kept for compatibility;
-    the pool path submits chunks via :func:`_eval_batch_task`)."""
-    program, array, rows, engine = payload
-    t = None if rows is None else IntMatrix(rows)
-    value = _eval_one(program, array, t, engine)
-    worker_obs = obs.get_observer()
-    if worker_obs is None:
-        return value, {}
-    delta = dict(worker_obs.counters)
-    worker_obs.counters.clear()
-    return value, delta
-
-
 def _eval_batch_task(payload) -> tuple[list[int], dict[str, int]]:
     """Worker-process entry point (must be module-level for pickling).
 
@@ -299,9 +255,11 @@ def _eval_batch_task(payload) -> tuple[list[int], dict[str, int]]:
     never double-reports; the parent merges the deltas, making serial
     and parallel counter totals match.
     """
+    from repro.window.batched import batched_mws
+
     program, array, rows_list, engine = payload
     ts = [None if rows is None else IntMatrix(rows) for rows in rows_list]
-    values = _score_misses(program, array, ts, engine)
+    values = batched_mws(program, ts, array=array, engine=engine)
     worker_obs = obs.get_observer()
     if worker_obs is None:
         return values, {}
@@ -428,9 +386,11 @@ def evaluate_exact(
                     for counter_name, amount in delta.items():
                         obs.counter(counter_name, amount)
             else:
-                values = _score_misses(
-                    program, array,
-                    [candidates[idx] for idx in misses], engine,
+                from repro.window.batched import batched_mws
+
+                values = batched_mws(
+                    program, [candidates[idx] for idx in misses],
+                    array=array, engine=engine,
                 )
         for idx, value in zip(misses, values):
             results[idx] = value

@@ -7,18 +7,13 @@ on-chip buffer must hold at that moment.  ``MWS = max_I |W_X(I)|`` is the
 minimum buffer size that avoids re-fetching any element.
 
 This package provides the exact sweep simulator (ground truth under any
-unimodular re-ordering), the batched multi-candidate scorer with its
-specialized sweep kernels (:mod:`repro.window.batched`), and the paper's
-closed-form estimates for 2-D (eq. (2)) and 3-D (Section 4.3) nests.
+unimodular re-ordering), the batched multi-candidate scorer whose one
+first/last-touch sweep serves every dense-engine score
+(:mod:`repro.window.batched`), and the paper's closed-form estimates for
+2-D (eq. (2)) and 3-D (Section 4.3) nests.
 """
 
-from repro.window.batched import (
-    KERNEL_MODES,
-    batch_size,
-    batched_mws,
-    clear_kernel_cache,
-    kernel_mode,
-)
+from repro.window.batched import batch_size, batched_mws
 from repro.window.simulator import (
     ENGINES,
     LivenessProfile,
@@ -57,11 +52,8 @@ from repro.window.zhao_malik import (
 __all__ = [
     "DEFAULT_CHUNK",
     "ENGINES",
-    "KERNEL_MODES",
     "batch_size",
     "batched_mws",
-    "clear_kernel_cache",
-    "kernel_mode",
     "LivenessProfile",
     "WindowProfile",
     "resolve_engine",

@@ -17,14 +17,15 @@ Two layers of caching keep the search hot path cheap:
   ``u = T @ i`` equals numeric order of the mixed-radix packing of ``u``
   over its per-column extents, so a matmul + packing replaces the old
   ``np.lexsort`` (the former single biggest cost of candidate
-  evaluation).  Dense ranks are still computed for the profile paths,
-  which genuinely need 0..N-1 positions.
+  evaluation).  :func:`max_window_size_fast` and
+  :func:`max_total_window_fast` are the batched scorer of
+  :mod:`repro.window.batched` at K=1.  Dense ranks are still computed
+  for the profile paths, which genuinely need 0..N-1 positions.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 from typing import NamedTuple, Sequence
 
@@ -75,11 +76,25 @@ class _ElementState(NamedTuple):
 class _IterState:
     """Everything derivable from the program alone (no transformation)."""
 
-    __slots__ = ("points", "elements")
+    __slots__ = ("points", "elements", "_points_f64")
 
     def __init__(self, points: np.ndarray) -> None:
         self.points = points
         self.elements: dict[str, _ElementState] = {}
+        self._points_f64: np.ndarray | None = None
+
+    def points_f64(self) -> np.ndarray:
+        """float64 copy of ``points``, made on first use.
+
+        Loop index values sit far inside float64's integer range, so the
+        cast is exact.  Batches whose screened bounds stay under 2**53
+        compute their key matmul on it through BLAS dgemm — every product
+        and partial sum an exact float64 integer — instead of numpy's
+        much slower loop-based integer matmul.
+        """
+        if self._points_f64 is None:
+            self._points_f64 = self.points.astype(np.float64)
+        return self._points_f64
 
 
 #: ``Program.signature()`` -> iteration/element state.  Signature-keyed
@@ -135,15 +150,8 @@ def _iteration_matrix(program: Program) -> np.ndarray:
 
 
 def clear_iteration_cache() -> None:
-    """Drop all cached iteration/element state (tests, memory pressure).
-
-    Specialized sweep kernels (:mod:`repro.window.batched`) are compiled
-    against the cached element layout, so they are dropped alongside it.
-    """
+    """Drop all cached iteration/element state (tests, memory pressure)."""
     _ITER_STATE.clear()
-    from repro.window.batched import clear_kernel_cache
-
-    clear_kernel_cache()
 
 
 def spans_fit_int64(spans: Sequence[int]) -> bool:
@@ -207,35 +215,6 @@ def _pack_columns(
         packed = packed * np.int64(spans[dim])
         packed += values[:, dim] - np.int64(mins[dim])
     return packed
-
-
-def _time_keys(
-    program: Program, transformation: IntMatrix | None
-) -> np.ndarray:
-    """Order-isomorphic execution-time key per native iteration row.
-
-    Native order packs to the linear index; a unimodular transformation
-    packs ``u = T @ i`` over its exact extents.  Only the *order* of the
-    keys is meaningful — use :func:`_execution_times` when dense 0..N-1
-    ranks are required (profiles, delta arrays).
-    """
-    state = _iter_state(program)
-    total = state.points.shape[0]
-    if transformation is None:
-        return np.arange(total, dtype=np.int64)
-    if transformation.det() not in (1, -1):
-        raise ValueError("transformation must be unimodular")
-    rows = transformation.to_lists()
-    mins, maxs = _affine_extents(
-        rows, [0] * len(rows), program.nest.lowers, program.nest.uppers
-    )
-    spans = [hi - lo + 1 for lo, hi in zip(mins, maxs)]
-    if not spans_fit_int64(spans):
-        # Extents too wide to pack; fall back to dense lexsort ranks.
-        obs.counter("fast.pack.fallback")
-        return _execution_times(program, transformation)
-    t = np.array(rows, dtype=np.int64)
-    return _pack_columns(state.points @ t.T, mins, spans)
 
 
 def _execution_times(
@@ -315,8 +294,8 @@ def _lifetimes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(first, last)`` time keys of each *live* element of the array.
 
-    ``times`` may be any order-isomorphic key array (:func:`_time_keys`);
-    elements touched at a single time are dropped (never in the window).
+    ``times`` may be any order-isomorphic key array; elements touched at
+    a single time are dropped (never in the window).
     """
     element = _element_state(program, array)
     seq = times[element.point_row]
@@ -324,25 +303,6 @@ def _lifetimes(
     last = np.maximum.reduceat(seq, element.seg_starts)
     live = last > first
     return first[live], last[live]
-
-
-def _peak_concurrent(starts: np.ndarray, ends: np.ndarray) -> int:
-    """Peak number of concurrently open half-open intervals.
-
-    Occupancy at time ``t`` is ``#(starts <= t) - #(ends <= t)`` (an
-    element is windowed for ``first <= t < last``) and only increases at
-    start times, so scanning sorted starts suffices: the ``i``-th
-    smallest start ``s`` sees ``i + 1`` opens (for the last duplicate of
-    a tied start value, which is where the maximum lands) minus the ends
-    at or before ``s``.
-    """
-    if starts.size == 0:
-        return 0
-    starts = np.sort(starts)
-    ends = np.sort(ends)
-    occupancy = np.arange(1, starts.size + 1, dtype=np.int64)
-    occupancy -= np.searchsorted(ends, starts, side="right")
-    return int(occupancy.max())
 
 
 @obs.profiled("fast.window_deltas")
@@ -354,8 +314,8 @@ def window_deltas(
     """+1/-1 event array over execution time for one array's live set.
 
     Needs dense 0..N-1 execution ranks (the deltas are indexed by time),
-    so this is the profile-path workhorse; the plain MWS path uses
-    :func:`_lifetimes` + :func:`_peak_concurrent` on packed keys instead.
+    so this is the profile-path workhorse; the plain MWS path runs the
+    batched sweep (:mod:`repro.window.batched`) on packed keys instead.
     """
     times = _execution_times(program, transformation)
     total = times.shape[0]
@@ -425,24 +385,24 @@ def max_window_size_fast(
     transformation: IntMatrix | None = None,
     profile: bool = False,
 ) -> int:
-    """Vectorized exact MWS for one array.
+    """Vectorized exact MWS for one array: the batched scorer at K=1.
 
     ``profile=True`` records the liveness profile (occupancy trajectory,
     peak location, reuse-distance histogram) into the active observer's
     metrics registry; while observability is disabled — or with the
     default ``profile=False`` — the extra path costs one boolean check.
     """
-    obs.counter("fast.simulate.calls")
-    with obs.span("simulate", array=array):
-        if profile and obs.enabled():
-            from repro.window.simulator import record_liveness
+    if profile and obs.enabled():
+        from repro.window.simulator import record_liveness
 
+        obs.counter("fast.simulate.calls")
+        with obs.span("simulate", array=array):
             prof = liveness_profile_fast(program, array, transformation)
             record_liveness(prof)
             return prof.peak
-        times = _time_keys(program, transformation)
-        first, last = _lifetimes(program, array, times)
-        return _peak_concurrent(first, last)
+    from repro.window.batched import _score
+
+    return _score(program, [transformation], (array,), array)[0]
 
 
 def max_total_window_fast(
@@ -451,31 +411,22 @@ def max_total_window_fast(
     arrays=None,
     profile: bool = False,
 ) -> int:
-    """Vectorized exact total MWS (``max_t sum_X |W_X(t)|``).
+    """Vectorized exact total MWS (``max_t sum_X |W_X(t)|``): the batched
+    scorer at K=1 over every involved array.
 
     ``profile=True`` records one liveness profile per involved array.
     """
-    obs.counter("fast.simulate.calls")
-    with obs.span("simulate", array="*"):
-        names = tuple(arrays) if arrays is not None else program.arrays
-        do_profile = profile and obs.enabled()
-        if do_profile:
-            from repro.window.simulator import record_liveness
+    from repro.window.batched import _score
 
-            for array in names:
-                record_liveness(
-                    liveness_profile_fast(program, array, transformation)
-                )
-        times = _time_keys(program, transformation)
-        starts = []
-        ends = []
+    names = tuple(arrays) if arrays is not None else program.arrays
+    if profile and obs.enabled():
+        from repro.window.simulator import record_liveness
+
         for array in names:
-            first, last = _lifetimes(program, array, times)
-            starts.append(first)
-            ends.append(last)
-        if not starts:
-            return 0
-        return _peak_concurrent(np.concatenate(starts), np.concatenate(ends))
+            record_liveness(
+                liveness_profile_fast(program, array, transformation)
+            )
+    return _score(program, [transformation], names, "*")[0]
 
 
 def window_profile_fast(

@@ -332,9 +332,11 @@ def window_profile(
 #: All are exact and pinned equal by the differential suite; they differ
 #: in cost model: ``reference`` (pure Python, ground truth), ``fast``
 #: (dense numpy, O(N) memory), ``streaming`` (chunked, O(chunk+distinct)
-#: memory), ``zhao_malik`` (two-pointer sweep).  ``auto`` picks ``fast``
-#: while the nest fits the dense budget and ``streaming`` beyond it.
-ENGINES = ("auto", "reference", "fast", "streaming", "zhao_malik")
+#: memory).  ``auto`` picks ``fast`` while the nest fits the dense budget
+#: and ``streaming`` beyond it.  The def-use comparator of
+#: :mod:`repro.window.zhao_malik` is exact too, but serves as an
+#: independent cross-check called directly, not as an engine.
+ENGINES = ("auto", "reference", "fast", "streaming")
 
 
 def resolve_engine(program: Program, engine: str = "auto") -> str:
@@ -399,12 +401,6 @@ def max_window_size(
         return max_window_size_streaming(
             program, array, transformation, profile=profile
         )
-    if resolved == "zhao_malik":
-        from repro.window.zhao_malik import max_window_size_zhao_malik
-
-        return max_window_size_zhao_malik(
-            program, array, transformation, profile=profile
-        )
     from repro.window.fast import max_window_size_fast
 
     return max_window_size_fast(program, array, transformation, profile=profile)
@@ -435,10 +431,6 @@ def max_total_window(
         return max_total_window_streaming(
             program, transformation, arrays, profile=profile
         )
-    if resolved == "zhao_malik":
-        from repro.window.zhao_malik import max_total_window_zhao_malik
-
-        return max_total_window_zhao_malik(program, transformation, arrays)
     from repro.window.fast import max_total_window_fast
 
     return max_total_window_fast(program, transformation, arrays, profile=profile)

@@ -33,12 +33,8 @@ from repro import obs
 from repro.envutil import env_int
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
-from repro.window.fast import (
-    _INT64_LIMIT,
-    _affine_extents,
-    _pack_columns,
-    _peak_concurrent,
-)
+from repro.window.batched import _peak_concurrent
+from repro.window.fast import _INT64_LIMIT, _affine_extents, _pack_columns
 
 #: Default iterations decoded per block.  ``repro bench --chunk-sweep``
 #: emits one BENCH artifact per candidate size to justify this in-repo;

@@ -234,6 +234,22 @@ class TestServiceInline:
         svc.close()
 
 
+class TestWarmFlag:
+    @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "pooled"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_second_request_is_warm(self, kind, workers, tmp_path, observer):
+        # A repeat is answered by the store or by the in-process memos
+        # (exact values, whole searches, parametric forms) without any
+        # window-engine work, whichever of them serves it.
+        request = build_request({"kind": kind, "source": LOOP})
+        with AnalysisService(store=tmp_path, workers=workers) as svc:
+            cold = svc.submit(request)
+            warm = svc.submit(request)
+        assert cold.ok and not cold.warm
+        assert warm.ok and warm.warm
+        assert warm.result == cold.result
+
+
 # ----------------------------------------------------------------------
 # the service: pooled evaluation + the shared timeout path
 # ----------------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""Batched multi-candidate scoring: differential parity and kernels (ISSUE 8).
+"""Batched multi-candidate scoring: differential parity and overflow screens.
 
 ``window.batched.batched_mws`` must be value-identical to scoring each
-candidate through ``simulator.max_window_size`` / ``max_total_window``
-— for random programs at depths 2-4, multi-reference arrays, ``None``
-and overflow candidates, and under every ``REPRO_KERNEL`` backend — and
-its counters must reconcile with the serial path's.
+candidate through the pure-Python reference simulator — for random
+programs at depths 2-4, multi-reference arrays, ``None`` and overflow
+candidates, and loop bounds on either side of every exactness screen of
+the key computation — and its counters must reconcile with the serial
+path's.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -48,13 +50,13 @@ def _candidate_pool(depth: int, seed: int) -> list[IntMatrix | None]:
     return [None] + pool[:7]
 
 
-def _serial_values(program, candidates, array):
+def _serial_values(program, candidates, array, engine="reference"):
     if array is None:
         return [
-            max_total_window(program, t, engine="fast") for t in candidates
+            max_total_window(program, t, engine=engine) for t in candidates
         ]
     return [
-        max_window_size(program, array, t, engine="fast") for t in candidates
+        max_window_size(program, array, t, engine=engine) for t in candidates
     ]
 
 
@@ -79,18 +81,6 @@ class TestDifferentialParity:
             assert got == _serial_values(program, candidates, array), (
                 f"array={array}"
             )
-
-    @pytest.mark.parametrize("mode", batched.KERNEL_MODES)
-    def test_all_kernel_modes_agree(self, mode, monkeypatch):
-        monkeypatch.setenv(batched.KERNEL_ENV, mode)
-        clear_iteration_cache()
-        program = random_program(5, GeneratorConfig(depth=2, max_trip=8))
-        candidates = _candidate_pool(2, 5)
-        for array in [None, *program.arrays]:
-            got = batched.batched_mws(
-                program, candidates, array=array, engine="fast"
-            )
-            assert got == _serial_values(program, candidates, array)
 
     def test_multi_reference_multi_array(self):
         program = parse_program(
@@ -169,7 +159,7 @@ class TestCountersAndCache:
         candidates = _candidate_pool(2, 9)
         array = program.arrays[0]
         serial = self._counters(
-            lambda: _serial_values(program, candidates, array)
+            lambda: _serial_values(program, candidates, array, engine="fast")
         )
         clear_iteration_cache()
         batch = self._counters(
@@ -182,53 +172,136 @@ class TestCountersAndCache:
         assert batch["engine.fast.calls"] == len(candidates)
         assert batch["batch.candidates"] == len(candidates)
 
-    def test_kernel_specialized_once_per_program(self):
-        program = random_program(4, GeneratorConfig(depth=2, max_trip=6))
-        counters = self._counters(
-            lambda: [
-                batched.batched_mws(program, [None], array=None)
-                for _ in range(3)
-            ]
-        )
-        assert counters["kernel.specialized"] == 1
-
-    def test_clear_iteration_cache_drops_kernels(self):
-        program = random_program(4, GeneratorConfig(depth=2, max_trip=6))
-        batched.batched_mws(program, [None], array=None)
-        assert len(batched._KERNELS) >= 1
-        clear_iteration_cache()
-        assert len(batched._KERNELS) == 0
-
-    def test_c_mode_unavailable_falls_back_to_python(self, monkeypatch):
-        # Simulate the CI image (no cffi): mode "c" must transparently
-        # build the python kernel and count the fallback.
-        monkeypatch.setenv(batched.KERNEL_ENV, "c")
-        monkeypatch.setattr(batched, "_compile_c", lambda *a: None)
-        program = random_program(6, GeneratorConfig(depth=2, max_trip=6))
-        candidates = _candidate_pool(2, 6)
-        counters = self._counters(
-            lambda: batched.batched_mws(program, candidates, array=None)
-        )
-        assert counters["kernel.fallback"] == 1
-        clear_iteration_cache()
-        monkeypatch.setenv(batched.KERNEL_ENV, "python")
-        assert batched.batched_mws(
-            program, candidates, array=None
-        ) == _serial_values(program, candidates, None)
-
 
 class TestKnobs:
-    def test_kernel_mode_default_and_validation(self, monkeypatch):
-        monkeypatch.delenv(batched.KERNEL_ENV, raising=False)
-        assert batched.kernel_mode() == "python"
-        monkeypatch.setenv(batched.KERNEL_ENV, "off")
-        assert batched.kernel_mode() == "off"
-        monkeypatch.setenv(batched.KERNEL_ENV, "turbo")
-        with pytest.raises(ValueError):
-            batched.kernel_mode()
-
     def test_batch_size_knob(self, monkeypatch):
         monkeypatch.delenv(batched.BATCH_SIZE_ENV, raising=False)
         assert batched.batch_size() == batched.DEFAULT_BATCH_SIZE
         monkeypatch.setenv(batched.BATCH_SIZE_ENV, "4")
         assert batched.batch_size() == 4
+
+
+class TestSweepBodies:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_event_sort_matches_per_row_scan(self, seed, monkeypatch):
+        # The sweep picks its body from the element count; both bodies
+        # are exact, so forcing the per-row scan must not move a value.
+        cfg = GeneratorConfig(depth=2 + seed % 2, min_trip=2, max_trip=5)
+        program = random_program(seed * 13 + 1, cfg)
+        candidates = _candidate_pool(program.nest.depth, seed)
+        for array in [None, *program.arrays]:
+            want = batched.batched_mws(program, candidates, array=array)
+            monkeypatch.setattr(batched, "_EVENT_SWEEP_MAX_ELEMS", 0)
+            got = batched.batched_mws(program, candidates, array=array)
+            monkeypatch.undo()
+            assert got == want == _serial_values(program, candidates, array)
+
+    def test_per_candidate_engine_is_the_scorer_at_k1(self):
+        program = random_program(8, GeneratorConfig(depth=2, max_trip=6))
+        candidates = _candidate_pool(2, 8)
+        array = program.arrays[0]
+        observer = obs.enable()
+        got = [
+            max_window_size(program, array, t, engine="fast")
+            for t in candidates
+        ]
+        obs.disable()
+        counters = observer.summary()["counters"]
+        assert got == batched.batched_mws(program, candidates, array=array)
+        assert counters["engine.fast.calls"] == len(candidates)
+        assert counters["fast.simulate.calls"] == len(candidates)
+        assert "batch.candidates" not in counters
+
+
+#: Exactness screens of ``_batched_time_keys``: int32 keys below 2**27,
+#: the float64 BLAS key matmul below 2**53, the vectorized int64 prep
+#: below 2**58 (python-int exact path above).
+_SCREENS = (1 << 27, 1 << 53, 1 << 58)
+
+#: 2-D candidates whose screened quantities grow as 1x, 4x and 8x the
+#: loop bound, so shifted bounds put each of them on both sides of a
+#: screen.
+_SCREEN_CANDIDATES = [
+    IntMatrix([[0, 1], [1, 0]]),
+    IntMatrix([[1, 1], [0, 1]]),
+    IntMatrix([[1, 0], [1, 1]]),
+    IntMatrix([[-1, 0], [0, 1]]),
+    IntMatrix([[0, -1], [1, 1]]),
+]
+
+
+def _offset_nest(lower: int):
+    return parse_program(
+        f"for i = {lower} to {lower + 3} {{ for j = 0 to 3 {{ "
+        "A[i + j] = A[i + j - 1] + B[j] } }"
+    )
+
+
+class TestOverflowScreens:
+    def _assert_orders_exact(self, program, candidates):
+        from repro.window.fast import _execution_times
+
+        batch = batched._batched_time_keys(program, candidates)
+        for k, t in enumerate(candidates):
+            ranks = _execution_times(program, t)
+            alone = batched._batched_time_keys(program, [t])[0]
+            for keys in (batch[k], alone):
+                assert len(set(keys.tolist())) == keys.shape[0]
+                assert np.array_equal(np.argsort(keys), np.argsort(ranks))
+
+    def test_int32_key_screen_boundary(self):
+        # ``for i = L to U`` under the identity: every screened quantity
+        # is U, so the keys are int32 exactly while U < 2**27.
+        for upper, dtype in (((1 << 27) - 1, np.int32), (1 << 27, np.int64)):
+            program = parse_program(
+                f"for i = {upper - 7} to {upper} {{ A[i] = A[i - 1] }}"
+            )
+            keys = batched._batched_time_keys(program, [IntMatrix([[1]])])
+            assert keys.dtype == dtype
+            self._assert_orders_exact(program, [IntMatrix([[1]]), None])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bounds_straddling_every_screen(self, seed, monkeypatch):
+        from repro.window import fast
+
+        rng = random.Random(seed)
+        seen = {"float_mm": 0, "exact": 0}
+        points_f64 = fast._IterState.points_f64
+        affine_extents = fast._affine_extents
+
+        def spy_points_f64(state):
+            seen["float_mm"] += 1
+            return points_f64(state)
+
+        def spy_affine_extents(*args):
+            seen["exact"] += 1
+            return affine_extents(*args)
+
+        monkeypatch.setattr(fast._IterState, "points_f64", spy_points_f64)
+        monkeypatch.setattr(fast, "_affine_extents", spy_affine_extents)
+        dtypes = set()
+        float_mm_sides = set()
+        exact_sides = set()
+        for screen in _SCREENS:
+            for shift in range(4):
+                for sign in (-1, 1):
+                    lower = (screen >> shift) + sign * rng.randint(1, 8)
+                    if rng.random() < 0.5:
+                        lower = -lower - 3
+                    program = _offset_nest(lower)
+                    candidates = [None, *_SCREEN_CANDIDATES]
+                    before = dict(seen)
+                    self._assert_orders_exact(program, candidates)
+                    dtypes.add(
+                        batched._batched_time_keys(program, candidates).dtype
+                    )
+                    float_mm_sides.add(seen["float_mm"] > before["float_mm"])
+                    exact_sides.add(seen["exact"] > before["exact"])
+                    for array in (None, "A", "B"):
+                        assert batched.batched_mws(
+                            program, candidates, array=array
+                        ) == _serial_values(program, candidates, array)
+        # Every screen was met from both sides.
+        assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+        assert float_mm_sides == {True, False}
+        assert exact_sides == {True, False}

@@ -76,6 +76,22 @@ class TestOptimizer:
         result = optimize_program(prog)
         assert 0.0 <= result.reduction <= 1.0
 
+    def test_non_primitive_access_rows_are_skipped(self):
+        # The access matrix rows (0, 3, 2) and (-3, -3, -1) have maximal
+        # minors 9, 6 and 3: no unimodular completion exists, so that
+        # candidate must be skipped instead of crashing the search.
+        from repro.ir.generate import GeneratorConfig, random_program
+
+        prog = random_program(
+            953893, GeneratorConfig(depth=3, min_trip=4, max_trip=12)
+        )
+        result = optimize_program(prog)
+        assert is_unimodular(result.transformation)
+        assert result.mws_after <= result.mws_before
+        assert result.mws_after == max_total_window(
+            prog, result.transformation, engine="reference"
+        )
+
 
 class TestPipeline:
     def test_analyze(self):

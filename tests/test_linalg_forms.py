@@ -255,6 +255,31 @@ class TestUnimodular:
         with pytest.raises(ValueError):
             complete_unimodular([[1, 0], [0, 1], [1, 1]])
 
+    def test_complete_rejects_rows_whose_minors_share_a_factor(self):
+        # Each row is primitive and the HNF pivots are units, but the
+        # 2x2 minors are 9, 6 and 3: the rows span an index-3 sublattice
+        # of their rational span, so no unimodular completion exists.
+        with pytest.raises(ValueError, match="gcd 3"):
+            complete_unimodular([[0, 3, 2], [-3, -3, -1]])
+
+    @given(st.lists(st.integers(-4, 4), min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_completes_exactly_when_minors_are_coprime(self, entries):
+        from itertools import combinations
+
+        rows = [entries[:3], entries[3:]]
+        minors = [
+            rows[0][a] * rows[1][b] - rows[0][b] * rows[1][a]
+            for a, b in combinations(range(3), 2)
+        ]
+        if math.gcd(*minors) != 1:
+            with pytest.raises(ValueError):
+                complete_unimodular(rows)
+            return
+        t = complete_unimodular(rows)
+        assert is_unimodular(t)
+        assert [list(t.row(0)), list(t.row(1))] == rows
+
     @given(st.integers(-9, 9), st.integers(-9, 9))
     def test_complete_coprime_rows(self, a, b):
         if math.gcd(a, b) != 1:

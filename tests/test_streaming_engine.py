@@ -104,6 +104,13 @@ class TestDispatch:
         }
         assert set(totals.values()) == {44}
 
+    def test_engine_names(self):
+        # The def-use comparator is a cross-check called directly, not
+        # an engine.
+        assert ENGINES == ("auto", "reference", "fast", "streaming")
+        with pytest.raises(ValueError, match="unknown window engine"):
+            resolve_engine(parse_program(EXAMPLE_8), "zhao_malik")
+
     def test_unknown_engine_raises(self):
         program = parse_program(EXAMPLE_8)
         with pytest.raises(ValueError, match="unknown window engine"):
