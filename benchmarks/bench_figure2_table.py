@@ -73,40 +73,31 @@ def test_figure2_full_table(benchmark):
     )
 
 
-def test_figure2_serial_parallel_and_cache(benchmark):
-    """Search-engine modes: serial vs parallel vs memoized (ISSUE 1).
+def test_figure2_serial_and_cache(benchmark):
+    """Search-engine modes: cold serial vs memoized.
 
-    Parallel candidate evaluation must reproduce the serial table
-    exactly, and a warm exact-simulation cache must cut the wall time —
-    the observable contract of the parallel, memoized search engine.
-    (On single-core CI the parallel wall time is recorded but not
-    asserted: process fan-out cannot beat serial without cores.)
+    A warm exact-simulation cache must reproduce the cold table exactly
+    and cut the wall time — the observable contract of the memoized
+    search engine.
     """
 
-    def measure(workers):
+    def measure():
         start = time.perf_counter()
-        rows = [figure2_row(spec, workers=workers) for spec in KERNELS]
+        rows = [figure2_row(spec) for spec in KERNELS]
         return rows, time.perf_counter() - start
 
     def run():
         clear_exact_cache()
-        serial_rows, serial_s = measure(0)
+        serial_rows, serial_s = measure()
         entries = exact_cache_size()
-        warm_rows, warm_s = measure(0)
-        clear_exact_cache()
-        parallel_rows, parallel_s = measure(2)
-        return (
-            serial_rows, serial_s, warm_rows, warm_s,
-            parallel_rows, parallel_s, entries,
-        )
+        warm_rows, warm_s = measure()
+        return serial_rows, serial_s, warm_rows, warm_s, entries
 
-    (
-        serial_rows, serial_s, warm_rows, warm_s,
-        parallel_rows, parallel_s, entries,
-    ) = benchmark.pedantic(run, rounds=1, iterations=1)
+    serial_rows, serial_s, warm_rows, warm_s, entries = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
 
-    assert parallel_rows == serial_rows  # byte-identical frozen dataclasses
-    assert warm_rows == serial_rows
+    assert warm_rows == serial_rows  # byte-identical frozen dataclasses
     assert entries > 0
     # The memoized rerun skips every exact simulation: the wall-time
     # reduction the cache buys on this machine.
@@ -115,7 +106,6 @@ def test_figure2_serial_parallel_and_cache(benchmark):
         benchmark,
         serial_s=round(serial_s, 3),
         warm_s=round(warm_s, 3),
-        parallel_s=round(parallel_s, 3),
         cache_entries=entries,
         warm_speedup=round(serial_s / warm_s, 1) if warm_s else float("inf"),
     )

@@ -6,20 +6,25 @@ asserts the reproduced values (paper-vs-measured is recorded in
 EXPERIMENTS.md) and times the underlying algorithm via pytest-benchmark.
 
 Telemetry: modules declaring ``BENCH_NAME = "<name>"`` get a
-``BENCH_<name>.json`` artifact at session end (see telemetry.py) with
-every ``record()``-ed number, per-test wall seconds, and the observer's
-counter totals for the session; ``repro bench-compare`` diffs two such
-artifacts.
+``BENCH_<name>.json`` artifact at session end (written by
+:mod:`repro.reporting.telemetry` into ``benchmarks/artifacts/``, or
+``$BENCH_ARTIFACT_DIR``) with every ``record()``-ed number, per-test
+wall seconds, and the observer's counter totals for the session;
+``repro bench-compare`` diffs two such artifacts.
 
 Run:  pytest benchmarks/ --benchmark-only
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import obs
-from telemetry import build_artifact, write_artifact
+from repro.reporting.telemetry import artifact_dir, build_artifact, write_artifact
+
+#: Artifacts land beside the benches, whatever the working directory.
+ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
 
 #: bench name -> {"metrics": {...}, "wall_s": {...}} accumulated over
 #: the session; flushed to BENCH_<name>.json by pytest_sessionfinish.
@@ -74,5 +79,5 @@ def pytest_sessionfinish(session, exitstatus):
             wall_s=run["wall_s"],
             counters=counters,
         )
-        path = write_artifact(artifact)
+        path = write_artifact(artifact, artifact_dir(default=ARTIFACT_DIR))
         print(f"\nbench telemetry: {path}")

@@ -1,13 +1,12 @@
-"""Stable library facade: one entry path for the CLI, batch, and server.
+"""Stable library facade: the one item path behind ``repro batch`` and
+``repro serve``.
 
-Before this module, three call sites each hand-wired parse → analyze →
-report: the CLI subcommands, the ``repro batch`` runner, and ad-hoc
-library users.  :class:`AnalysisService` owns the shared machinery —
-the content-addressed result store (with its in-memory LRU front), the
-reclaimable worker pool, the per-request timeout path (the same one the
-batch runner uses, so a hung request frees its worker slot), and the
-run-ledger read side — and exposes every analysis the engines support
-behind one request/response surface::
+:class:`AnalysisService` owns the shared machinery — the
+content-addressed result store (with its in-memory LRU front), the
+reclaimable worker pool (the package's only process pool), the
+per-request timeout path (a hung request frees its worker slot), and
+the run-ledger read side — and exposes every analysis the engines
+support behind one request/response surface::
 
     from repro.api import AnalysisService, build_request
 
@@ -17,23 +16,26 @@ behind one request/response surface::
         ))
         print(response.result["mws_after"], response.warm)
 
-Request ``kind`` is one of :data:`repro.store.batch.KINDS`:
-``optimize``, ``search``, ``mws``, ``analyze``, ``hierarchy``,
-``param``.  The work target is exactly one of ``kernel`` (a Figure-2
-kernel name), ``file`` (a loop-nest source path), or ``source`` (inline
-loop-nest text).  All results are JSON-ready dicts, pure functions of
-the program signature and knobs, so with a store attached a warm
-request is served without a single engine simulation.
+Request ``kind`` is one of :data:`KINDS`: ``optimize``, ``search``,
+``mws``, ``analyze``, ``hierarchy``, ``param``.  The work target is
+exactly one of ``kernel`` (a Figure-2 kernel name), ``file`` (a
+loop-nest source path), or ``source`` (inline loop-nest text).  All
+results are JSON-ready dicts, pure functions of the program signature
+and knobs, so with a store attached a warm request is served without a
+single engine simulation.
 
-The HTTP front end (:mod:`repro.server`) is a thin asyncio shell over
-this class; ``repro batch`` routes its items through
-:func:`evaluate_kind`; both therefore share caching, counters, journal
-and ledger semantics with plain library calls.
+Two front ends run their items through the service: the HTTP server
+(:mod:`repro.server`, a thin asyncio shell) and ``repro batch``
+(:func:`repro.store.batch.run_batch`, a loop over one service).  The
+single-program CLI subcommands call the engines directly, but load
+their programs with the same :func:`load_program`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -41,19 +43,16 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro import obs
-from repro.obs import runctx
+from repro.obs import flight, runctx
+from repro.obs import metrics as obs_metrics
 from repro.ir.program import Program
-
-#: Request kinds (shared with the batch manifest format).
-from repro.store.batch import (  # noqa: F401  (re-exported surface)
-    KINDS,
-    _batch_task,
-    _default_evaluator,
-    _observe_latency,
-    record_item_timeout,
-    run_batch,
-)
 from repro.store.pool import ReclaimablePool
+
+#: Request kinds (also the ``kind`` of a batch manifest entry).
+KINDS = ("optimize", "search", "mws", "analyze", "hierarchy", "param")
+
+#: Second-scale latency buckets (the metrics default is integer-scaled).
+LATENCY_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
 
 
 # ----------------------------------------------------------------------
@@ -72,8 +71,9 @@ def evaluate_kind(
 
     Every result is a pure function of ``program.signature()`` and the
     knobs, served through the store when one is attached.  This is the
-    single dispatch the CLI, ``repro batch`` workers, and the HTTP
-    service all execute.
+    dispatch every :class:`AnalysisService` item runs — ``repro batch``
+    and ``repro serve`` — and the default evaluator of both; its
+    positional arguments are the ones the item task passes.
     """
     if kind == "optimize":
         from repro.core.optimizer import optimize_program
@@ -153,6 +153,192 @@ def evaluate_kind(
             out[f"{param_kind}_expr"] = None if pe is None else str(pe.expr)
         return out
     raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
+
+
+# ----------------------------------------------------------------------
+# item execution — inline or on a pool worker, one lifecycle either way
+# ----------------------------------------------------------------------
+
+def _run_item(payload, drain: bool) -> tuple[dict[str, Any], dict[str, int]]:
+    """Run one item between its ``item_start`` and ``item_done`` /
+    ``item_error`` heartbeats; return the result and the item's counter
+    delta.
+
+    ``drain=True`` is the pool-worker mode (:func:`_batch_task`): a
+    :class:`repro.obs.flight.HeartbeatThread` periodically snapshots the
+    worker's counters to the run's live file while the item runs, and
+    the worker observer is drained afterwards, so the delta is this
+    item's alone.  Those snapshots double as the *partial-telemetry
+    flush*: if the parent abandons the item on timeout, it recovers the
+    last snapshot (:func:`record_item_timeout`) instead of silently
+    dropping the worker's counters.  ``drain=False`` (inline) diffs the
+    caller's observer instead.
+    """
+    evaluator, label, sig, kind, program, array, engine, store = payload
+    observer = obs.get_observer()
+    before = {} if observer is None or drain else dict(observer.counters)
+    # The context manager stops the heartbeat thread on *any* exit — a
+    # raising evaluator must not leave a daemon thread appending
+    # heartbeats for an item that is already dead.
+    beating = (
+        flight.HeartbeatThread(label, sig=sig) if drain
+        else contextlib.nullcontext()
+    )
+    flight.heartbeat("item_start", item=label, sig=sig)
+    started = time.perf_counter()
+    try:
+        with beating:
+            result = evaluator(kind, program, array, engine, store)
+    except BaseException:
+        flight.heartbeat("item_error", item=label, sig=sig)
+        raise
+    delta: dict[str, int] = {}
+    if observer is not None and drain:
+        delta = dict(observer.counters)
+        observer.counters.clear()
+    elif observer is not None:
+        delta = {
+            name: value - before.get(name, 0)
+            for name, value in observer.counters.items()
+            if value != before.get(name, 0)
+        }
+    flight.heartbeat(
+        "item_done", item=label, sig=sig,
+        elapsed_s=round(time.perf_counter() - started, 3),
+        counters=delta,
+    )
+    return result, delta
+
+
+def _batch_task(payload) -> tuple[dict[str, Any], dict[str, int]]:
+    """Pool-worker entry point (module-level for pickling)."""
+    return _run_item(payload, drain=True)
+
+
+def _recover_timeout_delta(item_label: str) -> dict[str, int]:
+    """Last heartbeat counter snapshot for a timed-out item, if any.
+
+    The timed-out worker's per-item counter delta never comes back over
+    the future, but its :class:`~repro.obs.flight.HeartbeatThread` was
+    flushing snapshots to the live file — return the freshest one so the
+    telemetry survives the cancel.
+    """
+    path = flight.live_path()
+    if path is None:
+        return {}
+    recovered: dict[str, int] = {}
+    for event in flight.read_heartbeats(path):
+        if event.get("ev") == "progress" and event.get("item") == item_label:
+            counters = event.get("counters")
+            if isinstance(counters, dict):
+                recovered = {
+                    str(name): int(value)
+                    for name, value in counters.items()
+                    if isinstance(value, (int, float))
+                }
+    return recovered
+
+
+def _observe_latency(wall_s: float, delta: Mapping[str, int]) -> bool:
+    """File the item's wall time under the warm or cold histogram, and
+    return whether the item was warm.
+
+    *Warm* means cached answers served the whole item: no ``store.misses``,
+    no window-engine work (every ``engine.*.calls`` and
+    ``batch.candidates`` zero), and at least one hit in the store or in
+    the in-process memos (``search.cache``, ``search.memo``,
+    ``param.cache``), which answer repeats without touching the store.
+    Anything else is cold.
+    """
+    hits = sum(
+        delta.get(f"{cache}.hits", 0)
+        for cache in (
+            "store.mem", "store.disk", "search.cache", "search.memo",
+            "param.cache",
+        )
+    )
+    engine_work = delta.get("batch.candidates", 0) + sum(
+        value for name, value in delta.items()
+        if name.startswith("engine.") and name.endswith(".calls")
+    )
+    warm = hits > 0 and engine_work == 0 and delta.get("store.misses", 0) == 0
+    name = "batch.latency.warm_s" if warm else "batch.latency.cold_s"
+    obs_metrics.observe(name, wall_s, buckets=LATENCY_BUCKETS)
+    return warm
+
+
+def record_item_timeout(
+    label: str, sig: str | None, timeout_s: float | None
+) -> dict[str, int]:
+    """Account for one abandoned item.
+
+    Recovers the doomed worker's last heartbeat counter snapshot, bumps
+    ``batch.item.timeout``, attributes the timeout on the run context,
+    and emits the ``item_timeout`` heartbeat.  The worker itself is
+    reclaimed by :class:`repro.store.pool.ReclaimablePool` — by the time
+    this runs the slot is already being respawned.
+    """
+    recovered = _recover_timeout_delta(label)
+    for name, amount in recovered.items():
+        obs.counter(name, amount)
+    obs.counter("batch.item.timeout")
+    runctx.annotate("timeouts", {
+        "item": label,
+        "sig": sig,
+        "timeout_s": timeout_s,
+        "recovered_counters": recovered,
+    })
+    flight.heartbeat("item_timeout", item=label, sig=sig)
+    return recovered
+
+
+def _resolve_workers(workers: int | None) -> int:
+    """``None`` means "pick for me": one worker per CPU, capped at 8.
+
+    Negative counts are rejected here, when the service is built, rather
+    than surfacing as an opaque pool error on the first request.
+    """
+    if workers is None:
+        return min(8, os.cpu_count() or 1)
+    if workers < 0:
+        raise ValueError(
+            f"workers must be >= 0 (0 = inline, None = auto-size), "
+            f"got {workers}"
+        )
+    return workers
+
+
+# ----------------------------------------------------------------------
+# programs
+# ----------------------------------------------------------------------
+
+def load_program(
+    kernel: str | None = None,
+    file: str | Path | None = None,
+    source: str | None = None,
+    name: str | None = None,
+) -> Program:
+    """Build a program from a Figure-2 kernel name, a loop-nest source
+    file, or inline loop-nest text (the first one given), and note its
+    signature in the active run's ledger provenance.
+
+    The one program loader: service requests and the CLI subcommands
+    both resolve through it.
+    """
+    if kernel is not None:
+        from repro.kernels import kernel_by_name
+
+        program = kernel_by_name(kernel).build()
+    else:
+        from repro.ir import parse_program
+
+        if file is not None:
+            path = Path(file)
+            source = path.read_text(encoding="utf-8")
+            name = name or path.stem
+        program = parse_program(source, name=name or "inline")
+    runctx.note_input(program.name, program.signature())
+    return program
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +431,15 @@ def build_request(payload: Mapping[str, Any]) -> AnalysisRequest:
     )
 
 
+def _failed(
+    request: AnalysisRequest, exc: BaseException, wall_s: float = 0.0
+) -> AnalysisResponse:
+    return AnalysisResponse(
+        request.kind, request.target, request.array, "error",
+        error=f"{type(exc).__name__}: {exc}", wall_s=wall_s,
+    )
+
+
 # ----------------------------------------------------------------------
 # the service
 # ----------------------------------------------------------------------
@@ -257,10 +452,12 @@ class AnalysisService:
     ``workers >= 1`` evaluates on a :class:`ReclaimablePool`, where a
     request that outlives ``timeout`` seconds is abandoned *and its
     worker is killed and respawned*, so a hung request never eats a
-    slot.  The pool is spawned lazily on the first pooled request (so
-    it inherits the active run context) and is shared by every caller —
-    admission control (how many requests may wait for a slot) belongs
-    to the front end.
+    slot.  An inline evaluation cannot be preempted, so a ``timeout``
+    with ``workers=0`` is rejected.  The pool is spawned lazily on the
+    first pooled request (so it inherits the active run context) and is
+    shared by every caller; its long-lived workers keep their caches
+    between items.  Admission control (how many requests may wait for a
+    slot) belongs to the front end.
     """
 
     def __init__(
@@ -271,82 +468,65 @@ class AnalysisService:
         timeout: float | None = None,
     ) -> None:
         from repro.store import ResultStore
-        from repro.transform.search import _resolve_workers
 
+        self.workers = _resolve_workers(workers)
+        if timeout is not None and self.workers < 1:
+            raise ValueError(
+                f"timeout={timeout:g}s needs workers >= 1: an inline "
+                f"evaluation cannot be preempted"
+            )
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
         self.store = store
         self.engine = engine
-        self.workers = _resolve_workers(workers)
         self.timeout = timeout
         self._pool: ReclaimablePool | None = None
         self._lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------
-    # programs
+    # evaluation
     # ------------------------------------------------------------------
     def resolve_program(self, request: AnalysisRequest) -> Program:
         """Build the request's program (kernel, file, or inline source)."""
-        if request.kernel is not None:
-            from repro.kernels import kernel_by_name
+        return load_program(
+            request.kernel, request.file, request.source, request.name
+        )
 
-            program = kernel_by_name(request.kernel).build()
-        elif request.file is not None:
-            from repro.ir import parse_program
-
-            path = Path(request.file)
-            program = parse_program(
-                path.read_text(encoding="utf-8"),
-                name=request.name or path.stem,
-            )
-        else:
-            from repro.ir import parse_program
-
-            program = parse_program(
-                request.source, name=request.name or "inline"
-            )
-        # Ledger provenance: every program the service touches.
-        runctx.note_input(program.name, program.signature())
-        return program
-
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-    def _evaluator(self, request: AnalysisRequest):
-        if request.preset != "tcm":
+    def _payload(self, request: AnalysisRequest, evaluator) -> tuple:
+        """Resolve the request into the item task's payload."""
+        if evaluator is None:
             # functools.partial of a module-level callable pickles to
             # pool workers; the default path ships the bare function.
-            return functools.partial(evaluate_kind, preset=request.preset)
-        return _default_evaluator
+            evaluator = evaluate_kind
+            if request.preset != "tcm":
+                evaluator = functools.partial(
+                    evaluate_kind, preset=request.preset
+                )
+        program = self.resolve_program(request)
+        return (
+            evaluator, f"{request.kind} {request.target}",
+            program.signature(), request.kind, program, request.array,
+            request.engine or self.engine, self.store,
+        )
 
-    def evaluate(self, request: AnalysisRequest) -> AnalysisResponse:
+    def evaluate(
+        self, request: AnalysisRequest, evaluator=None
+    ) -> AnalysisResponse:
         """Evaluate inline (no pool, no preemption); never raises on the
-        *item's* behalf — failures come back as ``status="error"``."""
-        engine = request.engine or self.engine
+        *item's* behalf — failures come back as ``status="error"``.
+
+        ``evaluator`` (tests only) replaces :func:`evaluate_kind`.
+        """
         started = time.perf_counter()
         try:
-            program = self.resolve_program(request)
-            observer = obs.get_observer()
-            before = dict(observer.counters) if observer else {}
-            result = evaluate_kind(
-                request.kind, program, array=request.array, engine=engine,
-                store=self.store, preset=request.preset,
+            result, delta = _run_item(
+                self._payload(request, evaluator), drain=False
             )
         except Exception as exc:
             obs.counter("batch.items.error")
-            return AnalysisResponse(
-                request.kind, request.target, request.array, "error",
-                error=f"{type(exc).__name__}: {exc}",
-                wall_s=time.perf_counter() - started,
-            )
+            return _failed(request, exc, time.perf_counter() - started)
         wall = time.perf_counter() - started
-        delta = {}
-        if observer is not None:
-            delta = {
-                name: value - before.get(name, 0)
-                for name, value in observer.counters.items()
-            }
         obs.counter("batch.items.ok")
         warm = _observe_latency(wall, delta)
         return AnalysisResponse(
@@ -360,37 +540,29 @@ class AnalysisService:
         timeout: float | None = None,
         evaluator=None,
     ) -> AnalysisResponse:
-        """Evaluate on the worker pool with the batch timeout path.
+        """Evaluate on the worker pool with the item timeout path.
 
         ``timeout`` (falling back to the request's, then the service's)
         bounds the request's execution; on expiry the worker is killed
         and respawned (``batch.worker.reclaimed``) and the response is
         ``status="timeout"``.  With ``workers=0`` this degrades to
-        :meth:`evaluate` — serial mode cannot preempt.  Thread-safe.
+        :meth:`evaluate`.  ``evaluator`` (tests only; module-level so it
+        pickles) replaces :func:`evaluate_kind`.  Thread-safe.
         """
         if timeout is None:
             timeout = request.timeout
         if timeout is None:
             timeout = self.timeout
         if self.workers < 1:
-            return self.evaluate(request)
-        engine = request.engine or self.engine
+            return self.evaluate(request, evaluator)
         try:
-            program = self.resolve_program(request)
+            payload = self._payload(request, evaluator)
         except Exception as exc:
             obs.counter("batch.items.error")
-            return AnalysisResponse(
-                request.kind, request.target, request.array, "error",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        sig = program.signature()
-        label = f"{request.kind} {request.target}"
-        payload = (
-            evaluator or self._evaluator(request), label, sig, request.kind,
-            program, request.array, engine, self.store,
-        )
+            return _failed(request, exc)
         slot = self._ensure_pool().run_one(_batch_task, payload, timeout)
         if slot.status == "timeout":
+            label, sig = payload[1:3]
             with self._lock:
                 record_item_timeout(label, sig, timeout)
             return AnalysisResponse(
@@ -400,11 +572,7 @@ class AnalysisService:
         if slot.status == "error":
             with self._lock:
                 obs.counter("batch.items.error")
-            return AnalysisResponse(
-                request.kind, request.target, request.array, "error",
-                error=f"{type(slot.value).__name__}: {slot.value}",
-                wall_s=slot.wall_s,
-            )
+            return _failed(request, slot.value, slot.wall_s)
         result, delta = slot.value
         # Counter merging is not atomic; concurrent front-end threads
         # serialize here so worker deltas are never lost.
@@ -416,14 +584,6 @@ class AnalysisService:
         return AnalysisResponse(
             request.kind, request.target, request.array, "ok",
             result=result, wall_s=slot.wall_s, warm=warm,
-        )
-
-    def batch(self, entries, timeout: float | None = None):
-        """Run a manifest through :func:`repro.store.batch.run_batch`
-        with the service's store/workers/engine."""
-        return run_batch(
-            entries, store=self.store, workers=self.workers,
-            engine=self.engine, timeout=timeout or self.timeout,
         )
 
     # ------------------------------------------------------------------

@@ -23,7 +23,9 @@
 
 Global flags (before the subcommand):
 
-    --workers N        parallelize candidate evaluation over N processes
+    --workers N        worker processes of the analysis pool behind
+                       `batch` and `serve` (other subcommands run in
+                       this process and ignore it)
     --engine NAME      window engine: auto | reference | fast | streaming
                        (auto picks fast or, past the dense budget,
                        streaming)
@@ -44,22 +46,22 @@ import sys
 from pathlib import Path
 
 from repro import obs
+from repro.api import load_program
 from repro.core import analyze_program, optimize_program
-from repro.ir import generate_transformed_source, parse_program
+from repro.ir import generate_transformed_source
 from repro.ir.parser import ParseError
 from repro.memory import size_memory_for_program
 
 
-def _load(path: str, name: str | None = None):
-    text = Path(path).read_text()
-    program = parse_program(text, name=name or Path(path).stem)
-    # Ledger provenance: every program a run touches, by content hash.
-    obs.runctx.note_input(program.name, program.signature())
-    return program
+def _load_target(target: str):
+    """A program file when ``target`` names one, else a Figure-2 kernel."""
+    if Path(target).exists():
+        return load_program(file=target)
+    return load_program(kernel=target)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    program = _load(args.file)
+    program = load_program(file=args.file)
     print(analyze_program(program, engine=args.engine))
     return 0
 
@@ -67,7 +69,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_dependences(args: argparse.Namespace) -> int:
     from repro.dependence import program_dependences
 
-    program = _load(args.file)
+    program = load_program(file=args.file)
     deps = program_dependences(program, include_input=not args.no_input)
     if not deps:
         print("no constant-distance dependences")
@@ -82,10 +84,10 @@ def _cmd_dependences(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    program = _load(args.file)
+    program = load_program(file=args.file)
     result = optimize_program(
-        program, workers=args.workers, engine=args.engine,
-        store=args.store_obj, parametric=args.parametric,
+        program, engine=args.engine, store=args.store_obj,
+        parametric=args.parametric,
     )
     print(f"MWS before : {result.mws_before}")
     print(f"MWS after  : {result.mws_after}")
@@ -121,12 +123,7 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
     from repro.reporting import render_hierarchy_table
     from repro.transform.hierarchy_search import search_hierarchy
 
-    if Path(args.target).exists():
-        program = _load(args.target)
-    else:
-        from repro.kernels import kernel_by_name
-
-        program = kernel_by_name(args.target).build()
+    program = _load_target(args.target)
     hierarchy = preset(args.preset)
     report = size_memory_for_hierarchy(
         program, hierarchy, policy=args.policy, engine=args.engine
@@ -159,12 +156,11 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 
 
 def _cmd_size(args: argparse.Namespace) -> int:
-    program = _load(args.file)
+    program = load_program(file=args.file)
     transformation = None
     if args.optimized:
         transformation = optimize_program(
-            program, workers=args.workers, engine=args.engine,
-            store=args.store_obj,
+            program, engine=args.engine, store=args.store_obj,
         ).transformation
     report = size_memory_for_program(program, transformation, engine=args.engine)
     print(f"declared            : {report.declared_words} words")
@@ -183,18 +179,18 @@ def _cmd_buffer(args: argparse.Namespace) -> int:
     from repro.transform import allocate_window, rewrite_with_buffer
     from repro.transform.search import search_mws_2d, search_mws_3d
 
-    program = _load(args.file)
+    program = load_program(file=args.file)
     array = args.array or program.arrays[0]
     transformation = None
     if args.optimized:
         depth = program.nest.depth
         if depth == 2:
             transformation = search_mws_2d(
-                program, array, workers=args.workers, store=args.store_obj
+                program, array, store=args.store_obj
             ).transformation
         elif depth == 3:
             transformation = search_mws_3d(
-                program, array, workers=args.workers, store=args.store_obj
+                program, array, store=args.store_obj
             ).transformation
     alloc = allocate_window(program, array, transformation)
     print(f"array {array}: declared={alloc.declared} MWS={alloc.mws} "
@@ -209,7 +205,7 @@ def _cmd_distribute(args: argparse.Namespace) -> int:
     from repro.ir import generate_source
     from repro.transform import distribute
 
-    program = _load(args.file)
+    program = load_program(file=args.file)
     sequence = distribute(program)
     print(f"{len(sequence.programs)} nest(s) after distribution:")
     for part in sequence.programs:
@@ -223,7 +219,7 @@ def _cmd_viz(args: argparse.Namespace) -> int:
     from repro.viz import render_profile_bars, render_reuse_region
     from repro.window import window_profile
 
-    program = _load(args.file)
+    program = load_program(file=args.file)
     array = args.array or program.arrays[0]
     if args.liveness:
         from repro.viz import render_liveness_profile
@@ -247,12 +243,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.transform import journal
     from repro.transform.search import search_best_transformation
 
-    if Path(args.target).exists():
-        program = _load(args.target)
-    else:
-        from repro.kernels import kernel_by_name
-
-        program = kernel_by_name(args.target).build()
+    program = _load_target(args.target)
     array = args.array or program.arrays[0]
     observer = obs.get_observer()
     own_observer = observer is None
@@ -261,8 +252,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     jr = journal.enable()
     try:
         result = search_best_transformation(
-            program, array, bound=args.bound, workers=args.workers,
-            engine=args.engine, store=args.store_obj,
+            program, array, bound=args.bound, engine=args.engine,
+            store=args.store_obj,
         )
     finally:
         journal.disable()
@@ -283,12 +274,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_param(args: argparse.Namespace) -> int:
     from repro.estimation.parametric import resolve_parametric, with_trip_counts
 
-    if Path(args.target).exists():
-        program = _load(args.target)
-    else:
-        from repro.kernels import kernel_by_name
-
-        program = kernel_by_name(args.target).build()
+    program = _load_target(args.target)
     arrays = [args.array] if args.array else list(program.arrays)
     depth = program.nest.depth
     sizes: list[tuple[int, ...]] = [program.nest.trip_counts]
@@ -516,9 +502,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.window.streaming import max_total_window_streaming, stream_chunk
 
     if args.file:
-        program = _load(args.file)
+        program = load_program(file=args.file)
     else:
-        program = parse_program(_BENCH_STENCIL, name="stencil256")
+        program = load_program(source=_BENCH_STENCIL, name="stencil256")
     if args.chunk_sweep:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     else:
@@ -593,10 +579,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
         specs = [kernel_by_name(args.kernel)]
     else:
         specs = list(KERNELS)
-    rows = [
-        figure2_row(spec, workers=args.workers, store=args.store_obj)
-        for spec in specs
-    ]
+    rows = [figure2_row(spec, store=args.store_obj) for spec in specs]
     print(render_table(rows))
     return 0
 
@@ -692,7 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="evaluate search candidates on N worker processes (0 = serial)",
+        help="worker processes for `batch` (0 = inline) and `serve` "
+        "(0 = automatic); other subcommands ignore it",
     )
     from repro.window import ENGINES
 

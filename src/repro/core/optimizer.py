@@ -52,7 +52,7 @@ def _program_ordering_distances(program: Program) -> list[tuple[int, ...]]:
 
 
 def candidate_transformations(
-    program: Program, workers: int = 0, engine: str = "auto", store=None
+    program: Program, engine: str = "auto", store=None
 ) -> list[IntMatrix]:
     """Legal candidate transformations for program-level optimization.
 
@@ -84,9 +84,7 @@ def candidate_transformations(
             if not program.is_uniformly_generated(array):
                 continue
             try:
-                result = search(
-                    program, array, workers=workers, engine=engine, store=store
-                )
+                result = search(program, array, engine=engine, store=store)
             except (ValueError, KeyError):
                 continue
             if is_legal(result.transformation, distances):
@@ -126,17 +124,14 @@ def _access_embeddings(
 
 
 def optimize_program(
-    program: Program, workers: int = 0, engine: str = "auto", store=None,
+    program: Program, engine: str = "auto", store=None,
     parametric: bool = False,
 ) -> OptimizationResult:
     """Choose the legal transformation minimizing total MWS.
 
     Exact scoring via the window simulator; the identity is always a
-    candidate, so the result never regresses.  ``workers > 1``
-    parallelizes both the per-array searches and the program-level
-    candidate scoring; results are identical to serial mode (candidates
-    are scored in the same deterministic order with strict-improvement
-    tie-breaking either way).
+    candidate, so the result never regresses.  Candidates are scored in
+    a deterministic order with strict-improvement tie-breaking.
 
     Candidates run through the tiered evaluation cascade: the native
     order (first, so its score is always exact) sets the incumbent, and
@@ -152,14 +147,14 @@ def optimize_program(
     """
     from repro.transform.search import evaluate_cascade
 
-    with obs.span("optimize", program=program.name, workers=workers):
+    with obs.span("optimize", program=program.name):
         with obs.span("candidates"):
             candidates = candidate_transformations(
-                program, workers=workers, engine=engine, store=store
+                program, engine=engine, store=store
             )
         obs.counter("optimize.candidates", len(candidates))
         outcomes = evaluate_cascade(
-            program, [None] + candidates, array=None, workers=workers,
+            program, [None] + candidates, array=None,
             engine=engine, store=store, parametric=parametric,
         )
         before = outcomes[0].value

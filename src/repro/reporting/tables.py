@@ -35,10 +35,10 @@ class Figure2Row:
         return 100.0 * (1.0 - self.mws_opt / self.default)
 
 
-def figure2_row(spec: KernelSpec, workers: int = 0, store=None) -> Figure2Row:
+def figure2_row(spec: KernelSpec, store=None) -> Figure2Row:
     """Run the pipeline on one kernel and produce its table row."""
     program = spec.build()
-    result = optimize_program(program, workers=workers, store=store)
+    result = optimize_program(program, store=store)
     return Figure2Row(
         name=spec.name,
         default=program.default_memory,
@@ -50,10 +50,10 @@ def figure2_row(spec: KernelSpec, workers: int = 0, store=None) -> Figure2Row:
 
 
 def figure2_table(
-    specs: Iterable[KernelSpec], workers: int = 0, store=None
+    specs: Iterable[KernelSpec], store=None
 ) -> list[Figure2Row]:
     """Measured rows for a collection of kernels."""
-    return [figure2_row(spec, workers=workers, store=store) for spec in specs]
+    return [figure2_row(spec, store=store) for spec in specs]
 
 
 def render_table(rows: Sequence[Figure2Row]) -> str:

@@ -27,7 +27,7 @@ SCHEMA_VERSION = 1
 ARTIFACT_DIR_ENV = "BENCH_ARTIFACT_DIR"
 
 #: Resolved relative to the working directory; the benchmark harness
-#: (benchmarks/telemetry.py) overrides this with its own absolute path.
+#: (benchmarks/conftest.py) passes its own absolute path instead.
 DEFAULT_ARTIFACT_DIR = Path("benchmarks") / "artifacts"
 
 

@@ -1,12 +1,15 @@
-"""Persistent result store and batch evaluation (ISSUE 5).
+"""Persistent result store, worker pool, and batch runner.
 
 * :mod:`repro.store.lru` — the bounded LRU cache primitive (also the
   in-memory memo layer of :mod:`repro.transform.search`);
 * :mod:`repro.store.store` — content-addressed on-disk records keyed by
   ``(program signature, kind, array, knobs)``, atomic and
   corruption-tolerant;
-* :mod:`repro.store.batch` — the manifest-driven batch evaluation
-  service behind ``repro batch``.
+* :mod:`repro.store.pool` — the reclaimable worker pool that
+  :class:`repro.api.AnalysisService` runs its items on (the package's
+  only process pool);
+* :mod:`repro.store.batch` — ``repro batch``: a manifest of work items
+  run as a loop over one :class:`repro.api.AnalysisService`.
 """
 
 from repro.store.batch import (

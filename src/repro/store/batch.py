@@ -1,13 +1,17 @@
-"""Batch evaluation service over a manifest of kernels/searches.
+"""``repro batch``: a manifest of work items run through one
+:class:`repro.api.AnalysisService`.
 
-``repro batch manifest.json`` reads a JSON manifest of work items, dedups
-identical work by ``(kind, program signature, array)``, fans the unique
-items out across the existing process-pool machinery with per-item
-timeouts, and emits a deterministic summary table plus obs metrics.
-Failures degrade gracefully: an item that raises or times out is
-reported in the table with its error, never fatal to the batch.
+``repro batch manifest.json`` reads a JSON manifest of work items, turns
+each into a service request, dedups identical work, runs the unique
+items through the service — inline, or on its reclaimable worker pool
+with per-item timeouts — and emits a deterministic summary table plus
+obs metrics.  Failures degrade gracefully: an item that is malformed,
+raises, or times out is reported in the table with its error, never
+fatal to the batch.
 
-Manifest format — a JSON list (or ``{"items": [...]}``) of objects::
+Manifest format — a JSON list (or ``{"items": [...]}``) of objects in
+the request format of :func:`repro.api.build_request`, whose ``kind``
+defaults to ``optimize`` here::
 
     {"kind": "optimize", "kernel": "sor"}
     {"kind": "search",   "file": "examples/ex8.loop", "array": "A"}
@@ -20,15 +24,16 @@ Manifest format — a JSON list (or ``{"items": [...]}``) of objects::
 * ``mws``       — exact MWS of the native order (``array`` optional; the
   program total when omitted),
 * ``analyze``   — footprints plus exact windows for every array,
-* ``hierarchy`` — tier-stack sizing against a preset (default ``tcm``),
+* ``hierarchy`` — tier-stack sizing against a ``preset`` (default ``tcm``),
 * ``param``     — closed-form MWS/distinct expressions in the bounds.
 
-The target is either ``kernel`` (a Figure-2 kernel name) or ``file`` (a
-loop-nest source file).  With a :class:`repro.store.ResultStore`
-attached, every item's results are persisted, so a warm re-run of the
-same manifest is served from the store; item latencies are recorded in
-the ``batch.latency.warm_s`` / ``batch.latency.cold_s`` histograms, and
-the summary table is byte-identical between cold and warm runs.
+The target is exactly one of ``kernel`` (a Figure-2 kernel name),
+``file`` (a loop-nest source file) or ``source`` (inline loop-nest
+text).  With a :class:`repro.store.ResultStore` attached, every item's
+results are persisted, so a warm re-run of the same manifest is served
+from the store; item latencies are recorded in the
+``batch.latency.warm_s`` / ``batch.latency.cold_s`` histograms, and the
+summary table is byte-identical between cold and warm runs.
 """
 
 from __future__ import annotations
@@ -38,34 +43,36 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro import obs
-from repro.obs import flight, runctx
-from repro.obs import metrics as obs_metrics
+from repro.obs import flight
 from repro.ir.program import Program
-from repro.store.pool import ReclaimablePool
 
-#: Recognized work-item kinds (dispatched by :func:`repro.api.evaluate_kind`).
-KINDS = ("optimize", "search", "mws", "analyze", "hierarchy", "param")
-
-#: Second-scale latency buckets (the metrics default is integer-scaled).
-LATENCY_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
+if TYPE_CHECKING:
+    from repro.api import AnalysisRequest, AnalysisResponse
 
 
 @dataclass(frozen=True)
 class BatchItem:
-    """One validated manifest entry."""
+    """One manifest entry: its request and resolved program (``None``
+    where the entry did not validate or its program did not resolve)."""
 
     index: int
-    kind: str
-    target: str
-    array: str | None
-    program: Program
+    request: AnalysisRequest | None = None
+    program: Program | None = None
 
     @property
-    def label(self) -> str:
-        return f"#{self.index} {self.kind} {self.target}"
+    def kind(self) -> str:
+        return "?" if self.request is None else self.request.kind
+
+    @property
+    def target(self) -> str:
+        return "?" if self.request is None else self.request.target
+
+    @property
+    def array(self) -> str | None:
+        return None if self.request is None else self.request.array
 
 
 @dataclass
@@ -106,170 +113,6 @@ def load_manifest(path: str | Path) -> list[dict]:
     return data
 
 
-def _build_item(index: int, entry: Any) -> BatchItem:
-    if not isinstance(entry, dict):
-        raise ValueError(f"item #{index}: expected an object, got {entry!r}")
-    kind = entry.get("kind", "optimize")
-    if kind not in KINDS:
-        raise ValueError(
-            f"item #{index}: unknown kind {kind!r} (expected one of {KINDS})"
-        )
-    array = entry.get("array")
-    kernel = entry.get("kernel")
-    file = entry.get("file")
-    if (kernel is None) == (file is None):
-        raise ValueError(
-            f"item #{index}: exactly one of 'kernel' or 'file' is required"
-        )
-    if kernel is not None:
-        from repro.kernels import kernel_by_name
-
-        program = kernel_by_name(kernel).build()
-        target = kernel
-    else:
-        from repro.ir import parse_program
-
-        program = parse_program(
-            Path(file).read_text(encoding="utf-8"), name=Path(file).stem
-        )
-        target = file
-    return BatchItem(index, kind, target, array, program)
-
-
-def _default_evaluator(
-    kind: str,
-    program: Program,
-    array: str | None,
-    engine: str,
-    store,
-) -> dict[str, Any]:
-    """Run one work item; returns a JSON-ready result dict.
-
-    Delegates to the :mod:`repro.api` facade so the batch runner, the
-    CLI, and the HTTP service all execute work through one entry path.
-    (Lazy import: ``repro.api`` imports this module.)
-    """
-    from repro.api import evaluate_kind
-
-    return evaluate_kind(kind, program, array=array, engine=engine,
-                         store=store)
-
-
-def _batch_task(payload) -> tuple[dict[str, Any], dict[str, int]]:
-    """Worker-process entry point (module-level for pickling).
-
-    Like ``transform.search._eval_batch_task``: returns the result
-    together with the worker-side counter delta, drained per task so
-    serial and parallel counter totals match.
-
-    While the item runs, a :class:`repro.obs.flight.HeartbeatThread`
-    periodically snapshots the worker's counters to the run's live file.
-    Those snapshots double as the *partial-telemetry flush*: if the
-    parent abandons this item on timeout, it recovers the last snapshot
-    instead of silently dropping the worker's counters.
-    """
-    evaluator, label, sig, kind, program, array, engine, store = payload
-    flight.heartbeat("item_start", item=label, sig=sig)
-    started = time.perf_counter()
-    try:
-        # The context manager stops the heartbeat thread on *any* exit —
-        # a raising evaluator must not leave a daemon thread appending
-        # heartbeats for an item that is already dead.
-        with flight.HeartbeatThread(label, sig=sig):
-            result = evaluator(kind, program, array, engine, store)
-    except BaseException:
-        flight.heartbeat("item_error", item=label, sig=sig)
-        raise
-    worker_obs = obs.get_observer()
-    delta: dict[str, int] = {}
-    if worker_obs is not None:
-        delta = dict(worker_obs.counters)
-        worker_obs.counters.clear()
-    flight.heartbeat(
-        "item_done", item=label, sig=sig,
-        elapsed_s=round(time.perf_counter() - started, 3),
-        counters=delta,
-    )
-    return result, delta
-
-
-def _recover_timeout_delta(item_label: str) -> dict[str, int]:
-    """Last heartbeat counter snapshot for a timed-out item, if any.
-
-    The timed-out worker's per-item counter delta never comes back over
-    the future, but its :class:`~repro.obs.flight.HeartbeatThread` was
-    flushing snapshots to the live file — return the freshest one so the
-    telemetry survives the cancel.
-    """
-    path = flight.live_path()
-    if path is None:
-        return {}
-    recovered: dict[str, int] = {}
-    for event in flight.read_heartbeats(path):
-        if event.get("ev") == "progress" and event.get("item") == item_label:
-            counters = event.get("counters")
-            if isinstance(counters, dict):
-                recovered = {
-                    str(name): int(value)
-                    for name, value in counters.items()
-                    if isinstance(value, (int, float))
-                }
-    return recovered
-
-
-def _observe_latency(wall_s: float, delta: Mapping[str, int]) -> bool:
-    """File the item's wall time under the warm or cold histogram, and
-    return whether the item was warm.
-
-    *Warm* means cached answers served the whole item: no ``store.misses``,
-    no window-engine work (every ``engine.*.calls`` and
-    ``batch.candidates`` zero), and at least one hit in the store or in
-    the in-process memos (``search.cache``, ``search.memo``,
-    ``param.cache``), which answer repeats without touching the store.
-    Anything else is cold.
-    """
-    hits = sum(
-        delta.get(f"{cache}.hits", 0)
-        for cache in (
-            "store.mem", "store.disk", "search.cache", "search.memo",
-            "param.cache",
-        )
-    )
-    engine_work = delta.get("batch.candidates", 0) + sum(
-        value for name, value in delta.items()
-        if name.startswith("engine.") and name.endswith(".calls")
-    )
-    warm = hits > 0 and engine_work == 0 and delta.get("store.misses", 0) == 0
-    name = "batch.latency.warm_s" if warm else "batch.latency.cold_s"
-    obs_metrics.observe(name, wall_s, buckets=LATENCY_BUCKETS)
-    return warm
-
-
-def record_item_timeout(
-    label: str, sig: str | None, timeout_s: float | None
-) -> dict[str, int]:
-    """Account for one abandoned item (shared batch/service timeout path).
-
-    Recovers the doomed worker's last heartbeat counter snapshot, bumps
-    ``batch.item.timeout``, attributes the timeout on the run context,
-    and emits the ``item_timeout`` heartbeat.  The worker itself is
-    reclaimed by :class:`repro.store.pool.ReclaimablePool` — by the time
-    this runs the slot is already being respawned.
-    """
-    recovered = _recover_timeout_delta(label)
-    for name, amount in recovered.items():
-        obs.counter(name, amount)
-    obs.counter("batch.item.timeout")
-    runctx.annotate("timeouts", {
-        "item": label,
-        "sig": sig,
-        "timeout_s": timeout_s,
-        "recovered_counters": recovered,
-    })
-    flight.heartbeat("item_timeout", item=label, sig=sig)
-    return recovered
-
-
 def run_batch(
     entries: Sequence[Any],
     store=None,
@@ -278,167 +121,100 @@ def run_batch(
     timeout: float | None = None,
     evaluator: Callable[..., dict] | None = None,
 ) -> BatchReport:
-    """Evaluate manifest ``entries``; never raises on a bad *item*.
+    """Evaluate manifest ``entries`` on one service; never raises on a
+    bad *item*.
 
-    Malformed entries (unknown kind, missing target) become ``error``
-    outcomes.  Identical work — same ``(kind, signature, array)`` — is
-    evaluated once and aliased (``duplicate_of``).  ``workers > 1`` fans
-    unique items out on a :class:`repro.store.pool.ReclaimablePool` with
-    a per-item ``timeout`` (seconds); a timed-out item is reported as
-    ``timeout``, its worker is killed and respawned (counted under
-    ``batch.worker.reclaimed``), and the rest of the batch completes on
-    a full-strength pool.  Serial mode cannot preempt a running item,
-    so ``timeout`` needs ``workers >= 1``.  ``evaluator`` is injectable
-    for tests (module-level callable when pickled to workers).
+    Malformed entries (unknown kind, missing target, unknown kernel)
+    become ``error`` outcomes.  Identical work — same kind, program
+    signature, array and preset — is evaluated once and aliased
+    (``duplicate_of``).  ``workers=0`` runs the unique items inline
+    through :meth:`~repro.api.AnalysisService.evaluate`; ``workers >= 1``
+    submits them from ``workers`` driver threads to the service's
+    reclaimable pool, where an item outliving ``timeout`` seconds is
+    reported as ``timeout`` and its worker is killed and respawned
+    (``batch.worker.reclaimed``), so the rest of the batch completes on
+    a full-strength pool.  An inline item cannot be preempted, so a
+    ``timeout`` with ``workers=0`` raises ``ValueError``.
+    ``evaluator`` (tests only) replaces
+    :func:`repro.api.evaluate_kind` and must be module-level to pickle.
     """
-    from repro.transform.search import _resolve_workers
+    # Lazy: repro.api imports the worker pool from this package, whose
+    # __init__ imports this module.
+    from repro.api import AnalysisService, build_request
 
-    workers = _resolve_workers(workers)
-    evaluator = evaluator or _default_evaluator
-
-    items: list[BatchItem | BatchOutcome] = []
-    for index, entry in enumerate(entries):
-        try:
-            items.append(_build_item(index, entry))
-        except (ValueError, KeyError, OSError) as exc:
-            placeholder = BatchItem(index, "?", "?", None, None)
-            items.append(BatchOutcome(placeholder, "error", error=str(exc)))
-
-    # Dedup identical work by content signature.
-    primaries: dict[tuple, BatchItem] = {}
-    aliases: dict[int, int] = {}
-    for item in items:
-        if isinstance(item, BatchOutcome):
-            continue
-        key = (item.kind, item.program.signature(), item.array)
-        primary = primaries.get(key)
-        if primary is None:
-            primaries[key] = item
-        else:
-            aliases[item.index] = primary.index
-    unique = [
-        item for item in items
-        if isinstance(item, BatchItem) and item.index not in aliases
-    ]
-
-    results: dict[int, BatchOutcome] = {}
-    parallel = workers > 1 and len(unique) > 1
-    batch_t0 = time.perf_counter()
-    done = 0
-
-    def _progress() -> None:
-        nonlocal done
-        done += 1
-        elapsed = time.perf_counter() - batch_t0
-        remaining = len(unique) - done
-        eta = round(elapsed / done * remaining, 1) if done else None
-        flight.heartbeat("batch_progress", done=done, total=len(unique),
-                         eta_s=eta)
-
-    with obs.span("batch", items=len(items), unique=len(unique),
-                  workers=workers if parallel else 0):
-        if parallel:
-            # One reclaimable slot per worker: a timed-out item's worker
-            # is killed and respawned, so a hung item can never occupy a
-            # pool slot for the rest of the batch (or, in the always-on
-            # service, forever).  One driver thread per slot blocks on
-            # the process future; completions are handled here in
-            # submission-thread order of completion.
-            pool = ReclaimablePool(
-                workers,
-                initializer=obs.core._init_worker,
-                initargs=(obs.enabled(), runctx.worker_state()),
-            )
+    with AnalysisService(
+        store=store, engine=engine, workers=workers, timeout=timeout
+    ) as service:
+        items: list[BatchItem] = []
+        results: dict[int, BatchOutcome] = {}
+        for index, entry in enumerate(entries):
+            request = None
             try:
-                with ThreadPoolExecutor(max_workers=workers) as threads:
-                    dispatch = {}
-                    for item in unique:
-                        sig = (item.program.signature()
-                               if item.program is not None else None)
-                        payload = (
-                            evaluator, item.label, sig, item.kind,
-                            item.program, item.array, engine, store,
-                        )
-                        future = threads.submit(
-                            pool.run_one, _batch_task, payload, timeout
-                        )
-                        dispatch[future] = (item, sig)
-                    for future in as_completed(dispatch):
-                        item, sig = dispatch[future]
-                        slot = future.result()
-                        if slot.status == "timeout":
-                            # The worker's per-item counter delta would
-                            # be dropped with the item: recover its last
-                            # heartbeat snapshot so telemetry survives.
-                            record_item_timeout(item.label, sig, timeout)
-                            results[item.index] = BatchOutcome(
-                                item, "timeout",
-                                error=f"timed out after {timeout:g}s",
-                                wall_s=slot.wall_s,
-                            )
-                        elif slot.status == "error":  # degrade, don't abort
-                            exc = slot.value
-                            obs.counter("batch.items.error")
-                            results[item.index] = BatchOutcome(
-                                item, "error",
-                                error=f"{type(exc).__name__}: {exc}",
-                                wall_s=slot.wall_s,
-                            )
-                        else:
-                            result, delta = slot.value
-                            for name, amount in delta.items():
-                                obs.counter(name, amount)
-                            obs.counter("batch.items.ok")
-                            _observe_latency(slot.wall_s, delta)
-                            results[item.index] = BatchOutcome(
-                                item, "ok", result=result, wall_s=slot.wall_s
-                            )
-                        _progress()
-            finally:
-                pool.shutdown(kill=True)
-        else:
-            observer = obs.get_observer()
-            for item in unique:
-                sig = (item.program.signature()
-                       if item.program is not None else None)
-                before = dict(observer.counters) if observer else {}
-                started = time.perf_counter()
-                flight.heartbeat("item_start", item=item.label, sig=sig)
-                try:
-                    result = evaluator(
-                        item.kind, item.program, item.array, engine, store
-                    )
-                except Exception as exc:  # degrade, don't abort
-                    obs.counter("batch.items.error")
-                    flight.heartbeat("item_error", item=item.label, sig=sig)
-                    results[item.index] = BatchOutcome(
-                        item, "error", error=f"{type(exc).__name__}: {exc}",
-                        wall_s=time.perf_counter() - started,
-                    )
-                    _progress()
-                    continue
-                wall = time.perf_counter() - started
-                delta = {}
-                if observer is not None:
-                    delta = {
-                        name: value - before.get(name, 0)
-                        for name, value in observer.counters.items()
-                    }
-                obs.counter("batch.items.ok")
-                _observe_latency(wall, delta)
-                flight.heartbeat("item_done", item=item.label, sig=sig,
-                                 elapsed_s=round(wall, 3))
-                results[item.index] = BatchOutcome(
-                    item, "ok", result=result, wall_s=wall
+                request = build_request(
+                    {"kind": "optimize", **entry}
+                    if isinstance(entry, Mapping) else entry
                 )
-                _progress()
+                program = service.resolve_program(request)
+            except Exception as exc:  # degrade, don't abort
+                item = BatchItem(index, request)
+                obs.counter("batch.items.error")
+                results[index] = BatchOutcome(
+                    item, "error", error=f"{type(exc).__name__}: {exc}"
+                )
+            else:
+                item = BatchItem(index, request, program)
+            items.append(item)
+        failed = len(results)
+
+        # Dedup on every field that changes the answer.
+        primaries: dict[tuple, int] = {}
+        aliases: dict[int, int] = {}
+        unique: list[BatchItem] = []
+        for item in items:
+            if item.program is None:
+                continue
+            key = (item.kind, item.program.signature(), item.array,
+                   item.request.preset)
+            if key in primaries:
+                aliases[item.index] = primaries[key]
+            else:
+                primaries[key] = item.index
+                unique.append(item)
+
+        batch_t0 = time.perf_counter()
+
+        def finish(item: BatchItem, response: AnalysisResponse) -> None:
+            results[item.index] = BatchOutcome(
+                item, response.status, result=response.result,
+                error=response.error, wall_s=response.wall_s,
+            )
+            done = len(results) - failed
+            elapsed = time.perf_counter() - batch_t0
+            flight.heartbeat(
+                "batch_progress", done=done, total=len(unique),
+                eta_s=round(elapsed / done * (len(unique) - done), 1),
+            )
+
+        with obs.span("batch", items=len(items), unique=len(unique),
+                      workers=service.workers):
+            if service.workers == 0:
+                for item in unique:
+                    finish(item, service.evaluate(item.request, evaluator))
+            else:
+                # One driver thread per pool slot, as the HTTP server
+                # drives the service; completions are handled here.
+                with ThreadPoolExecutor(max_workers=service.workers) as threads:
+                    futures = {
+                        threads.submit(
+                            service.submit, item.request, evaluator=evaluator
+                        ): item
+                        for item in unique
+                    }
+                    for future in as_completed(futures):
+                        finish(futures[future], future.result())
 
     outcomes: list[BatchOutcome] = []
     for item in items:
-        if isinstance(item, BatchOutcome):
-            obs.counter("batch.items.error")
-            outcomes.append(item)
-            continue
         if item.index in aliases:
             primary = results[aliases[item.index]]
             obs.counter("batch.items.deduped")

@@ -17,7 +17,8 @@ is likewise respawned instead of poisoning the executor.
 
 The pool is thread-safe: :meth:`run_one` can be called concurrently
 from many threads (the HTTP front end drives it from one thread per
-admitted request), blocking until a slot frees up.  The per-item
+admitted request, ``repro batch`` from one thread per worker), blocking
+until a slot frees up.  The per-item
 timeout clock starts when the item actually starts executing — each
 slot runs one item at a time — not when the caller gets around to
 waiting on it.
@@ -110,8 +111,9 @@ class ReclaimablePool:
     """``workers`` isolated single-process slots with per-item deadlines.
 
     ``initializer``/``initargs`` follow the ``ProcessPoolExecutor``
-    convention (the batch runner passes ``obs.core._init_worker`` so
-    worker counters and heartbeats carry the parent's run identity).
+    convention (:class:`repro.api.AnalysisService` passes
+    ``obs.core._init_worker`` so worker counters and heartbeats carry
+    the parent's run identity).
     """
 
     def __init__(

@@ -17,13 +17,11 @@ scoring (the paper gives no closed form past depth 3).
 
 Candidate evaluation — the hot path behind Figure 2 — is memoized in a
 module-level content-hash cache (:func:`evaluate_exact` keys results on
-``(program.signature(), array, transformation)``) and optionally fans
-out to a :class:`~concurrent.futures.ProcessPoolExecutor` via the
-``workers`` parameter.  Serial and parallel modes evaluate candidates in
-the same order with the same tie-breaking, so their results are
-identical; small batches always fall back to serial to avoid pool
-overhead.  Everything is instrumented with :mod:`repro.obs` spans and
-counters.
+``(program.signature(), array, transformation)``), and the misses are
+scored in one batch in the calling process.  Parallelism happens across
+items, on the worker pool of :class:`repro.api.AnalysisService`, not
+inside one search.  Everything is instrumented with :mod:`repro.obs`
+spans and counters.
 
 :func:`evaluate_cascade` layers two admissible pruning tiers in front of
 simulation: tier 1 applies transformation-invariant certified facts
@@ -49,15 +47,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from repro import obs
 from repro.dependence.distance import lex_level
-from repro.envutil import env_int
 from repro.estimation import bounds
 from repro.estimation.parametric import clear_param_cache, parametric_value
 from repro.ir.program import Program
@@ -98,7 +93,7 @@ class SearchResult:
 
 
 # ----------------------------------------------------------------------
-# memoized + parallel exact evaluation
+# memoized exact evaluation
 # ----------------------------------------------------------------------
 
 #: (program signature, array | None, transformation rows | None) -> exact
@@ -110,28 +105,11 @@ class SearchResult:
 _EXACT_CACHE_LIMIT = 65536
 _EXACT_CACHE: LRUCache = LRUCache(_EXACT_CACHE_LIMIT, counter="search.cache")
 
-#: Below this many cache misses a process pool costs more than it saves.
-#: Measurement (bench_batched_scoring shapes, 2024-era 8-core x86): a
-#: pool spin-up costs ~80-150 ms while the *batched* serial path scores
-#: 8 misses of a 10^4-iteration nest in ~2 ms — the threshold is now
-#: conservative by a wide margin, but raising the default would change
-#: when existing workloads fork; tune per deployment with
-#: ``REPRO_PARALLEL_THRESHOLD`` instead.
-PARALLEL_THRESHOLD = 8
-
-#: Environment variable overriding :data:`PARALLEL_THRESHOLD`.
-PARALLEL_THRESHOLD_ENV = "REPRO_PARALLEL_THRESHOLD"
-
-
-def parallel_threshold() -> int:
-    """Miss count at which evaluation fans out to a pool (env-overridable)."""
-    return env_int(PARALLEL_THRESHOLD_ENV, PARALLEL_THRESHOLD)
-
 #: Whole-search memo: ``(kind, program signature, array, bounds...)`` ->
 #: :class:`SearchResult`.  Search results are pure in the program and the
-#: search knobs (``workers`` and ``engine`` change only *how* the result
-#: is computed), so repeated searches — benchmark loops, the Figure-2
-#: table re-running per array, pool workers — hit here.  Bypassed while a
+#: search knobs (``engine`` changes only *how* the result is computed),
+#: so repeated searches — benchmark loops, the Figure-2 table re-running
+#: per array, service pool workers — hit here.  Bypassed while a
 #: journal records, so ``repro explain`` always sees the full trace.
 #: LRU-bounded (``search.memo.evictions``): benchmark loops cycling more
 #: than the limit evict one key at a time instead of thrashing the whole
@@ -243,36 +221,10 @@ def _search_store_put(
     )
 
 
-def _eval_batch_task(payload) -> tuple[list[int], dict[str, int]]:
-    """Worker-process entry point (must be module-level for pickling).
-
-    Scores a *chunk* of candidates in one task, so the program pickles
-    once per chunk instead of once per candidate and the worker runs
-    the batched engine over the whole chunk.  Returns the exact values
-    together with the worker-side counter delta (the worker runs its
-    own in-memory observer, started by ``obs.core._init_worker``).
-    Counters are drained per task so a worker reused for several tasks
-    never double-reports; the parent merges the deltas, making serial
-    and parallel counter totals match.
-    """
-    from repro.window.batched import batched_mws
-
-    program, array, rows_list, engine = payload
-    ts = [None if rows is None else IntMatrix(rows) for rows in rows_list]
-    values = batched_mws(program, ts, array=array, engine=engine)
-    worker_obs = obs.get_observer()
-    if worker_obs is None:
-        return values, {}
-    delta = dict(worker_obs.counters)
-    worker_obs.counters.clear()
-    return values, delta
-
-
 def evaluate_exact(
     program: Program,
     candidates: Sequence[IntMatrix | None],
     array: str | None = None,
-    workers: int | None = 0,
     stage: str = "evaluate",
     engine: str = "auto",
     store=None,
@@ -282,10 +234,8 @@ def evaluate_exact(
 
     ``array=None`` scores the program-level total window (the Figure-2
     objective); a name scores that array alone.  Results are memoized in
-    the module cache; only cache misses are computed, serially or — when
-    ``workers > 1`` and the miss count reaches :data:`PARALLEL_THRESHOLD`
-    — on a ``ProcessPoolExecutor``.  ``workers=None`` auto-sizes to the
-    CPU count.  The returned list is identical either way.
+    the module cache; only cache misses are computed, in one batch
+    through :func:`repro.window.batched.batched_mws`.
 
     ``stage`` names the journal stage for the per-candidate records (the
     cascade's lower-bound batches record as ``"lower_bound"`` so they
@@ -305,7 +255,6 @@ def evaluate_exact(
     non-parametric path; derivation failure or off-domain bounds fall
     back to simulation (``param.fallback``).
     """
-    workers = _resolve_workers(workers)
     sig = program.signature()
     jr = journal.active()
     results: list[int | None] = [None] * len(candidates)
@@ -344,54 +293,14 @@ def evaluate_exact(
     obs.counter("search.cache.hits", len(candidates) - len(misses) - substituted)
     obs.counter("search.cache.misses", len(misses))
     if misses:
-        parallel = workers > 1 and len(misses) >= parallel_threshold()
-        with obs.span(
-            "evaluate",
-            candidates=len(candidates),
-            misses=len(misses),
-            workers=workers if parallel else 0,
-        ):
-            if parallel:
-                obs.counter("search.parallel.batches")
-                obs.counter("search.parallel.tasks", len(misses))
-                # One task per chunk: the program pickles once per chunk
-                # and each worker scores its chunk with the batched
-                # engine.  ``search.parallel.tasks`` keeps counting
-                # candidates (the unit the accounting tests reconcile);
-                # ``search.parallel.chunks`` counts pool submissions.
-                chunk = max(1, math.ceil(len(misses) / (4 * workers)))
-                groups = [
-                    misses[i : i + chunk]
-                    for i in range(0, len(misses), chunk)
-                ]
-                obs.counter("search.parallel.chunks", len(groups))
-                payloads = [
-                    (
-                        program,
-                        array,
-                        [_t_key(candidates[idx]) for idx in group],
-                        engine,
-                    )
-                    for group in groups
-                ]
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=obs.core._init_worker,
-                    initargs=(obs.enabled(), obs.runctx.worker_state()),
-                ) as pool:
-                    pairs = list(pool.map(_eval_batch_task, payloads))
-                values = []
-                for group_values, delta in pairs:
-                    values.extend(group_values)
-                    for counter_name, amount in delta.items():
-                        obs.counter(counter_name, amount)
-            else:
-                from repro.window.batched import batched_mws
+        from repro.window.batched import batched_mws
 
-                values = batched_mws(
-                    program, [candidates[idx] for idx in misses],
-                    array=array, engine=engine,
-                )
+        with obs.span("evaluate", candidates=len(candidates),
+                      misses=len(misses)):
+            values = batched_mws(
+                program, [candidates[idx] for idx in misses],
+                array=array, engine=engine,
+            )
         for idx, value in zip(misses, values):
             results[idx] = value
             _EXACT_CACHE.put((sig, array, _t_key(candidates[idx])), value)
@@ -406,22 +315,6 @@ def evaluate_exact(
                     stage, _t_key(candidates[idx]), "computed", exact=value
                 )
     return results  # type: ignore[return-value]
-
-
-def _resolve_workers(workers: int | None) -> int:
-    """``None`` means "pick for me": one worker per CPU, capped at 8.
-
-    Negative counts are rejected here, at the entry point, rather than
-    surfacing as an opaque ``ProcessPoolExecutor`` error mid-search.
-    """
-    if workers is None:
-        return min(8, os.cpu_count() or 1)
-    if workers < 0:
-        raise ValueError(
-            f"workers must be >= 0 (0 = serial, None = auto-size), "
-            f"got {workers}"
-        )
-    return workers
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +341,6 @@ def evaluate_cascade(
     program: Program,
     candidates: Sequence[IntMatrix | None],
     array: str | None = None,
-    workers: int | None = 0,
     clip_budget: int | None = None,
     engine: str = "auto",
     store=None,
@@ -487,7 +379,6 @@ def evaluate_cascade(
     tiny bounds sit below any derived domain, so routing it through the
     parametric engine would only pay derivation costs to fall back.
     """
-    workers = _resolve_workers(workers)
     sig = program.signature()
     jr = journal.active()
     budget = bounds.clip_budget() if clip_budget is None else clip_budget
@@ -541,7 +432,7 @@ def evaluate_cascade(
         clipped = bounds.clipped_program(program, budget)
         with obs.span("cascade.lower_bound", candidates=len(candidates)):
             lower_bounds = evaluate_exact(
-                clipped, candidates, array=array, workers=workers,
+                clipped, candidates, array=array,
                 stage="lower_bound", engine=engine, store=store,
             )
         obs.counter("search.cascade.lb_evals", len(candidates))
@@ -568,8 +459,7 @@ def evaluate_cascade(
             return
         values = evaluate_exact(
             program, [candidates[i] for i in pending], array=array,
-            workers=workers, engine=engine, store=store,
-            parametric=parametric,
+            engine=engine, store=store, parametric=parametric,
         )
         for i, value in zip(pending, values):
             outcomes[i] = CascadeOutcome(value, True, "simulated")
@@ -668,7 +558,6 @@ def search_mws_2d_eager(
     array: str,
     bound: int = 8,
     verify_top: int = 6,
-    workers: int = 0,
 ) -> SearchResult:
     """Eager reference implementation of the 2-D search.
 
@@ -736,9 +625,7 @@ def search_mws_2d_eager(
         with obs.span("rank", scored=len(scored)):
             scored.sort(key=lambda item: (item[0], _entry_weight(item[1])))
         leaders = scored[:verify_top]
-        exacts = evaluate_exact(
-            program, [t for _, t in leaders], array=array, workers=workers
-        )
+        exacts = evaluate_exact(program, [t for _, t in leaders], array=array)
         best = None
         for (estimate, t), exact in zip(leaders, exacts):
             if best is None or exact < best[0]:
@@ -752,7 +639,6 @@ def search_mws_2d(
     array: str,
     bound: int = 8,
     verify_top: int = 6,
-    workers: int = 0,
     engine: str = "auto",
     store=None,
     parametric: bool = False,
@@ -762,8 +648,7 @@ def search_mws_2d(
     ``bound`` caps ``|a|, |b|``; ``verify_top`` exact-simulates the best
     candidates by estimate and returns the true winner among them (the
     estimate alone already reproduces the paper's choices, the simulation
-    guards against estimate ties).  ``workers > 1`` parallelizes the
-    exact-simulation stage (identical results to serial).
+    guards against estimate ties).
 
     The estimate depends only on the row ``(a, b)``, so completion and
     legality — the expensive per-row work — run lazily: rows are ranked
@@ -875,7 +760,7 @@ def search_mws_2d(
             collected.sort(key=lambda item: (item[0], _entry_weight(item[1])))
         leaders = collected[:verify_top]
         exacts = evaluate_exact(
-            program, [t for _, t in leaders], array=array, workers=workers,
+            program, [t for _, t in leaders], array=array,
             engine=engine, store=store, parametric=parametric,
         )
         best = None
@@ -898,7 +783,6 @@ def search_mws_3d(
     array: str,
     bound: int = 1,
     verify_top: int = 4,
-    workers: int = 0,
     engine: str = "auto",
     store=None,
     parametric: bool = False,
@@ -981,7 +865,7 @@ def search_mws_3d(
             candidates.sort(key=level_key)
         leaders = candidates[:verify_top]
         exacts = evaluate_exact(
-            program, leaders, array=array, workers=workers, engine=engine,
+            program, leaders, array=array, engine=engine,
             store=store, parametric=parametric,
         )
         best = None
@@ -998,7 +882,6 @@ def search_mws_3d(
 def search_general(
     program: Program,
     array: str,
-    workers: int = 0,
     engine: str = "auto",
     store=None,
     parametric: bool = False,
@@ -1058,7 +941,7 @@ def search_general(
         obs.counter("search.candidates.examined", examined)
         ordered = list(candidates)
         outcomes = evaluate_cascade(
-            program, ordered, array=array, workers=workers, engine=engine,
+            program, ordered, array=array, engine=engine,
             store=store, parametric=parametric,
         )
         best = None
@@ -1080,7 +963,6 @@ def search_best_transformation(
     program: Program,
     array: str,
     bound: int = 6,
-    workers: int = 0,
     engine: str = "auto",
     store=None,
     parametric: bool = False,
@@ -1089,16 +971,16 @@ def search_best_transformation(
     depth = program.nest.depth
     if depth == 2:
         return search_mws_2d(
-            program, array, bound=bound, workers=workers, engine=engine,
+            program, array, bound=bound, engine=engine,
             store=store, parametric=parametric,
         )
     if depth == 3:
         return search_mws_3d(
-            program, array, bound=min(bound, 2), workers=workers,
+            program, array, bound=min(bound, 2),
             engine=engine, store=store, parametric=parametric,
         )
     return search_general(
-        program, array, workers=workers, engine=engine, store=store,
+        program, array, engine=engine, store=store,
         parametric=parametric,
     )
 
@@ -1108,7 +990,6 @@ def exhaustive_search(
     array: str,
     bound: int = 1,
     tileable_only: bool = True,
-    workers: int = 0,
     engine: str = "auto",
     store=None,
     parametric: bool = False,
@@ -1152,7 +1033,7 @@ def exhaustive_search(
         if not legal:
             raise ValueError(f"no legal transformation found for {array}")
         outcomes = evaluate_cascade(
-            program, legal, array=array, workers=workers, engine=engine,
+            program, legal, array=array, engine=engine,
             store=store, parametric=parametric,
         )
         best = None

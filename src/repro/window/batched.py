@@ -26,7 +26,7 @@ Every scored candidate bumps ``fast.simulate.calls`` once, and every
 candidate :func:`batched_mws` scores on the dense engine bumps
 ``engine.fast.calls`` once — the count
 :func:`repro.window.simulator.max_window_size` keeps per call — so
-serial, parallel, and batched totals reconcile exactly.
+per-candidate and batched totals reconcile exactly.
 """
 
 from __future__ import annotations

@@ -194,6 +194,41 @@ class TestServiceInline:
         assert "KeyError" in response.error
         assert observer.counters["batch.items.error"] == 1
 
+    def test_evaluate_runs_an_injected_evaluator(self, observer):
+        with AnalysisService() as svc:
+            response = svc.evaluate(
+                build_request({"kind": "mws", "kernel": "2point"}),
+                evaluator=_explode_evaluator,
+            )
+        assert response.status == "error"
+        assert "RuntimeError: kaboom" in response.error
+        assert observer.counters["batch.items.error"] == 1
+
+    def test_inline_and_pooled_heartbeat_lifecycles_match(self, tmp_path):
+        from repro.obs import flight, runctx
+
+        def lifecycle(workers, evaluator=None):
+            ctx = runctx.begin_run("serve", live_dir=tmp_path / str(workers))
+            try:
+                with AnalysisService(workers=workers) as svc:
+                    svc.submit(
+                        build_request({"kind": "mws", "kernel": "2point"}),
+                        evaluator=evaluator,
+                    )
+            finally:
+                runctx.end_run()
+            return [
+                (e["ev"], e["item"])
+                for e in flight.read_heartbeats(ctx.live_path)
+                if e["ev"].startswith("item_")
+            ]
+
+        assert lifecycle(0) == lifecycle(1) == [
+            ("item_start", "mws 2point"), ("item_done", "mws 2point"),
+        ]
+        assert lifecycle(0, _explode_evaluator)[-1] == \
+            lifecycle(1, _explode_evaluator)[-1] == ("item_error", "mws 2point")
+
     def test_response_is_json_ready(self):
         import json
 
@@ -296,6 +331,13 @@ class TestServicePooled:
         assert "RuntimeError: kaboom" in response.error
         assert observer.counters["batch.items.error"] == 1
 
+    def test_inline_timeout_rejected(self):
+        # An inline evaluation cannot be preempted, so a deadline on a
+        # workerless service would silently never fire.
+        with pytest.raises(ValueError, match="needs workers >= 1"):
+            AnalysisService(workers=0, timeout=1.0)
+        AnalysisService(workers=None, timeout=1.0).close()
+
     def test_workers_zero_degrades_to_inline(self):
         with AnalysisService(workers=0) as svc:
             response = svc.submit(build_request(
@@ -317,15 +359,6 @@ class TestServicePooled:
         svc.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             svc.submit(build_request({"kind": "mws", "kernel": "2point"}))
-
-    def test_batch_delegates_to_run_batch(self, tmp_path):
-        with AnalysisService(store=tmp_path) as svc:
-            report = svc.batch([
-                {"kind": "mws", "kernel": "2point"},
-                {"kind": "mws", "kernel": "2point"},
-            ])
-        assert report.ok
-        assert report.deduped_items == 1
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.api import evaluate_kind
 from repro.obs import flight, runctx
 from repro.store import (
     BatchOutcome,
@@ -110,7 +111,8 @@ class TestRunBatch:
         assert statuses == ["ok", "error", "error", "error", "error"]
         assert not report.ok
         assert "unknown kind 'frobnicate'" in report.outcomes[1].error
-        assert "exactly one of 'kernel' or 'file'" in report.outcomes[2].error
+        assert ("exactly one of 'kernel', 'file' or 'source' is required"
+                in report.outcomes[2].error)
         assert observer.counters["batch.items.error"] == 4
         assert observer.counters["batch.items.ok"] == 1
 
@@ -142,6 +144,44 @@ class TestRunBatch:
         assert "batch.items.timeout" not in observer.counters
         # The hung worker was killed and respawned: the slot is free.
         assert observer.counters["batch.worker.reclaimed"] == 1
+
+    def test_one_item_batch_honours_timeout(self, observer):
+        report = run_batch(
+            [{"kind": "mws", "kernel": "sor"}],
+            workers=2,
+            timeout=0.5,
+            evaluator=_sleepy_evaluator,
+        )
+        assert report.outcomes[0].status == "timeout"
+        assert observer.counters["batch.worker.reclaimed"] == 1
+
+    def test_one_worker_batch_honours_timeout(self, observer):
+        report = run_batch(
+            [{"kind": "mws", "kernel": "2point"},
+             {"kind": "mws", "kernel": "sor"}],
+            workers=1,
+            timeout=0.5,
+            evaluator=_sleepy_evaluator,
+        )
+        by_target = {o.item.target: o for o in report.outcomes}
+        assert by_target["sor"].status == "timeout"
+        assert by_target["2point"].status == "ok"
+        assert observer.counters["batch.worker.reclaimed"] == 1
+
+    def test_manifest_entries_accept_source_and_preset(self):
+        source = "for i = 1 to 6 { for j = 1 to 6 { X[i + j] = X[i + j - 1] } }"
+        report = run_batch(
+            [{"kind": "mws", "source": source},
+             {"kind": "hierarchy", "kernel": "sor"},
+             {"kind": "hierarchy", "kernel": "sor", "preset": "tcm"},
+             {"kind": "hierarchy", "kernel": "sor", "preset": "cache"}]
+        )
+        assert report.ok
+        assert report.outcomes[0].item.target == "inline"
+        # The preset changes the answer, so it is part of the dedup key.
+        assert report.outcomes[2].duplicate_of == 1
+        assert report.outcomes[3].duplicate_of is None
+        assert report.unique_items == 3
 
     def test_hanging_items_do_not_deadlock_pool(self, observer):
         """ISSUE 10 S1 regression: with the old abandon-the-future
@@ -254,6 +294,14 @@ class TestCLI:
         assert code == 1
         assert "error" in capsys.readouterr().out
 
+    def test_batch_timeout_without_workers_fails(self, tmp_path, capsys):
+        from repro.cli import main
+
+        manifest = _write_manifest(tmp_path, [{"kind": "mws", "kernel": "sor"}])
+        code = main(["batch", str(manifest), "--timeout", "0.5"])
+        assert code == 1
+        assert "needs workers >= 1" in capsys.readouterr().err
+
 
 class TestTimeoutTelemetry:
     """ISSUE 7 satellite: a timed-out item's worker counters must not
@@ -335,26 +383,20 @@ class TestTimeoutTelemetry:
 # Module-level so the batch machinery can pickle them to pool workers.
 def _sleepy_evaluator(kind, program, array, engine, store):
     if program.name == "sor":
-        time.sleep(30)
-    from repro.store.batch import _default_evaluator
-
-    return _default_evaluator(kind, program, array, engine, store)
+        time.sleep(5)
+    return evaluate_kind(kind, program, array, engine, store)
 
 
 def _explosive_evaluator(kind, program, array, engine, store):
     if program.name == "sor":
         raise RuntimeError("boom")
-    from repro.store.batch import _default_evaluator
-
-    return _default_evaluator(kind, program, array, engine, store)
+    return evaluate_kind(kind, program, array, engine, store)
 
 
 def _hang_all_but_2point_evaluator(kind, program, array, engine, store):
     if program.name != "2point":
         time.sleep(30)
-    from repro.store.batch import _default_evaluator
-
-    return _default_evaluator(kind, program, array, engine, store)
+    return evaluate_kind(kind, program, array, engine, store)
 
 
 def _counting_sleepy_evaluator(kind, program, array, engine, store):
@@ -363,6 +405,4 @@ def _counting_sleepy_evaluator(kind, program, array, engine, store):
         # must come back to the parent via the heartbeat snapshot.
         obs.counter("test.batch.partial", 7)
         time.sleep(30)
-    from repro.store.batch import _default_evaluator
-
-    return _default_evaluator(kind, program, array, engine, store)
+    return evaluate_kind(kind, program, array, engine, store)

@@ -4,7 +4,6 @@ whose MWS numbers match the golden fixture."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -18,19 +17,11 @@ from repro.reporting import (
     metric_direction,
     render_comparison,
 )
+from repro.reporting import telemetry
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "fixtures" / "figure2_golden.json").read_text())
 BASELINE_PATH = ROOT / "benchmarks" / "baselines" / "BENCH_figure2.json"
-
-
-def _load_bench_telemetry():
-    spec = importlib.util.spec_from_file_location(
-        "bench_telemetry_module", ROOT / "benchmarks" / "telemetry.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _artifact(metrics, name="demo"):
@@ -39,7 +30,6 @@ def _artifact(metrics, name="demo"):
 
 class TestArtifactWriter:
     def test_build_artifact_shape(self):
-        telemetry = _load_bench_telemetry()
         artifact = telemetry.build_artifact(
             "demo",
             metrics={"sor.mws_opt": 64},
@@ -55,18 +45,18 @@ class TestArtifactWriter:
         assert artifact["created_unix"] > 0
 
     def test_write_artifact_names_file_after_bench(self, tmp_path):
-        telemetry = _load_bench_telemetry()
         artifact = telemetry.build_artifact("demo", metrics={"x": 1})
         path = telemetry.write_artifact(artifact, tmp_path)
         assert path == tmp_path / "BENCH_demo.json"
         assert json.loads(path.read_text())["metrics"] == {"x": 1}
 
     def test_artifact_dir_env_override(self, tmp_path, monkeypatch):
-        telemetry = _load_bench_telemetry()
         monkeypatch.setenv(telemetry.ARTIFACT_DIR_ENV, str(tmp_path / "out"))
         assert telemetry.artifact_dir() == tmp_path / "out"
+        assert telemetry.artifact_dir(default=tmp_path) == tmp_path / "out"
         monkeypatch.delenv(telemetry.ARTIFACT_DIR_ENV)
         assert telemetry.artifact_dir() == telemetry.DEFAULT_ARTIFACT_DIR
+        assert telemetry.artifact_dir(default=tmp_path) == tmp_path
 
 
 class TestCompareEngine:

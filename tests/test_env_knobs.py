@@ -5,8 +5,9 @@ ISSUE 5 satellites: ``dense_budget()``, ``clip_budget()`` and
 :func:`repro.envutil.env_int` helper, so a typo'd value fails fast with
 the variable's name in the message, and zero/negative budgets — which
 used to silently disable dense mode or tier-2 pruning — are rejected.
-Negative ``workers`` counts are rejected at the search entry point
-instead of surfacing as an opaque ``ProcessPoolExecutor`` error.
+Negative ``workers`` counts are rejected when an
+:class:`repro.api.AnalysisService` is built, instead of surfacing as an
+opaque pool error on the first request.
 """
 
 from __future__ import annotations
@@ -77,34 +78,26 @@ class TestBudgetKnobs:
 
 class TestNegativeWorkers:
     def test_resolve_workers_rejects_negative(self):
-        from repro.transform.search import _resolve_workers
+        from repro.api import _resolve_workers
 
         with pytest.raises(ValueError, match="workers must be >= 0.*-2"):
             _resolve_workers(-2)
 
     def test_resolve_workers_accepts_zero_and_none(self):
-        from repro.transform.search import _resolve_workers
+        from repro.api import _resolve_workers
 
         assert _resolve_workers(0) == 0
         assert _resolve_workers(3) == 3
         assert _resolve_workers(None) >= 1
 
-    def test_evaluate_exact_rejects_negative_workers(self):
-        from repro.ir import parse_program
-        from repro.transform.search import evaluate_exact
+    def test_service_rejects_negative_workers(self):
+        from repro.api import AnalysisService
 
-        program = parse_program(
-            "for i = 1 to 4 { for j = 1 to 4 { A[i][j] = A[i][j] } }"
-        )
         with pytest.raises(ValueError, match="workers must be >= 0"):
-            evaluate_exact(program, [None], workers=-1)
+            AnalysisService(workers=-1)
 
-    def test_search_rejects_negative_workers(self):
-        from repro.ir import parse_program
-        from repro.transform.search import search_mws_2d
+    def test_batch_rejects_negative_workers(self):
+        from repro.store import run_batch
 
-        program = parse_program(
-            "for i = 1 to 8 { for j = 1 to 8 { X[i + j] = X[i + j + 1] } }"
-        )
         with pytest.raises(ValueError, match="workers must be >= 0"):
-            search_mws_2d(program, "X", workers=-4)
+            run_batch([{"kind": "mws", "kernel": "2point"}], workers=-4)

@@ -141,7 +141,7 @@ class TestSearchRecording:
         )
         observer = obs.enable()
         jr = journal.enable()
-        search_best_transformation(program, "A", workers=0)
+        search_best_transformation(program, "A")
         journal.disable()
         obs.disable()
         counters = observer.summary()["counters"]

@@ -502,16 +502,14 @@ class TestColdWarmAcceptance:
 # ----------------------------------------------------------------------
 
 class TestLedgerJournalReconciliation:
-    @pytest.mark.parametrize("workers", [0, 2],
-                             ids=["serial", "workers2"])
-    def test_record_counters_reconcile(self, workers):
+    def test_record_counters_reconcile(self):
         from repro.ir import parse_program
 
         program = parse_program(LOOP)
-        ctx = runctx.begin_run("explain", config={"workers": workers})
+        ctx = runctx.begin_run("explain")
         observer = obs.enable()
         jr = journal.enable()
-        search_best_transformation(program, "A", workers=workers)
+        search_best_transformation(program, "A")
         journal.disable()
         summary = observer.summary()
         runctx.end_run()

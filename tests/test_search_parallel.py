@@ -1,9 +1,7 @@
-"""Parallel/memoized search engine: parity and cache semantics (ISSUE 1).
+"""Memoized search engine: exact-cache semantics and program signatures.
 
-``transform.search`` with ``workers > 1`` must return byte-identical
-``SearchResult``s to serial mode on every Figure-2 kernel, and the
-content-hash cache must make rebuilt-but-equal programs share exact
-simulation results.
+The content-hash cache must make rebuilt-but-equal programs share exact
+simulation results, and keep total-window and per-array keys apart.
 """
 
 from __future__ import annotations
@@ -11,17 +9,12 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.core.optimizer import optimize_program
 from repro.ir import parse_program
-from repro.kernels import KERNELS
 from repro.linalg import IntMatrix
-from repro.transform.elementary import signed_permutations
 from repro.transform.search import (
-    PARALLEL_THRESHOLD,
     clear_exact_cache,
     evaluate_exact,
     exact_cache_size,
-    search_best_transformation,
 )
 
 
@@ -32,100 +25,6 @@ def fresh_cache():
     yield
     obs.disable()
     clear_exact_cache()
-
-
-class TestSerialParallelParity:
-    @pytest.mark.parametrize("name", [spec.name for spec in KERNELS])
-    def test_search_identical_all_kernels(self, name):
-        spec = next(s for s in KERNELS if s.name == name)
-        program = spec.build()
-        array = program.arrays[0]
-        serial = search_best_transformation(program, array)
-        clear_exact_cache()
-        parallel = search_best_transformation(program, array, workers=2)
-        # SearchResult is a frozen dataclass: == compares every field,
-        # and identical reprs make the results byte-identical.
-        assert serial == parallel
-        assert repr(serial) == repr(parallel)
-
-    def test_optimize_program_identical(self):
-        program = parse_program(
-            "for i = 1 to 25 { for j = 1 to 10 { "
-            "X[2*i + 5*j + 1] = X[2*i + 5*j + 5] } }"
-        )
-        serial = optimize_program(program)
-        clear_exact_cache()
-        parallel = optimize_program(program, workers=2)
-        assert serial == parallel
-
-    def test_small_batches_stay_serial(self):
-        """Below the threshold no pool is spawned — same code path, same
-        results, no fork overhead (covered by evaluating < threshold
-        candidates with workers set)."""
-        program = parse_program(
-            "for i = 1 to 6 { for j = 1 to 6 { A[i][j] = A[i-1][j] } }"
-        )
-        ts = [None, IntMatrix([[0, 1], [1, 0]])]
-        assert evaluate_exact(program, ts, array="A", workers=4) == \
-            evaluate_exact(program, ts, array="A", workers=0)
-
-
-class TestWorkerCounterPropagation:
-    """Satellite (b): counters bumped inside pool workers must reach the
-    parent observer, so serial and parallel totals reconcile."""
-
-    def _candidates(self):
-        # Enough distinct candidates to clear PARALLEL_THRESHOLD.
-        candidates = [None] + list(signed_permutations(2)) + [
-            IntMatrix([[1, 1], [0, 1]]),
-            IntMatrix([[1, 0], [1, 1]]),
-        ]
-        assert len(candidates) > PARALLEL_THRESHOLD
-        return candidates
-
-    def _run(self, workers):
-        program = parse_program(
-            "for i = 1 to 12 { for j = 1 to 12 { A[i][j] = A[i-1][j-1] } }"
-        )
-        observer = obs.enable()
-        values = evaluate_exact(
-            program, self._candidates(), array="A", workers=workers
-        )
-        obs.disable()
-        return values, observer.summary()["counters"]
-
-    def test_serial_parallel_counter_totals_match(self):
-        serial_values, serial = self._run(workers=0)
-        clear_exact_cache()
-        parallel_values, parallel = self._run(workers=2)
-        assert serial_values == parallel_values
-        # The simulator/cache counters must reconcile exactly.  (The
-        # fast.iter_matrix.* counters legitimately differ: each worker
-        # unpickles its own Program copy, so its weak-keyed iteration
-        # cache misses where the serial parent hits.)
-        for key in (
-            "fast.simulate.calls",
-            "search.cache.misses",
-            "search.cache.hits",
-        ):
-            assert serial.get(key, 0) == parallel.get(key, 0), key
-        assert serial["fast.simulate.calls"] == len(self._candidates())
-
-    def test_parallel_batch_counters_recorded(self):
-        _, parallel = self._run(workers=2)
-        assert parallel["search.parallel.batches"] == 1
-        assert parallel["search.parallel.tasks"] == len(self._candidates())
-
-    def test_parallel_without_observer_still_works(self):
-        program = parse_program(
-            "for i = 1 to 12 { for j = 1 to 12 { A[i][j] = A[i-1][j-1] } }"
-        )
-        candidates = self._candidates()
-        serial = evaluate_exact(program, candidates, array="A", workers=0)
-        clear_exact_cache()
-        parallel = evaluate_exact(program, candidates, array="A", workers=2)
-        assert serial == parallel
-        assert not obs.enabled()
 
 
 class TestExactCache:

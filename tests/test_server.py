@@ -20,7 +20,7 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.api import AnalysisService
+from repro.api import AnalysisService, evaluate_kind
 from repro.obs import ledger as obs_ledger
 from repro.obs import runctx
 from repro.server import (
@@ -409,6 +409,4 @@ class TestTimeoutAndAdmission:
 def _hang_on_sor_evaluator(kind, program, array, engine, store):
     if program.name == "sor":
         time.sleep(30)
-    from repro.store.batch import _default_evaluator
-
-    return _default_evaluator(kind, program, array, engine, store)
+    return evaluate_kind(kind, program, array, engine, store)
