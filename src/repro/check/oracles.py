@@ -24,7 +24,7 @@ shrinker can re-run the same relation on reduced programs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.ir.generate import GeneratorConfig, random_program
 from repro.ir.loop import Loop, LoopNest
@@ -1198,4 +1198,154 @@ class HierarchyBoundAdmissible(Oracle):
                 f"transfers {stacked.offchip_transfers}",
                 program,
             )
+        return None
+
+
+# ----------------------------------------------------------------------
+# tile footprints: the array code against a per-point reference
+# ----------------------------------------------------------------------
+
+def tile_footprints_reference(
+    program: Program,
+    tile_sizes,
+    transformation: IntMatrix | None = None,
+):
+    """Per-point reference for :func:`repro.transform.tiling.tile_footprints`.
+
+    Walks every iteration point in Python: transforms it, bins it into
+    the tile grid anchored at the lexicographic-min transformed point,
+    and collects each cell's touched and written elements in sets.  For
+    valid arguments (a depth-long tile, an ``n x n`` ``T``) it returns
+    what the production function returns; it validates nothing itself.
+    """
+    points = list(program.nest.iterate())
+    return _reference_footprints(
+        program,
+        tuple(tile_sizes),
+        _reference_transformed(points, transformation),
+        _reference_elements(program, points),
+    )
+
+
+def _reference_transformed(points: list, transformation: IntMatrix | None) -> list:
+    if transformation is None:
+        return points
+    return [transformation.apply(p) for p in points]
+
+
+def _reference_elements(program: Program, points: list) -> list:
+    """``[(array, is_write, [element per point])]`` per reference."""
+    return [
+        (ref.array, ref.is_write, [ref.element(p) for p in points])
+        for ref in program.references
+    ]
+
+
+def _reference_footprints(
+    program: Program, tile: tuple, transformed: list, per_ref: list
+):
+    from repro.transform.tiling import TileFootprints
+
+    origin = min(transformed)
+    cells = [
+        tuple((x - o) // s for x, o, s in zip(point, origin, tile))
+        for point in transformed
+    ]
+    touched: dict[tuple, dict[str, set]] = {}
+    written: dict[tuple, dict[str, set]] = {}
+    for array, is_write, elements in per_ref:
+        for cell, element in zip(cells, elements):
+            touched.setdefault(cell, {}).setdefault(array, set()).add(element)
+            if is_write:
+                written.setdefault(cell, {}).setdefault(array, set()).add(
+                    element
+                )
+    per_array = {a: 0 for a in program.arrays}
+    written_per_array = {a: 0 for a in program.arrays}
+    fetch = {a: 0 for a in program.arrays}
+    writeback = {a: 0 for a in program.arrays}
+    total = 0
+    for cell, by_array in touched.items():
+        total = max(total, sum(len(v) for v in by_array.values()))
+        for array, elements in by_array.items():
+            per_array[array] = max(per_array[array], len(elements))
+            fetch[array] += len(elements)
+        for array, elements in written.get(cell, {}).items():
+            written_per_array[array] = max(
+                written_per_array[array], len(elements)
+            )
+            writeback[array] += len(elements)
+    return TileFootprints(
+        tile=tile,
+        n_cells=len(touched),
+        total=total,
+        per_array=per_array,
+        written_per_array=written_per_array,
+        fetch_words=fetch,
+        writeback_words=writeback,
+    )
+
+
+def _seed_skew(depth: int, seed: int) -> IntMatrix:
+    """A deterministic unimodular skew: two composed elementary skews
+    (a reversal for a 1-deep nest, which has nothing to skew by)."""
+    from repro.transform.elementary import reversal, skew
+
+    if depth == 1:
+        return reversal(1, 0)
+    rng = random.Random(seed * 6151 + depth)
+    out = IntMatrix.identity(depth)
+    for _ in range(2):
+        target, source = rng.sample(range(depth), 2)
+        factor = rng.choice((-3, -2, -1, 1, 2, 3))
+        out = skew(depth, target, source, factor) @ out
+    return out
+
+
+@register
+class TileFootprintsReference(Oracle):
+    name = "tile-footprints-reference"
+    kind = "cross"
+    paper = (
+        "Section 4.1 tiles the transformed nest for block transfers; a "
+        "tile's footprint is the set of distinct elements its points "
+        "touch, so the array code must equal a point-by-point walk of "
+        "the same grid field for field: cells, worst tile, per-array "
+        "worst and summed fetch/writeback words."
+    )
+    config = GeneratorConfig(min_trip=2, max_trip=7)
+
+    def generate(self, seed: int) -> Program:
+        return random_program(seed, replace(self.config, depth=1 + seed % 3))
+
+    def check(self, program: Program, seed: int = 0) -> Violation | None:
+        from repro.transform.hierarchy_search import (
+            default_candidates,
+            tile_candidates,
+        )
+        from repro.transform.tiling import tile_footprints
+
+        rng = random.Random(seed * 49157 + 5)
+        trips = program.nest.trip_counts
+        boxes = [
+            tuple(rng.randint(1, 2 * max(trips)) for _ in trips)
+            for _ in range(2)
+        ]
+        points = list(program.nest.iterate())
+        per_ref = _reference_elements(program, points)
+        candidates = default_candidates(program)
+        candidates.append(_seed_skew(program.nest.depth, seed))
+        for t in candidates:
+            transformed = _reference_transformed(points, t)
+            for tile in tile_candidates(program, t) + boxes:
+                expected = _reference_footprints(
+                    program, tile, transformed, per_ref
+                )
+                got = tile_footprints(program, tile, t)
+                if got != expected:
+                    where = "native" if t is None else f"T={t.rows}"
+                    return self.fail(
+                        f"{where} tile {tile}: {got} != reference {expected}",
+                        program,
+                    )
         return None

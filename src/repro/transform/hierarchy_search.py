@@ -43,9 +43,10 @@ bound at the stack's total capacity is admissible against the *simulated*
 transfers (the ``hierarchy-bound-admissible`` oracle) and is reported as
 the result's certified off-chip floor.
 
-Instrumentation: counters ``search.hierarchy.{lb_evals,pruned,evaluated,
-configs}``, journal stage ``"hierarchy"``, and persistent store records
-under the new kind ``"hierarchy"``.
+Instrumentation: span ``search.hierarchy`` (one ``tiling.footprints``
+child per measured tile), counters ``search.hierarchy.{lb_evals,pruned,
+evaluated,configs}``, journal stage ``"hierarchy"``, and persistent store
+records under the new kind ``"hierarchy"``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro import obs
 from repro.estimation.bounds import transfer_lower_bound
@@ -63,10 +66,11 @@ from repro.transform import journal
 from repro.transform.elementary import signed_permutations
 from repro.transform.legality import is_legal, ordering_distances
 from repro.transform.tiling import (
-    _point_data,
     is_fully_permutable,
     tile_footprints,
+    transformed_points,
 )
+from repro.window import fast
 
 
 @dataclass(frozen=True)
@@ -145,18 +149,23 @@ def _stream(
     program: Program, transformation: IntMatrix | None
 ) -> list[tuple[tuple, bool]]:
     """The :func:`repro.memory.scratchpad.access_stream` trace, built
-    from the tile machinery's cached per-point data so the search's
-    bound evaluations do not recompute every reference's elements."""
-    transformed, _origin, per_ref = _point_data(program, transformation)
-    if transformation is None:
-        order: "range | list[int]" = range(len(transformed))
-    else:
-        order = sorted(range(len(transformed)), key=transformed.__getitem__)
-    return [
-        ((array, elements[i]), is_write)
-        for i in order
-        for array, is_write, elements in per_ref
-    ]
+    from the dense engine's cached element ids in the lexicographic order
+    of the transformed points.  An element is ``(array, packed id)``
+    rather than ``(array, coordinates)``: ids are one-to-one with an
+    array's elements, so the bound's set arithmetic is unchanged."""
+    points = transformed_points(program, transformation)
+    order = np.lexsort(points.T[::-1])
+    # Each array's id arrays, in the order its references appear.
+    unclaimed = {
+        array: list(fast._element_state(program, array).ids)
+        for array in program.arrays
+    }
+    columns = []
+    for ref in program.references:
+        array, is_write = ref.array, ref.is_write
+        ids = unclaimed[array].pop(0)[order].tolist()
+        columns.append([((array, element), is_write) for element in ids])
+    return [access for accesses in zip(*columns) for access in accesses]
 
 
 def _accesses_per_array(program: Program) -> dict[str, int]:
@@ -306,6 +315,7 @@ def _store_key(
 # the search
 # ----------------------------------------------------------------------
 
+@obs.profiled("search.hierarchy")
 def search_hierarchy(
     program: Program,
     hierarchy: MemoryHierarchy,
@@ -317,7 +327,7 @@ def search_hierarchy(
     """Search (transformation, tile, placement) for the cheapest plan.
 
     ``candidates`` defaults to :func:`default_candidates`; pass
-    ``[None]`` to keep the native order (the benchmark does).  With
+    ``[None]`` to keep the native order.  With
     ``prune=False`` every feasible configuration is evaluated; the
     prunes are admissible, so the winner is identical either way.
     Passing ``store=`` persists the result under kind ``"hierarchy"``.

@@ -10,12 +10,17 @@ off-chip traffic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from repro import obs
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.transform.legality import is_tileable, ordering_distances
+from repro.window import fast
 
 
 def is_fully_permutable(
@@ -54,42 +59,82 @@ class TileFootprints:
     writeback_words: dict[str, int]
 
 
-#: ``(program signature, transformation rows)`` -> per-point data shared
-#: by every tile size: the transformed points (cell binning input) and
-#: each reference's touched element per point.  The hierarchy search
-#: measures many tile candidates of the same (program, transformation),
-#: and recomputing ``ref.element`` per tile dominates its runtime.
-#: Bounded, dropped wholesale past the cap (the entries are large).
-_POINT_CACHE: dict[tuple, tuple] = {}
-_POINT_CACHE_LIMIT = 8
+def transformed_points(
+    program: Program, transformation: IntMatrix | None = None
+) -> np.ndarray:
+    """Every iteration point mapped through ``T``: ``(N, n)`` int64 rows
+    in native execution order.
 
-
-def clear_tile_cache() -> None:
-    """Drop memoized per-point tile data (tests, benchmarks)."""
-    _POINT_CACHE.clear()
-
-
-def _point_data(program: Program, transformation: IntMatrix | None):
-    """``(transformed points, origin, [(array, is_write, elements)])``."""
-    t_key = None if transformation is None else transformation.rows
-    key = (program.signature(), t_key)
-    cached = _POINT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    points = list(program.nest.iterate())
-    if transformation is not None:
-        transformed = [transformation.apply(p) for p in points]
-    else:
-        transformed = points
-    origin = min(transformed)
-    per_ref = [
-        (ref.array, ref.is_write, [ref.element(p) for p in points])
-        for ref in program.references
+    The rows come from the dense engine's cached point matrix (so a nest
+    past ``REPRO_DENSE_BUDGET`` raises its ``ValueError``) and one int64
+    matmul.  ``T`` must be ``n x n`` for a depth-``n`` nest; a
+    transformation whose products could pass 2**62 raises ``ValueError``
+    rather than wrap.
+    """
+    n = program.nest.depth
+    if transformation is None:
+        return fast._iter_state(program).points
+    if transformation.shape != (n, n):
+        rows, cols = transformation.shape
+        raise ValueError(
+            f"transformation is {rows}x{cols}; a depth-{n} nest needs {n}x{n}"
+        )
+    # Any partial sum of a row's dot product, in any summation order, is
+    # bounded by the sum of its terms' magnitudes over the box (and,
+    # with every bound at least 1, so is each coefficient).
+    bounds = [
+        max(abs(lo), abs(hi), 1)
+        for lo, hi in zip(program.nest.lowers, program.nest.uppers)
     ]
-    if len(_POINT_CACHE) >= _POINT_CACHE_LIMIT:
-        _POINT_CACHE.clear()
-    _POINT_CACHE[key] = (transformed, origin, per_ref)
-    return transformed, origin, per_ref
+    reach = max(
+        sum(abs(c) * b for c, b in zip(row, bounds))
+        for row in transformation.rows
+    )
+    if reach >= fast._INT64_LIMIT:
+        raise ValueError(
+            f"transformation {transformation.rows}: transformed coordinates "
+            f"reach {reach}, past the int64 screen of 2**62"
+        )
+    points = fast._iter_state(program).points
+    return points @ np.array(transformation.rows, dtype=np.int64).T
+
+
+def _lex_min(
+    rows: Sequence[Sequence[int]], lowers: Sequence[int], uppers: Sequence[int]
+) -> list[int]:
+    """Lexicographic minimum of ``rows @ i`` over the box, exactly.
+
+    Row by row: a row's minimizers over the current sub-box pin each
+    index it weighs to the bound its coefficient's sign favours, which
+    leaves the sub-box on which the next row is minimized.
+    """
+    lo, hi = list(lowers), list(uppers)
+    for row in rows:
+        for k, c in enumerate(row):
+            if c > 0:
+                hi[k] = lo[k]
+            elif c < 0:
+                lo[k] = hi[k]
+    return [sum(c * x for c, x in zip(row, lo)) for row in rows]
+
+
+def _distinct_per_cell(
+    base: np.ndarray, ids: Sequence[np.ndarray], radix: int, n_cells: int
+) -> np.ndarray:
+    """Per-cell distinct elements over the references' ``ids``.
+
+    ``base`` holds ``cell * radix`` per point, so ``base + id`` packs a
+    (cell, element) pair; the keys of all references sort together.
+    """
+    n = base.shape[0]
+    keys = np.empty(len(ids) * n, dtype=np.int64)
+    for k, element_ids in enumerate(ids):
+        np.add(base, element_ids, out=keys[k * n:(k + 1) * n])
+    keys.sort()
+    first = np.empty(keys.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.bincount(keys[first] // radix, minlength=n_cells)
 
 
 def tile_footprints(
@@ -103,6 +148,14 @@ def tile_footprints(
     transformed space.  Skewing transforms make the space non-rectangular,
     so boundary cells are *partial* tiles: the worst-case footprint is the
     max over all cells (an interior full tile), not the corner cell.
+
+    Array code over the dense engine's caches: cell ids are a floor
+    division of :func:`transformed_points`, packed and ranked; each
+    array's per-cell distinct counts are one sort of packed ``(cell,
+    element id)`` keys over its references (and one over its written
+    references), an adjacent-difference mask and a ``bincount``.  Every
+    pack is screened first: one that could pass 2**62 raises
+    ``ValueError`` instead of wrapping.
     """
     n = program.nest.depth
     tile = tuple(tile_sizes)
@@ -110,45 +163,79 @@ def tile_footprints(
         raise ValueError("tile rank != nest depth")
     if any(s <= 0 for s in tile):
         raise ValueError("tile extents must be positive")
-    transformed, origin, per_ref = _point_data(program, transformation)
-    cells = [
-        tuple((x - o) // s for x, o, s in zip(point, origin, tile))
-        for point in transformed
-    ]
-    touched: dict[tuple, dict[str, set]] = {}
-    written: dict[tuple, dict[str, set]] = {}
-    for array, is_write, elements in per_ref:
-        for cell, element in zip(cells, elements):
-            cell_touched = touched.setdefault(cell, {})
-            cell_touched.setdefault(array, set()).add(element)
-            if is_write:
-                written.setdefault(cell, {}).setdefault(array, set()).add(
-                    element
+    points_in_nest = math.prod(program.nest.trip_counts)
+    with obs.span("tiling.footprints", tile=tile, points=points_in_nest):
+        points = transformed_points(program, transformation)
+        rows = (
+            IntMatrix.identity(n).rows
+            if transformation is None
+            else transformation.rows
+        )
+        lowers, uppers = program.nest.lowers, program.nest.uppers
+        origin = _lex_min(rows, lowers, uppers)
+        # Extents of ``T @ i - origin``, hence of every cell coordinate.
+        mins, maxs = fast._affine_extents(
+            rows, [-o for o in origin], lowers, uppers
+        )
+        cell_mins = [lo // s for lo, s in zip(mins, tile)]
+        cell_spans = [
+            hi // s - c + 1 for hi, s, c in zip(maxs, tile, cell_mins)
+        ]
+        if not fast.spans_fit_int64(cell_spans):
+            raise ValueError(
+                f"tile grid {cell_spans} too large to pack under 2**62"
+            )
+        cells = np.empty_like(points)
+        for dim, (o, s) in enumerate(zip(origin, tile)):
+            # Column by column: numpy divides by a scalar much faster
+            # than by a broadcast row.
+            np.floor_divide(points[:, dim] - o, s, out=cells[:, dim])
+        cell_key = fast._pack_columns(cells, cell_mins, cell_spans)
+        # Dense 0..n_grid-1 cell ranks, so per-cell counts are bincounts.
+        order = np.argsort(cell_key)
+        ranks = np.empty(order.shape[0], dtype=np.int64)
+        ranks[0] = 0
+        np.not_equal(cell_key[order[1:]], cell_key[order[:-1]], out=ranks[1:])
+        np.cumsum(ranks, out=ranks)
+        n_grid = int(ranks[-1]) + 1
+        cell = np.empty_like(ranks)
+        cell[order] = ranks
+
+        arrays = program.arrays
+        per_array = dict.fromkeys(arrays, 0)
+        written_per_array = dict.fromkeys(arrays, 0)
+        fetch = dict.fromkeys(arrays, 0)
+        writeback = dict.fromkeys(arrays, 0)
+        totals = np.zeros(n_grid, dtype=np.int64)
+        for array in arrays:
+            ids = fast._element_state(program, array).ids
+            radix = max(int(e.max()) for e in ids) + 1
+            if not fast.spans_fit_int64((n_grid, radix)):
+                raise ValueError(
+                    f"array {array}: {n_grid} cells x {radix} element ids "
+                    f"too large to pack under 2**62"
                 )
-    for cell in touched:
-        written.setdefault(cell, {})
-    per_array = {a: 0 for a in program.arrays}
-    written_per_array = {a: 0 for a in program.arrays}
-    fetch = {a: 0 for a in program.arrays}
-    writeback = {a: 0 for a in program.arrays}
-    total = 0
-    for cell, by_array in touched.items():
-        total = max(total, sum(len(v) for v in by_array.values()))
-        for array, elements in by_array.items():
-            per_array[array] = max(per_array[array], len(elements))
-            fetch[array] += len(elements)
-        for array, elements in written[cell].items():
-            written_per_array[array] = max(written_per_array[array], len(elements))
-            writeback[array] += len(elements)
-    return TileFootprints(
-        tile=tile,
-        n_cells=len(touched),
-        total=total,
-        per_array=per_array,
-        written_per_array=written_per_array,
-        fetch_words=fetch,
-        writeback_words=writeback,
-    )
+            base = cell * radix
+            counts = _distinct_per_cell(base, ids, radix, n_grid)
+            per_array[array] = int(counts.max())
+            fetch[array] = int(counts.sum())
+            totals += counts
+            written = [
+                e for e, ref in zip(ids, program.refs_to(array)) if ref.is_write
+            ]
+            if written:
+                counts = _distinct_per_cell(base, written, radix, n_grid)
+                written_per_array[array] = int(counts.max())
+                writeback[array] = int(counts.sum())
+        return TileFootprints(
+            tile=tile,
+            n_cells=int(np.count_nonzero(totals)),
+            total=int(totals.max()),
+            per_array=per_array,
+            written_per_array=written_per_array,
+            fetch_words=fetch,
+            writeback_words=writeback,
+        )
 
 
 def tile_footprint(
@@ -188,8 +275,9 @@ def pick_tile_size(
             size *= 2
         else:
             break
-    # Refine between best and the failed size.
-    low, high = best, min(size, max_size)
+    # Refine between best and the failed size (exclusive), or past
+    # max_size when doubling overshot it without a failure.
+    low, high = best, min(size, max_size + 1)
     while low + 1 < high:
         mid = (low + high) // 2
         if tile_footprint(program, (mid,) * n, transformation) <= capacity:

@@ -206,6 +206,39 @@ class TestParametricOracles:
         assert "enumeration counts" in violation.detail
 
 
+class TestTileFootprintsOracle:
+    def test_cross_oracle_over_depths_one_to_three(self):
+        oracle = get_oracle("tile-footprints-reference")
+        assert oracle.kind == "cross"
+        depths = {oracle.generate(seed).nest.depth for seed in range(3)}
+        assert depths == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "field", ["n_cells", "total", "per_array", "writeback_words"]
+    )
+    def test_flags_any_wrong_field(self, monkeypatch, field):
+        """The oracle is live: one field off is a violation."""
+        import dataclasses
+
+        import repro.transform.tiling as tiling
+
+        original = tiling.tile_footprints
+
+        def off_by_one(program, tile, transformation=None):
+            fp = original(program, tile, transformation)
+            value = getattr(fp, field)
+            if isinstance(value, dict):
+                value = {a: v + 1 for a, v in value.items()}
+            else:
+                value += 1
+            return dataclasses.replace(fp, **{field: value})
+
+        monkeypatch.setattr(tiling, "tile_footprints", off_by_one)
+        violation = get_oracle("tile-footprints-reference").check(EXAMPLE, 0)
+        assert violation is not None
+        assert "!= reference" in violation.detail
+
+
 class TestOracleSelfChecks:
     def test_violation_str_names_oracle(self):
         oracle = get_oracle("engines-agree-2d")

@@ -10,12 +10,15 @@ degrading to recomputes.
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
 import math
 
 import pytest
 
 from repro import obs
+from repro.check.oracles import tile_footprints_reference
 from repro.ir import parse_program
 from repro.kernels import matmult, sor, two_point
 from repro.linalg import IntMatrix
@@ -27,7 +30,6 @@ from repro.transform import (
     journal,
     search_hierarchy,
     tile_candidates,
-    tile_footprints,
 )
 
 ANTIDIAG = parse_program(
@@ -46,7 +48,8 @@ def _stack(*caps: int, e_back: float = 200.0) -> MemoryHierarchy:
 
 def _brute_force(program, hierarchy, candidates, max_tile=64):
     """Independent re-enumeration of the whole space with its own cost
-    arithmetic; returns (best_energy, flat_energy)."""
+    arithmetic over the per-point reference footprints; returns
+    (best_energy, flat_energy)."""
     arrays = sorted(program.arrays)
     iterations = math.prod(program.nest.trip_counts)
     accesses = {}
@@ -55,7 +58,7 @@ def _brute_force(program, hierarchy, candidates, max_tile=64):
     best = flat = None
     for t in candidates:
         for tile in tile_candidates(program, t, max_tile):
-            fp = tile_footprints(program, tile, t)
+            fp = tile_footprints_reference(program, tile, t)
             traffic = (
                 sum(fp.fetch_words.values())
                 + sum(fp.writeback_words.values())
@@ -216,6 +219,24 @@ class TestJournalAndCounters:
         assert counters["search.hierarchy.evaluated"] == result.evaluated
         assert counters["search.hierarchy.configs"] == result.configs
         assert counters["search.hierarchy.lb_evals"] == 2
+
+    def test_trace_nests_footprint_spans_in_the_search_span(self):
+        trace = io.StringIO()
+        observer = obs.enable(trace=trace)
+        try:
+            search_hierarchy(matmult(4), _stack(40, 200), candidates=[None])
+        finally:
+            obs.disable()
+        spans = observer.summary()["spans"]
+        assert spans["search.hierarchy"]["count"] == 1
+        measured = spans["search.hierarchy/tiling.footprints"]
+        assert measured["count"] == len(tile_candidates(matmult(4)))
+        events = [json.loads(line) for line in trace.getvalue().splitlines()]
+        tiles = [
+            e["attrs"] for e in events
+            if e.get("ev") == "span" and e["name"] == "tiling.footprints"
+        ]
+        assert tiles[0] == {"tile": [1, 1, 1], "points": 64}
 
     def test_pruned_records_carry_reasons(self):
         jr = journal.enable()

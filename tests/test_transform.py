@@ -1,6 +1,7 @@
 """Tests for legality, elementary transforms, completion, searches and
 the two baselines — pinned to the paper's Examples 7, 8 and 10."""
 
+import itertools
 import math
 
 import pytest
@@ -26,6 +27,7 @@ from repro.transform import (
     signed_permutations,
     skew,
     tile_footprint,
+    tile_footprints,
     transformed_distances,
 )
 from repro.transform.elementary import bounded_unimodular_matrices
@@ -334,3 +336,126 @@ class TestTiling:
         skew = IntMatrix([[1, 0], [1, 1]])
         program = sor(32)
         assert tile_footprint(program, (3, 3), skew) == 21
+
+    @pytest.mark.parametrize(
+        "body,written,unsubscripted",
+        [
+            (
+                "C[i][j] = C[i][j] + A[i][k] * B[k][j]",
+                "C",
+                {"C": "k", "A": "j", "B": "i"},
+            ),
+            (
+                "S[i][j] = S[i][j] + Q[i][k] * K[j][k]",
+                "S",
+                {"S": "k", "Q": "j", "K": "i"},
+            ),
+        ],
+        ids=["gemm", "attention"],
+    )
+    def test_projective_nest_closed_forms(self, body, written, unsubscripted):
+        """Dinh & Demmel's projective nests: on an n^3 box every array
+        subscripts two of the three loops, so a full tile touches the
+        product of those two extents, and each element is fetched once
+        per block of the loop it does not subscript."""
+        program = parse_program(
+            "for i = 1 to 10 { for j = 1 to 10 { for k = 1 to 10 { "
+            f"{body} }} }} }}"
+        )
+        sizes = (1, 2, 3, 4, 7, 10)
+        for tile in itertools.product(sizes, repeat=3):
+            extent = dict(zip("ijk", tile))
+            blocks = {loop: math.ceil(10 / s) for loop, s in extent.items()}
+            fp = tile_footprints(program, tile)
+            assert fp.n_cells == math.prod(blocks.values()), tile
+            for array, loop in unsubscripted.items():
+                others = [extent[other] for other in "ijk" if other != loop]
+                assert fp.per_array[array] == math.prod(others), (tile, array)
+                assert fp.fetch_words[array] == 100 * blocks[loop], (tile, array)
+            assert fp.total == sum(fp.per_array.values())
+            assert fp.written_per_array[written] == fp.per_array[written]
+            assert fp.writeback_words[written] == fp.fetch_words[written]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]],
+        ids=["2x3", "4x3"],
+    )
+    def test_non_square_transformation_rejected(self, rows):
+        """Regression: ``zip`` used to truncate a 2x3 T silently to a
+        4-cell grid with total 16 on a nest of 8 cells with total 8."""
+        program = parse_program(
+            "for i = 1 to 4 { for j = 1 to 4 { for k = 1 to 4 { A[i][j][k] = 0 } } }"
+        )
+        with pytest.raises(ValueError, match="3x3"):
+            tile_footprints(program, (2, 2, 2), IntMatrix(rows))
+
+    def test_large_coefficients_exact_or_refused(self):
+        """Packing (cell, element) pairs over this skew's cell bounding
+        box would pass 2**62: the answer must equal the per-point
+        reference or be a ValueError, never another number."""
+        from repro.check.oracles import tile_footprints_reference
+
+        program = parse_program(
+            "for i = 1 to 8 { for j = 1 to 8 { A[i][j] = A[i - 1][j] + B[j] } }"
+        )
+        t = IntMatrix([[1, 2**55], [0, 1]])
+        try:
+            got = tile_footprints(program, (1, 1), t)
+        except ValueError as exc:
+            assert "2**62" in str(exc)
+        else:
+            assert got == tile_footprints_reference(program, (1, 1), t)
+
+    @pytest.mark.parametrize(
+        "source,rows,limit",
+        [
+            # T @ i itself would pass 2**62.
+            (
+                "for i = 1 to 8 { for j = 1 to 8 { A[i][j] = 0 } }",
+                [[1, 2**61], [0, 1]],
+                "transformed coordinates",
+            ),
+            # T @ i fits, but the unit-tile grid's bounding box does not.
+            (
+                "for i = 1 to 8 { for j = 1 to 8 { A[i][j] = 0 } }",
+                [[1, 2**58], [0, 1]],
+                "tile grid",
+            ),
+            # The grid fits; 64 cells x 2**61.8 element ids do not.
+            (
+                f"for i = 1 to 8 {{ for j = 1 to 8 {{ A[{2**56}*i][j] = 0 }} }}",
+                [[1, 0], [0, 1]],
+                "element ids",
+            ),
+        ],
+        ids=["matmul", "grid", "pack"],
+    )
+    def test_int64_screens_refuse(self, source, rows, limit):
+        program = parse_program(source)
+        with pytest.raises(ValueError, match=limit):
+            tile_footprints(program, (1, 1), IntMatrix(rows))
+
+    def test_dense_budget_refuses(self, monkeypatch):
+        """Footprints enumerate the dense engine's point matrix, so a nest
+        past ``REPRO_DENSE_BUDGET`` gets its ValueError."""
+        from repro.window.fast import DENSE_BUDGET_ENV, clear_iteration_cache
+
+        monkeypatch.setenv(DENSE_BUDGET_ENV, "100")
+        clear_iteration_cache()
+        program = parse_program(
+            "for i = 1 to 11 { for j = 1 to 11 { A[i][j] = 0 } }"
+        )
+        with pytest.raises(ValueError, match="budget"):
+            tile_footprints(program, (2, 2))
+
+    @pytest.mark.parametrize("max_size", [5, 40, 48, 64])
+    def test_pick_tile_size_reaches_max_size(self, max_size):
+        """Regression: refinement stopped below a non-power-of-two
+        max_size (47 for 48, 39 for 40, 4 for 5)."""
+        program = parse_program(
+            "for i = 1 to 64 { for j = 1 to 64 { "
+            "A[i][j] = A[i][j] + A[i-1][j] + A[i][j-1] } }"
+        )
+        size = pick_tile_size(program, capacity=10**9, max_size=max_size)
+        assert size == (max_size, max_size)
