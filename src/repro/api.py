@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import os
 import threading
 import time
@@ -63,7 +64,6 @@ def evaluate_kind(
     kind: str,
     program: Program,
     array: str | None = None,
-    engine: str = "auto",
     store=None,
     preset: str = "tcm",
 ) -> dict[str, Any]:
@@ -78,7 +78,7 @@ def evaluate_kind(
     if kind == "optimize":
         from repro.core.optimizer import optimize_program
 
-        result = optimize_program(program, engine=engine, store=store)
+        result = optimize_program(program, store=store)
         return {
             "mws_before": result.mws_before,
             "mws_after": result.mws_after,
@@ -88,9 +88,7 @@ def evaluate_kind(
         from repro.transform.search import search_best_transformation
 
         name = array or program.arrays[0]
-        result = search_best_transformation(
-            program, name, engine=engine, store=store
-        )
+        result = search_best_transformation(program, name, store=store)
         return {
             "array": name,
             "exact": result.exact_mws,
@@ -100,20 +98,17 @@ def evaluate_kind(
     if kind == "mws":
         from repro.transform.search import evaluate_exact
 
-        value = evaluate_exact(program, [None], array=array, engine=engine,
-                               store=store)[0]
+        value = evaluate_exact(program, [None], array=array, store=store)[0]
         return {"array": array, "mws": value}
     if kind == "analyze":
         from repro.estimation.memory import estimate_program_memory
         from repro.transform.search import evaluate_exact
 
         per_array = {
-            name: evaluate_exact(program, [None], array=name, engine=engine,
-                                 store=store)[0]
+            name: evaluate_exact(program, [None], array=name, store=store)[0]
             for name in program.arrays
         }
-        total = evaluate_exact(program, [None], array=None, engine=engine,
-                               store=store)[0]
+        total = evaluate_exact(program, [None], array=None, store=store)[0]
         footprint = estimate_program_memory(program)
         return {
             "program": program.name,
@@ -132,7 +127,7 @@ def evaluate_kind(
             if isinstance(hit, dict):
                 return hit
         stack = hierarchy_preset(preset)
-        report = size_memory_for_hierarchy(program, stack, engine=engine)
+        report = size_memory_for_hierarchy(program, stack)
         value = {
             "preset": preset,
             "mws_words": report.mws_words,
@@ -147,9 +142,7 @@ def evaluate_kind(
         name = array or program.arrays[0]
         out: dict[str, Any] = {"array": name}
         for param_kind in ("mws", "distinct"):
-            pe = resolve_parametric(
-                program, param_kind, array=name, store=store, engine=engine
-            )
+            pe = resolve_parametric(program, param_kind, array=name, store=store)
             out[f"{param_kind}_expr"] = None if pe is None else str(pe.expr)
         return out
     raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
@@ -174,7 +167,7 @@ def _run_item(payload, drain: bool) -> tuple[dict[str, Any], dict[str, int]]:
     dropping the worker's counters.  ``drain=False`` (inline) diffs the
     caller's observer instead.
     """
-    evaluator, label, sig, kind, program, array, engine, store = payload
+    evaluator, label, sig, kind, program, array, store = payload
     observer = obs.get_observer()
     before = {} if observer is None or drain else dict(observer.counters)
     # The context manager stops the heartbeat thread on *any* exit — a
@@ -188,7 +181,7 @@ def _run_item(payload, drain: bool) -> tuple[dict[str, Any], dict[str, int]]:
     started = time.perf_counter()
     try:
         with beating:
-            result = evaluator(kind, program, array, engine, store)
+            result = evaluator(kind, program, array, store)
     except BaseException:
         flight.heartbeat("item_error", item=label, sig=sig)
         raise
@@ -355,7 +348,6 @@ class AnalysisRequest:
     source: str | None = None
     name: str | None = None
     array: str | None = None
-    engine: str | None = None  # None -> the service default
     preset: str = "tcm"
     timeout: float | None = None  # None -> the service default
 
@@ -386,12 +378,25 @@ class AnalysisResponse:
         return asdict(self)
 
 
+def _checked_timeout(value: Any) -> float:
+    """``value`` as seconds, or ``ValueError`` unless finite and > 0.
+
+    JSON bodies and ``float()`` both admit NaN and Infinity, which no
+    deadline arithmetic survives.
+    """
+    timeout = float(value)
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"timeout must be > 0 and finite, got {timeout}")
+    return timeout
+
+
 def build_request(payload: Mapping[str, Any]) -> AnalysisRequest:
     """Validate a raw payload (manifest entry, HTTP body) into a request.
 
     Raises ``ValueError`` on an unknown kind, a missing/ambiguous
     target, or a malformed knob — the caller maps that to its own error
-    surface (batch ``error`` outcome, HTTP 400).
+    surface (batch ``error`` outcome, HTTP 400).  Unknown keys are
+    ignored.
     """
     if not isinstance(payload, Mapping):
         raise ValueError(f"request must be an object, got {payload!r}")
@@ -404,19 +409,9 @@ def build_request(payload: Mapping[str, Any]) -> AnalysisRequest:
         raise ValueError(
             "exactly one of 'kernel', 'file' or 'source' is required"
         )
-    engine = payload.get("engine")
-    if engine is not None:
-        from repro.window import ENGINES
-
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r} (expected one of {tuple(ENGINES)})"
-            )
     timeout = payload.get("timeout")
     if timeout is not None:
-        timeout = float(timeout)
-        if timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
+        timeout = _checked_timeout(timeout)
     array = payload.get("array")
     return AnalysisRequest(
         kind=kind,
@@ -425,7 +420,6 @@ def build_request(payload: Mapping[str, Any]) -> AnalysisRequest:
         source=payload.get("source"),
         name=payload.get("name"),
         array=None if array is None else str(array),
-        engine=engine,
         preset=str(payload.get("preset", "tcm")),
         timeout=timeout,
     )
@@ -463,13 +457,14 @@ class AnalysisService:
     def __init__(
         self,
         store=None,
-        engine: str = "auto",
         workers: int | None = 0,
         timeout: float | None = None,
     ) -> None:
         from repro.store import ResultStore
 
         self.workers = _resolve_workers(workers)
+        if timeout is not None:
+            timeout = _checked_timeout(timeout)
         if timeout is not None and self.workers < 1:
             raise ValueError(
                 f"timeout={timeout:g}s needs workers >= 1: an inline "
@@ -478,7 +473,6 @@ class AnalysisService:
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
         self.store = store
-        self.engine = engine
         self.timeout = timeout
         self._pool: ReclaimablePool | None = None
         self._lock = threading.Lock()
@@ -507,7 +501,7 @@ class AnalysisService:
         return (
             evaluator, f"{request.kind} {request.target}",
             program.signature(), request.kind, program, request.array,
-            request.engine or self.engine, self.store,
+            self.store,
         )
 
     def evaluate(

@@ -26,9 +26,6 @@ Global flags (before the subcommand):
     --workers N        worker processes of the analysis pool behind
                        `batch` and `serve` (other subcommands run in
                        this process and ignore it)
-    --engine NAME      window engine: auto | reference | fast | streaming
-                       (auto picks fast or, past the dense budget,
-                       streaming)
     --trace out.jsonl  record an observability trace; prints a span
                        summary on exit (see docs/observability.md)
     --store DIR        persist/reuse exact windows and search results in
@@ -62,7 +59,7 @@ def _load_target(target: str):
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     program = load_program(file=args.file)
-    print(analyze_program(program, engine=args.engine))
+    print(analyze_program(program))
     return 0
 
 
@@ -86,8 +83,7 @@ def _cmd_dependences(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     program = load_program(file=args.file)
     result = optimize_program(
-        program, engine=args.engine, store=args.store_obj,
-        parametric=args.parametric,
+        program, store=args.store_obj, parametric=args.parametric
     )
     print(f"MWS before : {result.mws_before}")
     print(f"MWS after  : {result.mws_after}")
@@ -125,9 +121,7 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 
     program = _load_target(args.target)
     hierarchy = preset(args.preset)
-    report = size_memory_for_hierarchy(
-        program, hierarchy, policy=args.policy, engine=args.engine
-    )
+    report = size_memory_for_hierarchy(program, hierarchy, policy=args.policy)
     needed = (
         "insufficient (capacity misses unavoidable)"
         if report.tiers_needed is None
@@ -160,9 +154,9 @@ def _cmd_size(args: argparse.Namespace) -> int:
     transformation = None
     if args.optimized:
         transformation = optimize_program(
-            program, engine=args.engine, store=args.store_obj,
+            program, store=args.store_obj
         ).transformation
-    report = size_memory_for_program(program, transformation, engine=args.engine)
+    report = size_memory_for_program(program, transformation)
     print(f"declared            : {report.declared_words} words")
     print(f"maximum window size : {report.mws_words} words")
     print(f"provisioned         : {report.provisioned_words} words")
@@ -252,8 +246,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     jr = journal.enable()
     try:
         result = search_best_transformation(
-            program, array, bound=args.bound, engine=args.engine,
-            store=args.store_obj,
+            program, array, bound=args.bound, store=args.store_obj
         )
     finally:
         journal.disable()
@@ -293,8 +286,7 @@ def _cmd_param(args: argparse.Namespace) -> int:
         derived = {}
         for kind in ("mws", "distinct", "reuse"):
             pe = resolve_parametric(
-                program, kind, array=array, store=args.store_obj,
-                engine=args.engine,
+                program, kind, array=array, store=args.store_obj
             )
             derived[kind] = pe
             if pe is None:
@@ -320,9 +312,7 @@ def _cmd_param(args: argparse.Namespace) -> int:
                     if kind == "mws":
                         from repro.window.simulator import max_window_size
 
-                        truth = max_window_size(
-                            resized, array, engine=args.engine
-                        )
+                        truth = max_window_size(resized, array)
                     else:
                         from repro.estimation.exact import (
                             exact_distinct_accesses,
@@ -598,7 +588,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             entries,
             store=args.store_obj,
             workers=args.workers,
-            engine=args.engine,
             timeout=args.timeout,
         )
     finally:
@@ -623,7 +612,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # per-request timeouts need preemptable workers.
     service = AnalysisService(
         store=args.store_obj,
-        engine=args.engine,
         workers=args.workers or None,
         timeout=args.timeout,
     )
@@ -677,16 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for `batch` (0 = inline) and `serve` "
         "(0 = automatic); other subcommands ignore it",
-    )
-    from repro.window import ENGINES
-
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="window engine: reference (pure-Python ground truth), fast "
-        "(the batched numpy sweep), streaming (chunked, bounded memory); "
-        "auto = fast, or streaming past the dense budget",
     )
     parser.add_argument(
         "--trace",
@@ -1061,7 +1039,6 @@ def main(argv: list[str] | None = None) -> int:
             argv=list(sys.argv[1:]) if argv is None else list(argv),
             config={
                 "workers": args.workers,
-                "engine": args.engine,
                 "store": str(args.store_obj.root) if args.store_obj else None,
                 "trace": args.trace,
             },

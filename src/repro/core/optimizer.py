@@ -51,9 +51,7 @@ def _program_ordering_distances(program: Program) -> list[tuple[int, ...]]:
     return list(out)
 
 
-def candidate_transformations(
-    program: Program, engine: str = "auto", store=None
-) -> list[IntMatrix]:
+def candidate_transformations(program: Program, store=None) -> list[IntMatrix]:
     """Legal candidate transformations for program-level optimization.
 
     Four sources: the identity; all signed permutations (interchange and
@@ -84,7 +82,7 @@ def candidate_transformations(
             if not program.is_uniformly_generated(array):
                 continue
             try:
-                result = search(program, array, engine=engine, store=store)
+                result = search(program, array, store=store)
             except (ValueError, KeyError):
                 continue
             if is_legal(result.transformation, distances):
@@ -124,8 +122,7 @@ def _access_embeddings(
 
 
 def optimize_program(
-    program: Program, engine: str = "auto", store=None,
-    parametric: bool = False,
+    program: Program, store=None, parametric: bool = False
 ) -> OptimizationResult:
     """Choose the legal transformation minimizing total MWS.
 
@@ -137,8 +134,7 @@ def optimize_program(
     order (first, so its score is always exact) sets the incumbent, and
     candidates whose certified/clipped lower bound cannot strictly beat
     the running best are never simulated — the chosen transformation is
-    identical to scoring everything.  ``engine`` picks the window engine
-    (:data:`repro.window.ENGINES`).  ``store`` (a
+    identical to scoring everything.  ``store`` (a
     :class:`repro.store.ResultStore`) persists search results and exact
     values, so a warm process re-optimizes without simulating.
     ``parametric=True`` answers candidate scores from derived
@@ -149,13 +145,11 @@ def optimize_program(
 
     with obs.span("optimize", program=program.name):
         with obs.span("candidates"):
-            candidates = candidate_transformations(
-                program, engine=engine, store=store
-            )
+            candidates = candidate_transformations(program, store=store)
         obs.counter("optimize.candidates", len(candidates))
         outcomes = evaluate_cascade(
             program, [None] + candidates, array=None,
-            engine=engine, store=store, parametric=parametric,
+            store=store, parametric=parametric,
         )
         before = outcomes[0].value
         best_t = IntMatrix.identity(program.nest.depth)

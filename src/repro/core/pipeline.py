@@ -34,18 +34,17 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def analyze_program(program: Program, engine: str = "auto") -> AnalysisReport:
+def analyze_program(program: Program) -> AnalysisReport:
     """Estimate footprints and measure exact windows for every array.
 
-    ``engine`` selects the window engine (:data:`repro.window.ENGINES`);
-    the default resolves to the streaming engine for nests too large to
+    Windows come from the streaming engine for nests too large to
     enumerate densely.
     """
     obs.runctx.note_input(program.name, program.signature())
     with obs.span("pipeline.analyze", program=program.name):
         footprint = estimate_program_memory(program)
         per_array = {
-            array: max_window_size(program, array, engine=engine)
+            array: max_window_size(program, array)
             for array in program.arrays
         }
         return AnalysisReport(
@@ -53,7 +52,7 @@ def analyze_program(program: Program, engine: str = "auto") -> AnalysisReport:
             default_memory=program.default_memory,
             footprint=footprint,
             mws_per_array=per_array,
-            mws_total=max_total_window(program, engine=engine),
+            mws_total=max_total_window(program),
         )
 
 
@@ -77,12 +76,12 @@ class FullReport:
         )
 
 
-def full_report(program: Program, engine: str = "auto") -> FullReport:
+def full_report(program: Program) -> FullReport:
     """Run the whole paper pipeline on one program."""
     obs.runctx.note_input(program.name, program.signature())
     with obs.span("pipeline.full_report", program=program.name):
-        analysis = analyze_program(program, engine=engine)
-        optimization = optimize_program(program, engine=engine)
+        analysis = analyze_program(program)
+        optimization = optimize_program(program)
         sizing_before = size_memory_for_program(program)
         sizing_after = size_memory_for_program(
             program, optimization.transformation

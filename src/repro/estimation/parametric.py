@@ -486,7 +486,6 @@ def resolve_parametric(
     array: str | None = None,
     transformation=None,
     store=None,
-    engine: str = "auto",
     seed: int = 0,
 ) -> ParametricExpr | None:
     """Derived expression for the program's family — cache, then store,
@@ -511,7 +510,7 @@ def resolve_parametric(
                 _PARAM_CACHE.put(key, decoded)
                 return decoded
     with obs.span("param.derive", kind=kind, array=array or "<total>"):
-        derived = _derive(program, kind, array, transformation, engine, seed)
+        derived = _derive(program, kind, array, transformation, seed)
     if derived is None:
         obs.counter("param.derive_failed")
         _PARAM_CACHE.put(key, _FAILED)
@@ -530,7 +529,6 @@ def _derive(
     kind: str,
     array: str | None,
     transformation,
-    engine: str,
     seed: int,
 ) -> ParametricExpr | None:
     # Imported lazily: window.symbolic imports this module.
@@ -541,7 +539,6 @@ def _derive(
             program,
             array=array,
             transformation=transformation,
-            engine=engine,
             seed=seed,
         )
     if kind == "distinct":
@@ -565,7 +562,6 @@ def parametric_value(
     array: str | None = None,
     transformation=None,
     store=None,
-    engine: str = "auto",
     seed: int = 0,
 ) -> int | None:
     """One concrete answer by derivation + substitution, or ``None``.
@@ -580,7 +576,6 @@ def parametric_value(
         array=array,
         transformation=transformation,
         store=store,
-        engine=engine,
         seed=seed,
     )
     value = None

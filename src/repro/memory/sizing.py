@@ -66,7 +66,6 @@ def size_memory_for_program(
     transformation: IntMatrix | None = None,
     model: MemoryCostModel | None = None,
     round_pow2: bool = True,
-    engine: str = "auto",
 ) -> SizingReport:
     """Measure MWS, provision a buffer, and verify with the scratchpad.
 
@@ -76,7 +75,7 @@ def size_memory_for_program(
     """
     model = model or MemoryCostModel()
     declared = program.default_memory
-    mws = max_total_window(program, transformation, engine=engine)
+    mws = max_total_window(program, transformation)
     capacity = max(1, mws)
     provisioned = _round_up_pow2(capacity) if round_pow2 else capacity
     stats = simulate_scratchpad(program, provisioned, transformation=transformation)
@@ -126,7 +125,6 @@ def size_memory_for_hierarchy(
     hierarchy: MemoryHierarchy,
     transformation: IntMatrix | None = None,
     policy: str = "belady",
-    engine: str = "auto",
 ) -> HierarchySizingReport:
     """Measure MWS, simulate the stack, and report which tiers matter.
 
@@ -135,7 +133,7 @@ def size_memory_for_hierarchy(
     does the nest actually need, and what traffic/energy does the full
     stack deliver".
     """
-    mws = max_total_window(program, transformation, engine=engine)
+    mws = max_total_window(program, transformation)
     stats = simulate_hierarchy(
         program, hierarchy, transformation=transformation, policy=policy
     )

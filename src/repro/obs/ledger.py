@@ -6,7 +6,7 @@ ledger record at exit — the correlated summary the per-process telemetry
 never gave us:
 
 * **identity** — run ID, subcommand + argv, git SHA, every ``REPRO_*``
-  env knob, the effective config (workers/engine/store/trace);
+  env knob, the effective config (workers/store/trace);
 * **inputs** — content signatures of every program the run touched;
 * **work** — engines used, cascade tier counts, parametric
   derive/fallback counts, batch item outcomes (with timeout

@@ -9,8 +9,8 @@ analysis run one correlated identity:
 * a **run ID** (sortable timestamp + random suffix),
 * the **code version** (git SHA) and the **environment knobs**
   (every ``REPRO_*`` variable) in effect,
-* the **effective config** (subcommand, argv, workers, engine, store
-  root, trace path),
+* the **effective config** (subcommand, argv, workers, store root,
+  trace path),
 * the **input signatures** of every program the run touched
   (:meth:`note_input` — content hashes, so two runs over the same
   kernels are comparable even across rebuilds), and

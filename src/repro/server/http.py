@@ -60,13 +60,23 @@ class HTTPRequest:
             raise BadRequest(f"request body is not valid JSON: {exc}") from None
 
 
+async def _read_line(reader) -> bytes:
+    """One line of the request head.  ``StreamReader.readline`` raises
+    ``ValueError`` for a line longer than the stream's buffer limit,
+    which makes the head too large."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise BadRequest("request head too large", status=413) from None
+
+
 async def read_request(reader) -> HTTPRequest | None:
     """Parse one request from an asyncio stream.
 
     Returns ``None`` when the peer closed without sending anything;
     raises :class:`BadRequest` on a malformed or oversized request.
     """
-    line = await reader.readline()
+    line = await _read_line(reader)
     if not line.strip():
         return None
     parts = line.decode("latin-1").split()
@@ -76,7 +86,7 @@ async def read_request(reader) -> HTTPRequest | None:
     headers: dict[str, str] = {}
     seen = len(line)
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         seen += len(line)

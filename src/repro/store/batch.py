@@ -117,7 +117,6 @@ def run_batch(
     entries: Sequence[Any],
     store=None,
     workers: int | None = 0,
-    engine: str = "auto",
     timeout: float | None = None,
     evaluator: Callable[..., dict] | None = None,
 ) -> BatchReport:
@@ -143,7 +142,7 @@ def run_batch(
     from repro.api import AnalysisService, build_request
 
     with AnalysisService(
-        store=store, engine=engine, workers=workers, timeout=timeout
+        store=store, workers=workers, timeout=timeout
     ) as service:
         items: list[BatchItem] = []
         results: dict[int, BatchOutcome] = {}

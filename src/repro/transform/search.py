@@ -70,6 +70,7 @@ from repro.transform.legality import (
     ordering_distances,
     reuse_distances,
 )
+from repro.window.batched import BATCH_SIZE
 from repro.window.mws import mws_2d_estimate, mws_2d_estimate_batch
 
 
@@ -107,10 +108,10 @@ _EXACT_CACHE: LRUCache = LRUCache(_EXACT_CACHE_LIMIT, counter="search.cache")
 
 #: Whole-search memo: ``(kind, program signature, array, bounds...)`` ->
 #: :class:`SearchResult`.  Search results are pure in the program and the
-#: search knobs (``engine`` changes only *how* the result is computed),
-#: so repeated searches — benchmark loops, the Figure-2 table re-running
-#: per array, service pool workers — hit here.  Bypassed while a
-#: journal records, so ``repro explain`` always sees the full trace.
+#: search knobs, so repeated searches — benchmark loops, the Figure-2
+#: table re-running per array, service pool workers — hit here.
+#: Bypassed while a journal records, so ``repro explain`` always sees
+#: the full trace.
 #: LRU-bounded (``search.memo.evictions``): benchmark loops cycling more
 #: than the limit evict one key at a time instead of thrashing the whole
 #: memo with a wholesale ``clear()``.
@@ -226,7 +227,6 @@ def evaluate_exact(
     candidates: Sequence[IntMatrix | None],
     array: str | None = None,
     stage: str = "evaluate",
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> list[int]:
@@ -239,10 +239,8 @@ def evaluate_exact(
 
     ``stage`` names the journal stage for the per-candidate records (the
     cascade's lower-bound batches record as ``"lower_bound"`` so they
-    stay out of the ranked candidate table); ``engine`` picks the window
-    engine (see :data:`repro.window.ENGINES`) — the cache key is
-    engine-independent because all engines agree exactly.  ``store``
-    (a :class:`repro.store.ResultStore`) persists each exact value, so a
+    stay out of the ranked candidate table).  ``store`` (a
+    :class:`repro.store.ResultStore`) persists each exact value, so a
     later process skips the simulation entirely.
 
     ``parametric=True`` consults the parametric engine before
@@ -269,8 +267,7 @@ def evaluate_exact(
                 _EXACT_CACHE.put((sig, array, _t_key(t)), hit)
         if hit is None and parametric:
             value = parametric_value(
-                program, "mws", array=array, transformation=t,
-                store=store, engine=engine,
+                program, "mws", array=array, transformation=t, store=store
             )
             if value is not None:
                 substituted += 1
@@ -298,8 +295,7 @@ def evaluate_exact(
         with obs.span("evaluate", candidates=len(candidates),
                       misses=len(misses)):
             values = batched_mws(
-                program, [candidates[idx] for idx in misses],
-                array=array, engine=engine,
+                program, [candidates[idx] for idx in misses], array=array
             )
         for idx, value in zip(misses, values):
             results[idx] = value
@@ -342,7 +338,6 @@ def evaluate_cascade(
     candidates: Sequence[IntMatrix | None],
     array: str | None = None,
     clip_budget: int | None = None,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> list[CascadeOutcome]:
@@ -358,11 +353,12 @@ def evaluate_cascade(
     without simulation — admissible, so the strict-< first-wins winner
     is identical to :func:`evaluate_exact` over all candidates.  The
     first candidate is never pruned, so at least one outcome is exact.
-    Survivors are simulated in windows of ``REPRO_BATCH_SIZE`` through
-    the batched engine (the first window is a single candidate, so the
-    incumbent exists before batching); a window sees the incumbent as
-    of the last flush, which can only *add* simulations relative to the
-    sequential cascade, never change a reported value or the winner.
+    Survivors are simulated in windows of
+    :data:`repro.window.batched.BATCH_SIZE` through the batched engine
+    (the first window is a single candidate, so the incumbent exists
+    before batching); a window sees the incumbent as of the last flush,
+    which can only *add* simulations relative to the sequential cascade,
+    never change a reported value or the winner.
 
     Counters: ``search.cascade.{tier1,tier2_pruned,pruned,simulated,
     lb_evals}`` (``pruned`` = ``tier1`` + ``tier2_pruned``); each prune
@@ -433,20 +429,18 @@ def evaluate_cascade(
         with obs.span("cascade.lower_bound", candidates=len(candidates)):
             lower_bounds = evaluate_exact(
                 clipped, candidates, array=array,
-                stage="lower_bound", engine=engine, store=store,
+                stage="lower_bound", store=store,
             )
         obs.counter("search.cascade.lb_evals", len(candidates))
 
     # Survivors are simulated in *windows* through the batched engine.
     # The first window has size 1 — the first survivor always simulates
     # alone, establishing the incumbent before any batching — and later
-    # windows use the REPRO_BATCH_SIZE knob.  Pruning decisions inside a
+    # windows hold BATCH_SIZE survivors.  Pruning decisions inside a
     # window see the incumbent as of the last flush (plus cache hits),
     # so the windowed cascade simulates a superset of the sequential
     # one; every reported exact value is the true MWS either way, and
     # the strict-< first-wins winner is identical.
-    from repro.window.batched import batch_size
-
     incumbent: int | None = None
     tier1_pruned = tier2_pruned = simulated = 0
     outcomes: list[CascadeOutcome | None] = [None] * len(candidates)
@@ -459,14 +453,14 @@ def evaluate_cascade(
             return
         values = evaluate_exact(
             program, [candidates[i] for i in pending], array=array,
-            engine=engine, store=store, parametric=parametric,
+            store=store, parametric=parametric,
         )
         for i, value in zip(pending, values):
             outcomes[i] = CascadeOutcome(value, True, "simulated")
             if incumbent is None or value < incumbent:
                 incumbent = value
         pending.clear()
-        window = batch_size()
+        window = BATCH_SIZE
 
     for idx, t in enumerate(candidates):
         hit = _EXACT_CACHE.get((sig, array, _t_key(t)))
@@ -639,7 +633,6 @@ def search_mws_2d(
     array: str,
     bound: int = 8,
     verify_top: int = 6,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
@@ -761,7 +754,7 @@ def search_mws_2d(
         leaders = collected[:verify_top]
         exacts = evaluate_exact(
             program, [t for _, t in leaders], array=array,
-            engine=engine, store=store, parametric=parametric,
+            store=store, parametric=parametric,
         )
         best = None
         for (estimate, t), exact in zip(leaders, exacts):
@@ -783,7 +776,6 @@ def search_mws_3d(
     array: str,
     bound: int = 1,
     verify_top: int = 4,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
@@ -865,8 +857,7 @@ def search_mws_3d(
             candidates.sort(key=level_key)
         leaders = candidates[:verify_top]
         exacts = evaluate_exact(
-            program, leaders, array=array, engine=engine,
-            store=store, parametric=parametric,
+            program, leaders, array=array, store=store, parametric=parametric
         )
         best = None
         for t, exact in zip(leaders, exacts):
@@ -882,7 +873,6 @@ def search_mws_3d(
 def search_general(
     program: Program,
     array: str,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
@@ -941,7 +931,7 @@ def search_general(
         obs.counter("search.candidates.examined", examined)
         ordered = list(candidates)
         outcomes = evaluate_cascade(
-            program, ordered, array=array, engine=engine,
+            program, ordered, array=array,
             store=store, parametric=parametric,
         )
         best = None
@@ -963,7 +953,6 @@ def search_best_transformation(
     program: Program,
     array: str,
     bound: int = 6,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
@@ -971,18 +960,15 @@ def search_best_transformation(
     depth = program.nest.depth
     if depth == 2:
         return search_mws_2d(
-            program, array, bound=bound, engine=engine,
+            program, array, bound=bound,
             store=store, parametric=parametric,
         )
     if depth == 3:
         return search_mws_3d(
             program, array, bound=min(bound, 2),
-            engine=engine, store=store, parametric=parametric,
+            store=store, parametric=parametric,
         )
-    return search_general(
-        program, array, engine=engine, store=store,
-        parametric=parametric,
-    )
+    return search_general(program, array, store=store, parametric=parametric)
 
 
 def exhaustive_search(
@@ -990,7 +976,6 @@ def exhaustive_search(
     array: str,
     bound: int = 1,
     tileable_only: bool = True,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
@@ -1033,7 +1018,7 @@ def exhaustive_search(
         if not legal:
             raise ValueError(f"no legal transformation found for {array}")
         outcomes = evaluate_cascade(
-            program, legal, array=array, engine=engine,
+            program, legal, array=array,
             store=store, parametric=parametric,
         )
         best = None

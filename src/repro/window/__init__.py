@@ -13,7 +13,7 @@ first/last-touch sweep serves every dense-engine score
 2-D (eq. (2)) and 3-D (Section 4.3) nests.
 """
 
-from repro.window.batched import batch_size, batched_mws
+from repro.window.batched import batched_mws
 from repro.window.simulator import (
     ENGINES,
     LivenessProfile,
@@ -22,7 +22,6 @@ from repro.window.simulator import (
     liveness_profile,
     max_total_window,
     max_window_size,
-    record_liveness,
     resolve_engine,
     window_profile,
 )
@@ -52,7 +51,6 @@ from repro.window.zhao_malik import (
 __all__ = [
     "DEFAULT_CHUNK",
     "ENGINES",
-    "batch_size",
     "batched_mws",
     "LivenessProfile",
     "WindowProfile",
@@ -62,7 +60,6 @@ __all__ = [
     "max_total_window_zhao_malik",
     "element_lifetimes",
     "liveness_profile",
-    "record_liveness",
     "window_profile",
     "max_window_size",
     "max_total_window",

@@ -36,20 +36,16 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.envutil import env_int
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.window import fast
 
-#: Environment variable overriding the scoring batch size.
-BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
-
-#: Default candidates per batch for the cascade's survivor windows.
-#: Measured on the Figure-2 table: the per-batch win saturates around
-#: 8-16 survivors (key computation amortizes; the sweep is already one
-#: call), while larger windows delay incumbent updates and simulate
-#: candidates a tighter window would have pruned.
-DEFAULT_BATCH_SIZE = 16
+#: Candidates per batch for the cascade's survivor windows.  Measured
+#: on the Figure-2 table: the per-batch win saturates around 8-16
+#: survivors (key computation amortizes; the sweep is already one call),
+#: while larger windows delay incumbent updates and simulate candidates
+#: a tighter window would have pruned.
+BATCH_SIZE = 16
 
 #: Magnitude ceiling for values entering the vectorized int64 candidate
 #: prep.  The true wrap limit is 2**63; screening at 2**58 leaves room
@@ -71,11 +67,6 @@ _CHUNK_ELEMS = 1 << 24
 #: suite sits near 10^4 elements; the constant is deliberately below it
 #: (both bodies are exact, so only speed is at stake).
 _EVENT_SWEEP_MAX_ELEMS = 4096
-
-
-def batch_size() -> int:
-    """Candidates per scoring batch (env-overridable)."""
-    return env_int(BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE)
 
 
 def _batched_time_keys(
@@ -111,12 +102,17 @@ def _batched_time_keys(
     total = points.shape[0]
     lowers = list(program.nest.lowers)
     uppers = list(program.nest.uppers)
+    depth = program.nest.depth
     mat_rows: list[int] = []
     mats: list[IntMatrix] = []
     none_rows: list[int] = []
     for k, t in enumerate(candidates):
         if t is None:
             none_rows.append(k)
+        elif t.shape != (depth, depth):
+            # The determinant screens below read only the leading
+            # square block, so a non-square row stack must stop here.
+            raise ValueError("transformation shape does not match nest depth")
         else:
             mat_rows.append(k)
             mats.append(t)
@@ -461,10 +457,10 @@ def batched_mws(
     :func:`repro.window.simulator.max_window_size` /
     ``max_total_window`` per candidate with the reference engine (the
     differential suite pins this), including ``ValueError`` for
-    non-unimodular candidates and ``KeyError`` for unknown arrays.  Only
-    the dense numpy engine has a batched formulation; when ``engine``
-    resolves to anything else the candidates are scored per-candidate
-    through the resolved engine.
+    mis-shaped or non-unimodular candidates and ``KeyError`` for unknown
+    arrays.  Only the dense numpy engine has a batched formulation; when
+    ``engine`` resolves to anything else the candidates are scored
+    per-candidate through the resolved engine.
     """
     from repro.window.simulator import (
         max_total_window,

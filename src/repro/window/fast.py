@@ -226,6 +226,9 @@ def _execution_times(
     total = points.shape[0]
     if transformation is None:
         return np.arange(total, dtype=np.int64)
+    n = program.nest.depth
+    if transformation.shape != (n, n):
+        raise ValueError("transformation shape does not match nest depth")
     if transformation.det() not in (1, -1):
         raise ValueError("transformation must be unimodular")
     t = np.array(transformation.to_lists(), dtype=np.int64)
@@ -383,23 +386,8 @@ def max_window_size_fast(
     program: Program,
     array: str,
     transformation: IntMatrix | None = None,
-    profile: bool = False,
 ) -> int:
-    """Vectorized exact MWS for one array: the batched scorer at K=1.
-
-    ``profile=True`` records the liveness profile (occupancy trajectory,
-    peak location, reuse-distance histogram) into the active observer's
-    metrics registry; while observability is disabled — or with the
-    default ``profile=False`` — the extra path costs one boolean check.
-    """
-    if profile and obs.enabled():
-        from repro.window.simulator import record_liveness
-
-        obs.counter("fast.simulate.calls")
-        with obs.span("simulate", array=array):
-            prof = liveness_profile_fast(program, array, transformation)
-            record_liveness(prof)
-            return prof.peak
+    """Vectorized exact MWS for one array: the batched scorer at K=1."""
     from repro.window.batched import _score
 
     return _score(program, [transformation], (array,), array)[0]
@@ -409,23 +397,12 @@ def max_total_window_fast(
     program: Program,
     transformation: IntMatrix | None = None,
     arrays=None,
-    profile: bool = False,
 ) -> int:
     """Vectorized exact total MWS (``max_t sum_X |W_X(t)|``): the batched
-    scorer at K=1 over every involved array.
-
-    ``profile=True`` records one liveness profile per involved array.
-    """
+    scorer at K=1 over every involved array."""
     from repro.window.batched import _score
 
     names = tuple(arrays) if arrays is not None else program.arrays
-    if profile and obs.enabled():
-        from repro.window.simulator import record_liveness
-
-        for array in names:
-            record_liveness(
-                liveness_profile_fast(program, array, transformation)
-            )
     return _score(program, [transformation], names, "*")[0]
 
 

@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 from repro import obs
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
-from repro.obs import metrics
 
 
 @dataclass(frozen=True)
@@ -200,22 +199,6 @@ def _point_at_time(
     return None
 
 
-def record_liveness(profile: LivenessProfile, prefix: str = "liveness") -> None:
-    """Publish a profile into the active observer's metrics registry.
-
-    No-op while observability is disabled.  Gauges carry the peak and
-    its location; histograms carry the occupancy trajectory and the
-    reuse-distance distribution.
-    """
-    base = f"{prefix}.{profile.array}"
-    metrics.gauge(f"{base}.peak", profile.peak)
-    metrics.gauge(f"{base}.peak_time", profile.peak_time)
-    metrics.gauge(f"{base}.mean_occupancy", profile.mean_occupancy)
-    metrics.observe_many(f"{base}.occupancy", profile.occupancy)
-    for gap, count in sorted(profile.reuse_histogram.items()):
-        metrics.observe(f"{base}.reuse_distance", gap, n=count)
-
-
 def window_profile_reference(
     program: Program,
     array: str,
@@ -241,13 +224,8 @@ def max_window_size_reference(
     program: Program,
     array: str,
     transformation: IntMatrix | None = None,
-    profile: bool = False,
 ) -> int:
     """Exact MWS of one array under the given execution order.
-
-    ``profile=True`` additionally records the liveness profile (occupancy
-    trajectory, peak location, reuse-distance histogram) into the active
-    observer's metrics; it costs nothing unless observability is enabled.
 
     >>> from repro.ir import parse_program
     >>> p = parse_program('''
@@ -261,10 +239,6 @@ def max_window_size_reference(
     44
     """
     obs.counter("simulator.reference.calls")
-    if profile and obs.enabled():
-        prof = liveness_profile(program, array, transformation)
-        record_liveness(prof)
-        return prof.peak
     lifetimes = element_lifetimes(program, array, transformation)
     return _peak_live(lifetimes.values())
 
@@ -328,9 +302,11 @@ def window_profile(
     return WindowProfile(array, tuple(int(v) for v in sizes))
 
 
-#: Engine names accepted by :func:`max_window_size` / :func:`max_total_window`.
-#: All are exact and pinned equal by the differential suite; they differ
-#: in cost model: ``reference`` (pure Python, ground truth), ``fast``
+#: Engine names accepted by :func:`max_window_size`, :func:`max_total_window`
+#: and :func:`repro.window.batched.batched_mws` — the only ``engine=``
+#: parameters; every caller above this package gets ``auto``, and only
+#: the oracles and tests name another.  All are exact and pinned equal by
+#: the differential suite; they differ in cost model: ``reference`` (pure Python, ground truth), ``fast``
 #: (dense numpy, O(N) memory), ``streaming`` (chunked, O(chunk+distinct)
 #: memory).  ``auto`` picks ``fast`` while the nest fits the dense budget
 #: and ``streaming`` beyond it.  The def-use comparator of
@@ -364,17 +340,14 @@ def max_window_size(
     program: Program,
     array: str,
     transformation: IntMatrix | None = None,
-    profile: bool = False,
     engine: str = "auto",
 ) -> int:
     """Exact MWS of one array under the given execution order.
 
-    ``profile=True`` records the liveness profile into the active
-    observer's metrics (no-op while observability is disabled; the
-    streaming engine ignores it — occupancy trajectories are O(N)).
     ``engine`` selects the implementation (see :data:`ENGINES`); the
     default ``"auto"`` uses the dense numpy engine while the nest fits
-    the dense budget and streams beyond it.
+    the dense budget and streams beyond it.  Only the oracles and tests
+    name another engine.
 
     >>> from repro.ir import parse_program
     >>> p = parse_program('''
@@ -392,34 +365,28 @@ def max_window_size(
     resolved = resolve_engine(program, engine)
     obs.counter(f"engine.{resolved}.calls")
     if resolved == "reference":
-        return max_window_size_reference(
-            program, array, transformation, profile=profile
-        )
+        return max_window_size_reference(program, array, transformation)
     if resolved == "streaming":
         from repro.window.streaming import max_window_size_streaming
 
-        return max_window_size_streaming(
-            program, array, transformation, profile=profile
-        )
+        return max_window_size_streaming(program, array, transformation)
     from repro.window.fast import max_window_size_fast
 
-    return max_window_size_fast(program, array, transformation, profile=profile)
+    return max_window_size_fast(program, array, transformation)
 
 
 def max_total_window(
     program: Program,
     transformation: IntMatrix | None = None,
     arrays: Sequence[str] | None = None,
-    profile: bool = False,
     engine: str = "auto",
 ) -> int:
     """Exact MWS summed over arrays: ``max_t sum_X |W_X(t)|``.
 
     This is the paper's multi-array window (Section 2.3) — the minimum
     on-chip data memory for the whole nest.  Note it is the max of the
-    sum, not the sum of per-array maxima.  ``profile=True`` records a
-    per-array liveness profile for every array involved (dense engines
-    only).  ``engine`` selects the implementation (see :data:`ENGINES`).
+    sum, not the sum of per-array maxima.  ``engine`` selects the
+    implementation (see :data:`ENGINES`), as for :func:`max_window_size`.
     """
     resolved = resolve_engine(program, engine)
     obs.counter(f"engine.{resolved}.calls")
@@ -428,9 +395,7 @@ def max_total_window(
     if resolved == "streaming":
         from repro.window.streaming import max_total_window_streaming
 
-        return max_total_window_streaming(
-            program, transformation, arrays, profile=profile
-        )
+        return max_total_window_streaming(program, transformation, arrays)
     from repro.window.fast import max_total_window_fast
 
-    return max_total_window_fast(program, transformation, arrays, profile=profile)
+    return max_total_window_fast(program, transformation, arrays)

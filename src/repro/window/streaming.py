@@ -262,16 +262,9 @@ def max_window_size_streaming(
     program: Program,
     array: str,
     transformation: IntMatrix | None = None,
-    profile: bool = False,
     chunk: int | None = None,
 ) -> int:
-    """Exact MWS of one array, computed in O(chunk + distinct) memory.
-
-    ``profile`` is accepted for engine-dispatch compatibility but
-    ignored: occupancy trajectories are inherently O(N) and belong to
-    the dense engines.
-    """
-    del profile
+    """Exact MWS of one array, computed in O(chunk + distinct) memory."""
     obs.counter("streaming.simulate.calls")
     with obs.span("simulate.streaming", array=array):
         size = chunk if chunk is not None else stream_chunk()
@@ -284,16 +277,13 @@ def max_total_window_streaming(
     program: Program,
     transformation: IntMatrix | None = None,
     arrays: Sequence[str] | None = None,
-    profile: bool = False,
     chunk: int | None = None,
 ) -> int:
     """Exact total MWS (``max_t sum_X |W_X(t)|``), streamed.
 
     One pass over the iteration space feeds every array's lifetime
-    store; the final peak scan merges all arrays' intervals.  ``profile``
-    is accepted but ignored (see :func:`max_window_size_streaming`).
+    store; the final peak scan merges all arrays' intervals.
     """
-    del profile
     obs.counter("streaming.simulate.calls")
     with obs.span("simulate.streaming", array="*"):
         names = tuple(arrays) if arrays is not None else program.arrays

@@ -127,7 +127,6 @@ def derive_parametric_mws(
     program: Program,
     array: str | None = None,
     transformation=None,
-    engine: str = "auto",
     seed: int = 0,
 ) -> ParametricExpr | None:
     """Exact MWS as a closed form in the trip counts, or ``None``.
@@ -164,8 +163,8 @@ def derive_parametric_mws(
     def evaluate(trips: tuple[int, ...]) -> int:
         resized = with_trip_counts(program, trips)
         if array is None:
-            return max_total_window(resized, transformation, engine=engine)
-        return max_window_size(resized, array, transformation, engine=engine)
+            return max_total_window(resized, transformation)
+        return max_window_size(resized, array, transformation)
 
     fit = derive_polynomial(evaluate, program.nest.depth, base, seed=seed)
     if fit is None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import obs
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.window.simulator import _iteration_order
@@ -170,15 +169,8 @@ def max_window_size_zhao_malik(
     program: Program,
     array: str,
     transformation: IntMatrix | None = None,
-    profile: bool = False,
 ) -> int:
     """Third, independent MWS computation for differential testing.
-
-    ``profile=True`` records the window-occupancy trajectory computed by
-    this implementation into the active observer's metrics under the
-    ``liveness.zm.<array>`` prefix — a differential cross-check of the
-    occupancy the fast engine reports (no-op while observability is
-    disabled).
 
     Uses the paper's *window* semantics (an element is live from its
     first access to just before its last — inputs are **not** live from
@@ -201,35 +193,7 @@ def max_window_size_zhao_malik(
     """
     first_seen, last_seen = _first_last_seen(program, array, transformation)
     starts, ends = _window_intervals(first_seen, last_seen)
-    peak = _two_pointer_peak(starts, ends)
-    if profile and obs.enabled():
-        from repro.window.simulator import LivenessProfile, record_liveness
-
-        total = program.nest.total_iterations
-        deltas = [0] * (total + 1)
-        for element, start in first_seen.items():
-            end = last_seen[element]
-            if end > start:
-                deltas[start] += 1
-                deltas[end] -= 1
-        occupancy = []
-        running = 0
-        for t in range(total):
-            running += deltas[t]
-            occupancy.append(running)
-        peak_time = occupancy.index(peak) if occupancy else -1
-        record_liveness(
-            LivenessProfile(
-                array=array,
-                occupancy=tuple(occupancy),
-                peak=peak,
-                peak_time=peak_time,
-                peak_point=None,
-                reuse_histogram={},
-            ),
-            prefix="liveness.zm",
-        )
-    return peak
+    return _two_pointer_peak(starts, ends)
 
 
 def max_total_window_zhao_malik(

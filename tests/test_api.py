@@ -8,6 +8,7 @@ usable), and warm-request detection against the persistent store.
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -57,7 +58,7 @@ class TestBuildRequest:
         assert request.kind == "mws"
         assert request.kernel == "sor"
         assert request.target == "sor"
-        assert request.engine is None and request.timeout is None
+        assert request.timeout is None
 
     def test_kind_defaults_to_analyze(self):
         assert build_request({"kernel": "sor"}).kind == "analyze"
@@ -76,15 +77,22 @@ class TestBuildRequest:
         with pytest.raises(ValueError, match="must be an object"):
             build_request("sor")
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine 'warp'"):
-            build_request({"kernel": "sor", "engine": "warp"})
-
     def test_bad_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout must be > 0"):
             build_request({"kernel": "sor", "timeout": 0})
         with pytest.raises(ValueError):
             build_request({"kernel": "sor", "timeout": "soon"})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_timeout_rejected(self, token):
+        # Python's json parses all three (1e999 overflows to inf).
+        payload = json.loads(f'{{"kernel": "sor", "timeout": {token}}}')
+        with pytest.raises(ValueError, match="finite"):
+            build_request(payload)
+
+    def test_engine_key_ignored_like_any_unknown_key(self):
+        request = build_request({"kernel": "sor", "engine": "warp"})
+        assert request == build_request({"kernel": "sor"})
 
     def test_knobs_pass_through(self):
         request = build_request({
@@ -331,6 +339,12 @@ class TestServicePooled:
         assert "RuntimeError: kaboom" in response.error
         assert observer.counters["batch.items.error"] == 1
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0])
+    def test_bad_service_timeout_rejected(self, timeout):
+        # `repro serve --timeout` and `repro batch --timeout` land here.
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            AnalysisService(workers=1, timeout=timeout)
+
     def test_inline_timeout_rejected(self):
         # An inline evaluation cannot be preempted, so a deadline on a
         # workerless service would silently never fire.
@@ -391,9 +405,9 @@ class TestServiceReadSide:
 
 
 # Module-level so the service can pickle them to pool workers.
-def _hang_evaluator(kind, program, array, engine, store):
+def _hang_evaluator(kind, program, array, store):
     time.sleep(30)
 
 
-def _explode_evaluator(kind, program, array, engine, store):
+def _explode_evaluator(kind, program, array, store):
     raise RuntimeError("kaboom")

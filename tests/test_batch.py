@@ -381,28 +381,28 @@ class TestTimeoutTelemetry:
 
 
 # Module-level so the batch machinery can pickle them to pool workers.
-def _sleepy_evaluator(kind, program, array, engine, store):
+def _sleepy_evaluator(kind, program, array, store):
     if program.name == "sor":
         time.sleep(5)
-    return evaluate_kind(kind, program, array, engine, store)
+    return evaluate_kind(kind, program, array, store)
 
 
-def _explosive_evaluator(kind, program, array, engine, store):
+def _explosive_evaluator(kind, program, array, store):
     if program.name == "sor":
         raise RuntimeError("boom")
-    return evaluate_kind(kind, program, array, engine, store)
+    return evaluate_kind(kind, program, array, store)
 
 
-def _hang_all_but_2point_evaluator(kind, program, array, engine, store):
+def _hang_all_but_2point_evaluator(kind, program, array, store):
     if program.name != "2point":
         time.sleep(30)
-    return evaluate_kind(kind, program, array, engine, store)
+    return evaluate_kind(kind, program, array, store)
 
 
-def _counting_sleepy_evaluator(kind, program, array, engine, store):
+def _counting_sleepy_evaluator(kind, program, array, store):
     if program.name == "sor":
         # Accrue telemetry, then blow the deadline: the bumped counter
         # must come back to the parent via the heartbeat snapshot.
         obs.counter("test.batch.partial", 7)
         time.sleep(30)
-    return evaluate_kind(kind, program, array, engine, store)
+    return evaluate_kind(kind, program, array, store)

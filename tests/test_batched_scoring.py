@@ -23,7 +23,11 @@ from repro.transform.elementary import (
     bounded_unimodular_matrices,
     signed_permutations,
 )
-from repro.transform.search import clear_exact_cache
+from repro.transform.search import (
+    clear_exact_cache,
+    evaluate_exact,
+    exact_cache_size,
+)
 from repro.window import batched
 from repro.window.fast import clear_iteration_cache
 from repro.window.simulator import max_total_window, max_window_size
@@ -109,7 +113,50 @@ class TestDifferentialParity:
         assert batched.batched_mws(program, [], array=None) == []
 
 
+_MISSHAPED_NESTS = {
+    2: "for i = 1 to 6 { for j = 1 to 6 { X[2*i + 5*j] = X[2*i + 5*j + 3] } }",
+    3: "for i = 1 to 4 { for j = 1 to 4 { for k = 1 to 4 {"
+       " A[i][j] = A[i][j] + B[j][k] } } }",
+}
+
+
 class TestEdgeCases:
+    @pytest.mark.parametrize("array_kind", ["array", "total"])
+    @pytest.mark.parametrize(
+        "entry",
+        ["auto", "fast", "reference", "streaming", "batched_mws",
+         "evaluate_exact"],
+    )
+    @pytest.mark.parametrize(
+        "depth,rows",
+        [
+            (2, [[1, 0]]),
+            (3, [[1, 0, 0], [0, 1, 0]]),
+            (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]),
+        ],
+        ids=["1x2", "2x3", "4x3"],
+    )
+    def test_misshaped_transformation_raises(
+        self, depth, rows, entry, array_kind
+    ):
+        # Every engine rejects a transformation that is not depth x
+        # depth with the same error, and no value reaches the memo.
+        program = parse_program(_MISSHAPED_NESTS[depth])
+        t = IntMatrix(rows)
+        array = program.arrays[0] if array_kind == "array" else None
+        with pytest.raises(
+            ValueError, match="shape does not match nest depth"
+        ):
+            if entry == "batched_mws":
+                batched.batched_mws(program, [t], array=array)
+            elif entry == "evaluate_exact":
+                evaluate_exact(program, [None, t], array=array)
+            elif array is None:
+                max_total_window(program, t, engine=entry)
+            else:
+                max_window_size(program, array, t, engine=entry)
+        assert exact_cache_size() == 0
+
     def test_non_unimodular_candidate_raises(self):
         program = random_program(2, GeneratorConfig(depth=2))
         singular = IntMatrix([[1, 0], [2, 0]])
@@ -171,14 +218,6 @@ class TestCountersAndCache:
         assert batch["fast.simulate.calls"] == len(candidates)
         assert batch["engine.fast.calls"] == len(candidates)
         assert batch["batch.candidates"] == len(candidates)
-
-
-class TestKnobs:
-    def test_batch_size_knob(self, monkeypatch):
-        monkeypatch.delenv(batched.BATCH_SIZE_ENV, raising=False)
-        assert batched.batch_size() == batched.DEFAULT_BATCH_SIZE
-        monkeypatch.setenv(batched.BATCH_SIZE_ENV, "4")
-        assert batched.batch_size() == 4
 
 
 class TestSweepBodies:

@@ -1,0 +1,95 @@
+"""Settable-option inventory of the window layer.
+
+Every exact window engine gives the same answer, so the engine is picked
+from the input inside :mod:`repro.window` (dense while the nest fits
+``REPRO_DENSE_BUDGET``, streaming beyond it).  Only the window entry
+points keep ``engine=``, for the oracles and tests that select the
+reference implementations; nothing above them, and no CLI flag, request
+field or environment variable, re-exposes the choice.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import repro
+from repro.cli import build_parser
+
+#: The only callables allowed an ``engine`` parameter.
+ENGINE_ENTRY_POINTS = {
+    "repro.window.simulator.max_window_size",
+    "repro.window.simulator.max_total_window",
+    "repro.window.simulator.resolve_engine",
+    "repro.window.batched.batched_mws",
+}
+
+
+def _parameters(obj) -> set[str]:
+    try:
+        return set(inspect.signature(obj).parameters)
+    except (TypeError, ValueError):
+        return set()
+
+
+def _callables():
+    """``(qualified name, callable)`` for every function, class and
+    method defined in a ``repro`` module."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+            elif callable(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
+@pytest.fixture(scope="module")
+def callables() -> dict:
+    return dict(_callables())
+
+
+def test_engine_parameter_only_on_window_entry_points(callables):
+    with_engine = {
+        name for name, obj in callables.items()
+        if "engine" in _parameters(obj)
+    }
+    assert with_engine == ENGINE_ENTRY_POINTS
+
+
+def test_no_window_entry_point_takes_profile(callables):
+    window_fns = {
+        name: obj for name, obj in callables.items()
+        if name.rsplit(".", 1)[-1].startswith("max_")
+        and "window" in name.rsplit(".", 1)[-1]
+    }
+    assert "repro.window.simulator.max_window_size" in window_fns
+    assert not {
+        name for name, obj in window_fns.items()
+        if "profile" in _parameters(obj)
+    }
+
+
+def test_batch_size_is_a_constant():
+    from repro.window import batched
+
+    assert batched.BATCH_SIZE == 16
+    assert not hasattr(batched, "batch_size")
+    assert not hasattr(batched, "BATCH_SIZE_ENV")
+
+
+def test_cli_rejects_engine_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["--engine", "fast", "analyze", "f.loop"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: repro")

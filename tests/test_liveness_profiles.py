@@ -1,5 +1,5 @@
-"""Liveness-profile instrumentation: reference vs fast equality, metric
-publication through the observer, and the disabled-path guard."""
+"""Liveness profiles: reference vs fast equality, the def-use occupancy
+trajectory, and their ASCII and CLI rendering."""
 
 from __future__ import annotations
 
@@ -8,15 +8,10 @@ import pytest
 from repro import obs
 from repro.ir import parse_program
 from repro.linalg import IntMatrix
-from repro.window import (
-    LivenessProfile,
-    liveness_profile,
-    max_window_size,
-    record_liveness,
-)
-from repro.window.fast import liveness_profile_fast, max_window_size_fast
+from repro.window import LivenessProfile, liveness_profile
+from repro.window.fast import liveness_profile_fast
 from repro.window.simulator import max_window_size_reference
-from repro.window.zhao_malik import def_use_occupancy, max_window_size_zhao_malik
+from repro.window.zhao_malik import def_use_occupancy
 
 EX8 = """
 for i = 1 to 25 {
@@ -92,12 +87,6 @@ class TestFastMatchesReference:
         assert fast.peak_point == ref.peak_point
         assert fast.reuse_histogram == dict(ref.reuse_histogram)
 
-    def test_profile_flag_returns_same_mws(self):
-        program = parse_program(EX8)
-        obs.enable()
-        assert max_window_size_fast(program, "X", profile=True) == 44
-        assert max_window_size(program, "X", profile=True) == 44
-
     def test_zero_window_program(self):
         program = parse_program("for i = 1 to 4 { A[i] = 1 }")
         ref = liveness_profile(program, "A")
@@ -105,74 +94,6 @@ class TestFastMatchesReference:
         assert fast.occupancy == ref.occupancy == (0, 0, 0, 0)
         assert fast.peak == ref.peak == 0
         assert fast.reuse_histogram == {}
-
-
-class TestMetricPublication:
-    def test_record_liveness_publishes_gauges_and_histograms(self):
-        program = parse_program(EX8)
-        obs.enable()
-        record_liveness(liveness_profile(program, "X"))
-        summary = obs.disable().summary()
-        assert summary["gauges"]["liveness.X.peak"] == 44
-        occupancy = summary["histograms"]["liveness.X.occupancy"]
-        assert occupancy["count"] == program.nest.total_iterations
-        reuse = summary["histograms"]["liveness.X.reuse_distance"]
-        assert reuse["count"] == liveness_profile(program, "X").reuse_count
-
-    def test_profile_flag_records_through_simulators(self):
-        program = parse_program(EX8)
-        obs.enable()
-        max_window_size(program, "X", profile=True)
-        summary = obs.disable().summary()
-        assert summary["gauges"]["liveness.X.peak"] == 44
-        assert summary["gauges"]["liveness.X.peak_time"] == \
-            liveness_profile(program, "X").peak_time
-
-    def test_reference_profile_flag_records(self):
-        program = parse_program(EX8)
-        obs.enable()
-        assert max_window_size_reference(program, "X", profile=True) == 44
-        summary = obs.disable().summary()
-        assert summary["gauges"]["liveness.X.peak"] == 44
-
-    def test_profile_false_records_nothing(self):
-        program = parse_program(EX8)
-        obs.enable()
-        max_window_size(program, "X", profile=False)
-        summary = obs.disable().summary()
-        assert "gauges" not in summary
-        assert "histograms" not in summary
-
-    def test_record_liveness_noop_when_disabled(self):
-        program = parse_program(EX8)
-        record_liveness(liveness_profile(program, "X"))  # must not raise
-        assert not obs.enabled()
-
-    def test_zhao_malik_profile_agrees_with_reference(self):
-        program = parse_program(EX8)
-        ref = liveness_profile(program, "X")
-        obs.enable()
-        assert max_window_size_zhao_malik(program, "X", profile=True) == 44
-        summary = obs.disable().summary()
-        assert summary["gauges"]["liveness.zm.X.peak"] == ref.peak
-        assert summary["gauges"]["liveness.zm.X.peak_time"] == ref.peak_time
-        zm_occ = summary["histograms"]["liveness.zm.X.occupancy"]
-        assert zm_occ["count"] == len(ref.occupancy)
-        assert zm_occ["sum"] == sum(ref.occupancy)
-
-
-class TestDisabledPathGuard:
-    def test_profiling_skipped_entirely_when_disabled(self, monkeypatch):
-        """With obs off, profile=True must not even build the profile."""
-        import repro.window.fast as fast_mod
-
-        def explode(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("profiling ran while obs disabled")
-
-        monkeypatch.setattr(fast_mod, "liveness_profile_fast", explode)
-        program = parse_program(EX8)
-        assert not obs.enabled()
-        assert max_window_size_fast(program, "X", profile=True) == 44
 
 
 class TestDefUseOccupancy:

@@ -96,6 +96,21 @@ class TestHTTPParsing:
         with pytest.raises(BadRequest, match="bad Content-Length"):
             _parse(b"POST /analyze HTTP/1.1\r\nContent-Length: pi\r\n\r\n")
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n",
+            b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["header-line", "request-target"],
+    )
+    def test_overlong_line_rejected(self, head):
+        # One line past the stream's 64 KiB buffer limit gets the same
+        # 413 as many short header lines of that total size.
+        with pytest.raises(BadRequest, match="request head too large") as info:
+            _parse(head)
+        assert info.value.status == 413
+
     def test_oversized_body_rejected(self):
         with pytest.raises(BadRequest) as info:
             _parse(
@@ -242,6 +257,18 @@ class TestRouting:
             code, body = _call(f"{url}/analyze", method="POST", payload={})
         assert code == 400
         assert "exactly one of" in body["error"]
+
+    def test_non_finite_timeout_400(self):
+        # json.dumps writes float("inf") as the bare token Infinity,
+        # which the server's json.loads accepts.
+        with _serve() as (url, _, _):
+            code, body = _call(
+                f"{url}/analyze", method="POST",
+                payload={"kind": "mws", "kernel": "2point",
+                         "timeout": float("inf")},
+            )
+        assert code == 400
+        assert "finite" in body["error"]
 
     def test_metrics_exposition(self, observer):
         with _serve() as (url, _, _):
@@ -406,7 +433,7 @@ class TestTimeoutAndAdmission:
 
 
 # Module-level so the service can pickle them to pool workers.
-def _hang_on_sor_evaluator(kind, program, array, engine, store):
+def _hang_on_sor_evaluator(kind, program, array, store):
     if program.name == "sor":
         time.sleep(30)
-    return evaluate_kind(kind, program, array, engine, store)
+    return evaluate_kind(kind, program, array, store)

@@ -85,10 +85,6 @@ class TestParity:
         assert max_window_size_streaming(program, "X", t, chunk=17) == \
             max_window_size_reference(program, "X", t) == 21
 
-    def test_profile_flag_accepted_and_ignored(self):
-        program = parse_program(EXAMPLE_8)
-        assert max_window_size_streaming(program, "X", profile=True) == 44
-
 
 class TestDispatch:
     def test_engine_names_agree(self):
