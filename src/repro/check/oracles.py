@@ -1349,3 +1349,160 @@ class TileFootprintsReference(Oracle):
                         program,
                     )
         return None
+
+
+# ----------------------------------------------------------------------
+# the access trace: the array code against a per-point reference
+# ----------------------------------------------------------------------
+
+def access_stream_reference(
+    program: Program,
+    array: str | None = None,
+    transformation: IntMatrix | None = None,
+) -> list[tuple[tuple, bool]]:
+    """Per-point reference for :func:`repro.memory.scratchpad.access_stream`.
+
+    Walks every iteration point in Python, in the order of ``T.apply``,
+    and lists each reference's ``((array, coordinates), is_write)`` in
+    ``program.references`` order.  Its elements are coordinate tuples
+    where the production trace has int ids, so the two agree up to a
+    relabeling of elements; it validates nothing itself.
+    """
+    points = list(program.nest.iterate())
+    return _reference_trace(
+        _reference_elements(program, points),
+        array,
+        _reference_order(points, transformation),
+    )
+
+
+def _reference_order(points: list, transformation: IntMatrix | None):
+    """Native point indices in execution order."""
+    if transformation is None:
+        return range(len(points))
+    return sorted(range(len(points)), key=lambda p: transformation.apply(points[p]))
+
+
+def _reference_trace(per_ref: list, array: str | None, order) -> list:
+    refs = [
+        (name, is_write, elements)
+        for name, is_write, elements in per_ref
+        if array is None or name == array
+    ]
+    if not refs:
+        raise KeyError(array)
+    return [
+        ((name, elements[p]), is_write)
+        for p in order
+        for name, is_write, elements in refs
+    ]
+
+
+def _first_occurrence_labels(elements) -> list[int]:
+    """Each element renamed to the rank of its first occurrence, so two
+    traces with the same partition of accesses into elements compare
+    equal whatever their element names."""
+    labels: dict = {}
+    return [labels.setdefault(e, len(labels)) for e in elements]
+
+
+def _reference_next_use(elements: list) -> list[int]:
+    """The index of each access's next access to its element (or end)."""
+    next_use = [len(elements)] * len(elements)
+    last_seen: dict = {}
+    for idx in range(len(elements) - 1, -1, -1):
+        next_use[idx] = last_seen.get(elements[idx], len(elements))
+        last_seen[elements[idx]] = idx
+    return next_use
+
+
+@register
+class AccessTraceReference(Oracle):
+    name = "access-trace-reference"
+    kind = "cross"
+    paper = (
+        "MWS is the minimum on-chip memory because an optimally managed "
+        "buffer replaying the nest's access trace needs no more; every "
+        "buffer model here replays one array-coded trace, so it must "
+        "equal a point-by-point walk of the same execution order up to "
+        "element names: length, write flags, the partition of accesses "
+        "into elements, next uses, and Belady and LRU buffer stats."
+    )
+    config = GeneratorConfig(min_trip=2, max_trip=6)
+
+    def generate(self, seed: int) -> Program:
+        return random_program(
+            seed,
+            replace(
+                self.config, depth=1 + seed % 3, uniform_only=seed % 2 == 0
+            ),
+        )
+
+    def check(self, program: Program, seed: int = 0) -> Violation | None:
+        import numpy as np
+
+        from repro.memory.scratchpad import (
+            access_stream,
+            next_use_chain,
+            simulate_stream,
+        )
+        from repro.transform.hierarchy_search import default_candidates
+
+        rng = random.Random(seed * 7919 + 13)
+        capacities = (rng.randint(1, 8), rng.randint(9, 64))
+        points = list(program.nest.iterate())
+        per_ref = _reference_elements(program, points)
+        candidates = default_candidates(program)
+        candidates.append(_seed_skew(program.nest.depth, seed))
+        for t in candidates:
+            order = _reference_order(points, t)
+            for array in (None, *program.arrays):
+                where = (
+                    ("native" if t is None else f"T={t.rows}")
+                    + ("" if array is None else f", array {array}")
+                )
+                expected = _reference_trace(per_ref, array, order)
+                elements, writes = access_stream(program, array, t)
+                if len(elements) != len(expected):
+                    return self.fail(
+                        f"{where}: {len(elements)} accesses != reference "
+                        f"{len(expected)}",
+                        program,
+                    )
+                flags = [is_write for _, is_write in expected]
+                if writes.tolist() != flags:
+                    return self.fail(
+                        f"{where}: write flags differ from the reference",
+                        program,
+                    )
+                labels = _first_occurrence_labels(e for e, _ in expected)
+                if _first_occurrence_labels(elements.tolist()) != labels:
+                    return self.fail(
+                        f"{where}: accesses group into elements differently "
+                        f"from the reference",
+                        program,
+                    )
+                next_use = next_use_chain(elements)
+                reference_next = _reference_next_use(labels)
+                if next_use.tolist() != reference_next:
+                    return self.fail(
+                        f"{where}: next-use chain differs from the reference",
+                        program,
+                    )
+                reference = (np.array(labels), np.array(flags))
+                for policy in ("belady", "lru"):
+                    for capacity in capacities:
+                        got = simulate_stream(
+                            (elements, writes), next_use, capacity, policy
+                        )
+                        want = simulate_stream(
+                            reference, np.array(reference_next),
+                            capacity, policy,
+                        )
+                        if got != want:
+                            return self.fail(
+                                f"{where}, capacity {capacity} ({policy}): "
+                                f"{got} != reference {want}",
+                                program,
+                            )
+        return None

@@ -18,6 +18,10 @@ corrects only the two global extremes, so interior gaps — where one
 reference's dense region hands over to another's — can push the true
 count slightly below it.  The test suite bounds that slack by the total
 Sylvester gap mass of the references.
+
+The module also holds the search cascade's bounds and
+:func:`transfer_lower_bound`, which reads the simulators' one access
+trace (:func:`repro.memory.scratchpad.access_stream`).
 """
 
 from __future__ import annotations
@@ -322,7 +326,6 @@ def transfer_lower_bound(
     capacity: int,
     array: str | None = None,
     transformation=None,
-    stream: list[tuple[tuple, bool]] | None = None,
 ) -> int:
     """Admissible lower bound on off-chip transfers at ``capacity`` words.
 
@@ -347,22 +350,19 @@ def transfer_lower_bound(
     <= any hierarchy plan's off-chip DMA volume at the same total
     capacity, which is what lets the hierarchy search use it for pruning.
 
-    ``stream`` short-circuits the trace construction when the caller
-    already holds the ``(element, is_write)`` trace in the order being
-    bounded (the hierarchy search shares one cached trace across its
-    bound evaluations); ``array``/``transformation`` are ignored then.
+    The trace is the simulators' own, limits included: a nest past
+    ``REPRO_DENSE_BUDGET`` raises ``ValueError``.
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
-    if stream is None:
-        from repro.memory.scratchpad import access_stream
+    from repro.memory.scratchpad import access_stream
 
-        stream = access_stream(program, array, transformation)
-    distinct: set = set()
-    written: set = set()
+    elements, writes = access_stream(program, array, transformation)
+    distinct: set[int] = set()
+    written: set[int] = set()
     phase_bound = 0
-    phase: set = set()
-    for element, is_write in stream:
+    phase: set[int] = set()
+    for element, is_write in zip(elements.tolist(), writes.tolist()):
         distinct.add(element)
         if is_write:
             written.add(element)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.ir.program import Program
 from repro.layout.layouts import Layout, RowMajorLayout
 from repro.linalg import IntMatrix
+from repro.window.simulator import _iteration_order
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,12 @@ def simulate_cache(
     layout: Layout | None = None,
     transformation: IntMatrix | None = None,
 ) -> CacheStats:
-    """Run the full access stream through a set-associative LRU cache."""
+    """Run the full access stream through a set-associative LRU cache,
+    in the order the reference window engine validates and gives ``T``."""
     bases, layout = allocate_arrays(program, layout)
     decls = {decl.name: decl for decl in program.decls}
-    if transformation is None:
-        points = program.nest.iterate()
-    else:
-        pts = list(program.nest.iterate())
-        pts.sort(key=transformation.apply)
-        points = iter(pts)
+    order = _iteration_order(program, transformation)
+    points = order if order is not None else program.nest.iterate()
 
     sets: list[OrderedDict[int, None]] = [
         OrderedDict() for _ in range(config.n_sets)

@@ -5,7 +5,7 @@ a *stack* of memories — TCM / L1 cache / system SRAM backed by flash or
 DRAM — with very different capacities, latencies and per-access energies
 (the Cortex-M-class numbers in the ROADMAP: 16–64KB caches, 128–512KB
 TCM, 4–10-cycle system SRAM).  This module models that stack and
-simulates a program's access stream through it exactly.
+simulates a program's access trace through it exactly.
 
 The simulation is the stacked (exclusive) generalization of the flat
 Belady scratchpad: the first ``k`` tiers together behave like one
@@ -13,8 +13,9 @@ optimally managed buffer of their summed capacity, so an access resolves
 at tier ``k`` exactly when it hits at cumulative capacity ``c_1 + ... +
 c_k`` but misses at ``c_1 + ... + c_{k-1}``.  Each boundary's traffic
 (fetches up, dirty writebacks down) is read off the flat simulation at
-the boundary's cumulative capacity — all tiers replay the *same* trace
-via :func:`repro.memory.scratchpad.access_stream`, which is what makes a
+the boundary's cumulative capacity — all tiers replay the *same* array
+trace (:func:`repro.memory.scratchpad.access_stream`, dense like the
+window engine it reads) and one next-use chain, which is what makes a
 one-tier hierarchy reproduce :func:`simulate_scratchpad` field for
 field (the ``hierarchy-degenerate-flat`` conformance oracle).
 
@@ -206,7 +207,7 @@ def simulate_hierarchy(
     transformation: IntMatrix | None = None,
     policy: str = "belady",
 ) -> HierarchyStats:
-    """Run the access stream through the tier stack, exactly.
+    """Run the access trace through the tier stack, exactly.
 
     One shared trace, one flat Belady (or LRU) simulation per cumulative
     capacity boundary; per-tier hits and boundary traffic are differences
@@ -215,13 +216,13 @@ def simulate_hierarchy(
     receiving tier, and off-chip traffic at the backing cost; latency is
     the same sum over latencies.
     """
-    stream = access_stream(program, array, transformation)
-    next_use = next_use_chain(stream)
+    trace = access_stream(program, array, transformation)
+    next_use = next_use_chain(trace[0])
     levels = tuple(
-        simulate_stream(stream, next_use, capacity, policy)
+        simulate_stream(trace, next_use, capacity, policy)
         for capacity in hierarchy.cumulative_capacities
     )
-    accesses = len(stream)
+    accesses = len(next_use)
     tiers = []
     energy = 0.0
     latency = 0.0

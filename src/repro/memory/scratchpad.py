@@ -1,12 +1,18 @@
 """Scratchpad buffer simulation.
 
-Executes a program's access stream against an on-chip buffer of a given
+Executes a program's access trace against an on-chip buffer of a given
 capacity managed with the optimal (Belady) policy the window model
 implies: an element is kept exactly while it will be used again.  When
 the buffer is at least the program's MWS, every element is fetched from
 off-chip exactly once (cold misses only); smaller buffers evict live
 elements and re-fetch them.  This is the operational meaning of "MWS =
 minimum memory" and the conservation law the tests check.
+
+:func:`access_stream` builds the one trace, as arrays from the dense
+window engine's caches, that this buffer, the tier stack of
+:mod:`repro.memory.hierarchy` and the transfer bound of
+:mod:`repro.estimation.bounds` replay; the ``access-trace-reference``
+oracle holds it to a per-point walk.
 """
 
 from __future__ import annotations
@@ -14,8 +20,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
+from repro.window import fast
 
 
 @dataclass(frozen=True)
@@ -47,107 +56,107 @@ def access_stream(
     program: Program,
     array: str | None = None,
     transformation: IntMatrix | None = None,
-) -> list[tuple[tuple, bool]]:
-    """The program's ``(element id, is_write)`` trace in execution order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The program's ``(element id, is_write)`` trace as two arrays:
+    point by point in execution order, and within a point in the order
+    of ``program.references``.
 
-    ``array`` restricts the trace to one array; ``transformation`` replays
-    it in the transformed execution order.  This is the one trace every
-    buffer model shares — the flat scratchpad and the multi-tier hierarchy
-    simulate the *same* list, which is what makes a one-tier hierarchy
-    reproduce :func:`simulate_scratchpad` exactly.
+    ``array`` restricts the trace to one array; ``transformation``
+    replays it in the order of :func:`repro.window.fast.execution_order`
+    (the window engines' checks and 2**62 screen on ``T``).  Ids are the
+    engine's cached per-array element ids, offset so that arrays never
+    share one.  Every buffer model replays this one trace, which is what
+    makes a one-tier hierarchy reproduce :func:`simulate_scratchpad`
+    exactly.  A nest past ``REPRO_DENSE_BUDGET`` raises ``ValueError``.
     """
     refs = [
-        (ordinal, ref)
-        for ordinal, ref in enumerate(program.references)
-        if array is None or ref.array == array
+        ref for ref in program.references if array is None or ref.array == array
     ]
     if not refs:
         raise KeyError(array)
-    if transformation is None:
-        points = program.nest.iterate()
-    else:
-        pts = list(program.nest.iterate())
-        pts.sort(key=transformation.apply)
-        points = iter(pts)
+    order = fast.execution_order(program, transformation)
+    # Each array's per-reference ids, claimed in reference order.
+    ids, offsets, end = {}, {}, 0
+    for name in dict.fromkeys(ref.array for ref in refs):
+        per_ref = fast._element_state(program, name).ids
+        ids[name], offsets[name] = iter(per_ref), end
+        end += max(int(e.max()) for e in per_ref) + 1
+    if end >= fast._INT64_LIMIT:
+        raise ValueError(f"element ids of {list(ids)} pass 2**62 once offset")
+    elements = np.empty((order.shape[0], len(refs)), dtype=np.int64)
+    for column, ref in enumerate(refs):
+        np.add(next(ids[ref.array])[order], offsets[ref.array],
+               out=elements[:, column])
+    writes = np.tile([ref.is_write for ref in refs], order.shape[0])
+    return elements.ravel(), writes
 
-    stream: list[tuple[tuple, bool]] = []  # (element id, is_write)
-    for point in points:
-        for _, ref in refs:
-            stream.append(((ref.array, ref.element(point)), ref.is_write))
-    return stream
 
-
-def next_use_chain(stream: list[tuple[tuple, bool]]) -> list[int]:
-    """For each access, the index of the element's next access (or end)."""
-    next_use = [len(stream)] * len(stream)
-    last_seen: dict[tuple, int] = {}
-    for idx in range(len(stream) - 1, -1, -1):
-        element = stream[idx][0]
-        next_use[idx] = last_seen.get(element, len(stream))
-        last_seen[element] = idx
+def next_use_chain(elements: np.ndarray) -> np.ndarray:
+    """For each access, the index of the element's next access (or the
+    trace length): one stable argsort by element, whose runs list each
+    element's accesses in trace order."""
+    n = elements.shape[0]
+    order = np.argsort(elements, kind="stable")
+    same = elements[order[1:]] == elements[order[:-1]]
+    next_use = np.full(n, n, dtype=np.int64)
+    next_use[order[:-1][same]] = order[1:][same]
     return next_use
 
 
 def simulate_stream(
-    stream: list[tuple[tuple, bool]],
-    next_use: list[int],
+    trace: tuple[np.ndarray, np.ndarray],
+    next_use: np.ndarray,
     capacity: int,
     policy: str = "belady",
 ) -> ScratchpadStats:
-    """Run a prepared access trace through one managed buffer."""
+    """Run a prepared access trace (:func:`access_stream`, with its
+    :func:`next_use_chain`) through one managed buffer."""
     if capacity <= 0:
         raise ValueError("capacity must be positive")
     if policy not in ("belady", "lru"):
         raise ValueError(f"unknown policy {policy!r}")
-    # resident maps element -> priority (next-use index for Belady,
-    # last-use recency for LRU); the lazy heap orders eviction victims.
-    use_belady = policy == "belady"
-    resident: dict[tuple, int] = {}
-    dirty: set[tuple] = set()
-    heap: list[tuple[int, tuple]] = []
-    seen_ever: set[tuple] = set()
-    hits = cold = capacity_misses = writebacks = 0
-
-    def priority(idx: int) -> int:
-        # Belady evicts the LARGEST next use; LRU evicts the SMALLEST
-        # last use.  Store negated next-use so the min-heap pops the
-        # right victim in both policies.
-        return -next_use[idx] if use_belady else idx
-
-    for idx, (element, is_write) in enumerate(stream):
+    elements, writes = trace
+    accesses = elements.shape[0]
+    # Belady evicts the LARGEST next use; LRU evicts the SMALLEST last
+    # use.  Store negated next-use so the min-heap pops the right victim
+    # in both policies.
+    priorities = (
+        (-next_use).tolist() if policy == "belady" else range(accesses)
+    )
+    # resident maps element -> its current priority; the lazy heap
+    # orders eviction victims.
+    resident: dict[int, int] = {}
+    dirty: set[int] = set()
+    heap: list[tuple[int, int]] = []
+    hits = writebacks = 0
+    for element, is_write, prio in zip(
+        elements.tolist(), writes.tolist(), priorities
+    ):
         if element in resident:
             hits += 1
-        else:
-            if element in seen_ever:
-                capacity_misses += 1
-            else:
-                cold += 1
-                seen_ever.add(element)
-            if len(resident) >= capacity:
-                while True:
-                    prio, victim = heapq.heappop(heap)
-                    if resident.get(victim) == prio:
-                        break
-                del resident[victim]
-                if victim in dirty:
-                    writebacks += 1
-                    dirty.discard(victim)
-        # Refresh the element's priority (insert or update).
-        prio = priority(idx)
-        if resident.get(element) != prio:
-            resident[element] = prio
-            heapq.heappush(heap, (prio, element))
+        elif len(resident) >= capacity:
+            while True:
+                victim_prio, victim = heapq.heappop(heap)
+                if resident.get(victim) == victim_prio:
+                    break
+            del resident[victim]
+            if victim in dirty:
+                writebacks += 1
+                dirty.discard(victim)
+        resident[element] = prio
+        heapq.heappush(heap, (prio, element))
         if is_write:
             dirty.add(element)
-
-    writebacks += len(dirty & set(resident))  # final flush of dirty lines
+    # Every element's first access misses (cold); each element has one
+    # last access, whose next use is the trace length.
+    cold = int(np.count_nonzero(next_use == accesses))
     return ScratchpadStats(
         capacity=capacity,
-        accesses=len(stream),
+        accesses=accesses,
         hits=hits,
         cold_misses=cold,
-        capacity_misses=capacity_misses,
-        writebacks=writebacks,
+        capacity_misses=accesses - hits - cold,
+        writebacks=writebacks + len(dirty),  # final flush of dirty lines
     )
 
 
@@ -158,11 +167,11 @@ def simulate_scratchpad(
     transformation: IntMatrix | None = None,
     policy: str = "belady",
 ) -> ScratchpadStats:
-    """Run the access stream through a managed on-chip buffer.
+    """Run the access trace through a managed on-chip buffer.
 
     ``array`` restricts the simulation to one array (per-array buffers are
     how the paper sizes windows); None simulates all arrays sharing the
-    buffer.  ``transformation`` replays the stream in the transformed
+    buffer.  ``transformation`` replays the trace in the transformed
     execution order.
 
     ``policy="belady"`` evicts the resident element whose next use is
@@ -172,5 +181,5 @@ def simulate_scratchpad(
     models a hardware cache without future knowledge; the ablation bench
     measures how much extra capacity LRU needs to reach the same traffic.
     """
-    stream = access_stream(program, array, transformation)
-    return simulate_stream(stream, next_use_chain(stream), capacity, policy)
+    trace = access_stream(program, array, transformation)
+    return simulate_stream(trace, next_use_chain(trace[0]), capacity, policy)

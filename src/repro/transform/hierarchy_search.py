@@ -55,8 +55,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
 from repro.estimation.bounds import transfer_lower_bound
 from repro.ir.program import Program
@@ -65,12 +63,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.transform import journal
 from repro.transform.elementary import signed_permutations
 from repro.transform.legality import is_legal, ordering_distances
-from repro.transform.tiling import (
-    is_fully_permutable,
-    tile_footprints,
-    transformed_points,
-)
-from repro.window import fast
+from repro.transform.tiling import is_fully_permutable, tile_footprints
 
 
 @dataclass(frozen=True)
@@ -143,29 +136,6 @@ class HierarchySearchResult:
         if self.flat.energy_pj == 0:
             return 0.0
         return 100.0 * (1.0 - self.best.energy_pj / self.flat.energy_pj)
-
-
-def _stream(
-    program: Program, transformation: IntMatrix | None
-) -> list[tuple[tuple, bool]]:
-    """The :func:`repro.memory.scratchpad.access_stream` trace, built
-    from the dense engine's cached element ids in the lexicographic order
-    of the transformed points.  An element is ``(array, packed id)``
-    rather than ``(array, coordinates)``: ids are one-to-one with an
-    array's elements, so the bound's set arithmetic is unchanged."""
-    points = transformed_points(program, transformation)
-    order = np.lexsort(points.T[::-1])
-    # Each array's id arrays, in the order its references appear.
-    unclaimed = {
-        array: list(fast._element_state(program, array).ids)
-        for array in program.arrays
-    }
-    columns = []
-    for ref in program.references:
-        array, is_write = ref.array, ref.is_write
-        ids = unclaimed[array].pop(0)[order].tolist()
-        columns.append([((array, element), is_write) for element in ids])
-    return [access for accesses in zip(*columns) for access in accesses]
 
 
 def _accesses_per_array(program: Program) -> dict[str, int]:
@@ -357,9 +327,7 @@ def search_hierarchy(
     # the backing bus in at least once, every written element at least
     # once out, and no access can cost less than the fastest tier.
     obs.counter("search.hierarchy.lb_evals")
-    floor_words = transfer_lower_bound(
-        program, capacity=1 << 62, stream=_stream(program, None)
-    )
+    floor_words = transfer_lower_bound(program, capacity=1 << 62)
     floor_energy = total_accesses * e_min + floor_words * e_back
 
     best: HierarchyPlan | None = None
@@ -490,9 +458,7 @@ def search_hierarchy(
         )
     obs.counter("search.hierarchy.lb_evals")
     bound_words = transfer_lower_bound(
-        program,
-        hierarchy.total_capacity,
-        stream=_stream(program, best.transformation),
+        program, hierarchy.total_capacity, transformation=best.transformation
     )
     result = HierarchySearchResult(
         program=program.name,

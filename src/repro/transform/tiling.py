@@ -59,46 +59,6 @@ class TileFootprints:
     writeback_words: dict[str, int]
 
 
-def transformed_points(
-    program: Program, transformation: IntMatrix | None = None
-) -> np.ndarray:
-    """Every iteration point mapped through ``T``: ``(N, n)`` int64 rows
-    in native execution order.
-
-    The rows come from the dense engine's cached point matrix (so a nest
-    past ``REPRO_DENSE_BUDGET`` raises its ``ValueError``) and one int64
-    matmul.  ``T`` must be ``n x n`` for a depth-``n`` nest; a
-    transformation whose products could pass 2**62 raises ``ValueError``
-    rather than wrap.
-    """
-    n = program.nest.depth
-    if transformation is None:
-        return fast._iter_state(program).points
-    if transformation.shape != (n, n):
-        rows, cols = transformation.shape
-        raise ValueError(
-            f"transformation is {rows}x{cols}; a depth-{n} nest needs {n}x{n}"
-        )
-    # Any partial sum of a row's dot product, in any summation order, is
-    # bounded by the sum of its terms' magnitudes over the box (and,
-    # with every bound at least 1, so is each coefficient).
-    bounds = [
-        max(abs(lo), abs(hi), 1)
-        for lo, hi in zip(program.nest.lowers, program.nest.uppers)
-    ]
-    reach = max(
-        sum(abs(c) * b for c, b in zip(row, bounds))
-        for row in transformation.rows
-    )
-    if reach >= fast._INT64_LIMIT:
-        raise ValueError(
-            f"transformation {transformation.rows}: transformed coordinates "
-            f"reach {reach}, past the int64 screen of 2**62"
-        )
-    points = fast._iter_state(program).points
-    return points @ np.array(transformation.rows, dtype=np.int64).T
-
-
 def _lex_min(
     rows: Sequence[Sequence[int]], lowers: Sequence[int], uppers: Sequence[int]
 ) -> list[int]:
@@ -150,11 +110,11 @@ def tile_footprints(
     max over all cells (an interior full tile), not the corner cell.
 
     Array code over the dense engine's caches: cell ids are a floor
-    division of :func:`transformed_points`, packed and ranked; each
-    array's per-cell distinct counts are one sort of packed ``(cell,
-    element id)`` keys over its references (and one over its written
-    references), an adjacent-difference mask and a ``bincount``.  Every
-    pack is screened first: one that could pass 2**62 raises
+    division of :func:`repro.window.fast.transformed_points`, packed and
+    ranked; each array's per-cell distinct counts are one sort of packed
+    ``(cell, element id)`` keys over its references (and one over its
+    written references), an adjacent-difference mask and a ``bincount``.
+    Every pack is screened first: one that could pass 2**62 raises
     ``ValueError`` instead of wrapping.
     """
     n = program.nest.depth
@@ -165,7 +125,7 @@ def tile_footprints(
         raise ValueError("tile extents must be positive")
     points_in_nest = math.prod(program.nest.trip_counts)
     with obs.span("tiling.footprints", tile=tile, points=points_in_nest):
-        points = transformed_points(program, transformation)
+        points = fast.transformed_points(program, transformation)
         rows = (
             IntMatrix.identity(n).rows
             if transformation is None

@@ -39,6 +39,7 @@ from repro import obs
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.window import fast
+from repro.window.simulator import check_transformation
 
 #: Candidates per batch for the cascade's survivor windows.  Measured
 #: on the Figure-2 table: the per-batch win saturates around 8-16
@@ -89,8 +90,9 @@ def _batched_time_keys(
     each candidate's partial sums are bounded (interval arithmetic over
     the box, any summation order) before it joins the batch; candidates
     that overflow — or whose spans overflow the pack itself — fall back
-    to dense lexsort ranks for their row alone (``fast.pack.fallback``),
-    and ``None`` rows are the native order.
+    to dense lexsort ranks for their row alone (``fast.pack.fallback``;
+    a ``T @ i`` that could itself pass 2**62 raises ``ValueError``
+    there), and ``None`` rows are the native order.
 
     When the whole batch is provably bounded under 2**27 the keys are
     emitted as int32: every downstream sweep stage (gather, min/max,
@@ -112,7 +114,7 @@ def _batched_time_keys(
         elif t.shape != (depth, depth):
             # The determinant screens below read only the leading
             # square block, so a non-square row stack must stop here.
-            raise ValueError("transformation shape does not match nest depth")
+            check_transformation(t, depth)
         else:
             mat_rows.append(k)
             mats.append(t)

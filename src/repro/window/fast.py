@@ -35,6 +35,7 @@ from repro import obs
 from repro.envutil import env_int
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
+from repro.window.simulator import check_transformation
 
 #: Dense enumeration materializes an ``(N, n)`` int64 matrix and packs
 #: element coordinates into int64 ids; both silently wrap past 2**63.
@@ -217,26 +218,61 @@ def _pack_columns(
     return packed
 
 
+def transformed_points(
+    program: Program, transformation: IntMatrix | None = None
+) -> np.ndarray:
+    """Every iteration point mapped through ``T``: ``(N, n)`` int64 rows
+    in native execution order.
+
+    The rows come from the cached point matrix (so a nest past
+    ``REPRO_DENSE_BUDGET`` raises its ``ValueError``) and one int64
+    matmul.  ``T`` gets the engines' checks (``n x n`` for a depth-``n``
+    nest, then unimodular), and one whose products could pass 2**62
+    raises ``ValueError`` rather than wrap.
+    """
+    points = _iter_state(program).points
+    if transformation is None:
+        return points
+    check_transformation(transformation, program.nest.depth)
+    # Any partial sum of a row's dot product, in any summation order, is
+    # bounded by the sum of its terms' magnitudes over the box (and,
+    # with every bound at least 1, so is each coefficient).
+    bounds = [
+        max(abs(lo), abs(hi), 1)
+        for lo, hi in zip(program.nest.lowers, program.nest.uppers)
+    ]
+    reach = max(
+        sum(abs(c) * b for c, b in zip(row, bounds))
+        for row in transformation.rows
+    )
+    if reach >= _INT64_LIMIT:
+        raise ValueError(
+            f"transformation {transformation.rows}: transformed coordinates "
+            f"reach {reach}, past the int64 screen of 2**62"
+        )
+    return points @ np.array(transformation.rows, dtype=np.int64).T
+
+
+def execution_order(
+    program: Program, transformation: IntMatrix | None = None
+) -> np.ndarray:
+    """Native row indices in execution order under ``T``: the
+    lexicographic order of :func:`transformed_points`."""
+    if transformation is None:
+        return np.arange(_iter_state(program).points.shape[0], dtype=np.int64)
+    keys = transformed_points(program, transformation)
+    # lexsort sorts by last key first; feed columns reversed.
+    return np.lexsort(keys.T[::-1])
+
+
 def _execution_times(
     program: Program, transformation: IntMatrix | None
 ) -> np.ndarray:
     """``times[p]`` = execution position of iteration ``p`` (native order
     row index) under the given transformation."""
-    points = _iteration_matrix(program)
-    total = points.shape[0]
-    if transformation is None:
-        return np.arange(total, dtype=np.int64)
-    n = program.nest.depth
-    if transformation.shape != (n, n):
-        raise ValueError("transformation shape does not match nest depth")
-    if transformation.det() not in (1, -1):
-        raise ValueError("transformation must be unimodular")
-    t = np.array(transformation.to_lists(), dtype=np.int64)
-    keys = points @ t.T
-    # lexsort sorts by last key first; feed columns reversed.
-    order = np.lexsort(keys.T[::-1])
-    times = np.empty(total, dtype=np.int64)
-    times[order] = np.arange(total, dtype=np.int64)
+    order = execution_order(program, transformation)
+    times = np.empty_like(order)
+    times[order] = np.arange(order.shape[0], dtype=np.int64)
     return times
 
 

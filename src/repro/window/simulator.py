@@ -44,6 +44,19 @@ class WindowProfile:
         return self.sizes.index(self.max_size)
 
 
+def check_transformation(transformation: IntMatrix, depth: int) -> None:
+    """Refuse a ``T`` no engine can order a depth-``depth`` nest by: one
+    that is not ``depth x depth``, then one that is not unimodular."""
+    rows, cols = transformation.shape
+    if (rows, cols) != (depth, depth):
+        raise ValueError(
+            f"transformation shape does not match nest depth: it is "
+            f"{rows}x{cols}, a depth-{depth} nest needs {depth}x{depth}"
+        )
+    if transformation.det() not in (1, -1):
+        raise ValueError("transformation must be unimodular")
+
+
 def _iteration_order(
     program: Program, transformation: IntMatrix | None
 ) -> list[tuple[int, ...]] | None:
@@ -55,11 +68,7 @@ def _iteration_order(
     """
     if transformation is None:
         return None
-    n = program.nest.depth
-    if transformation.shape != (n, n):
-        raise ValueError("transformation shape does not match nest depth")
-    if transformation.det() not in (1, -1):
-        raise ValueError("transformation must be unimodular")
+    check_transformation(transformation, program.nest.depth)
     points = list(program.nest.iterate())
     points.sort(key=transformation.apply)
     return points

@@ -35,6 +35,7 @@ from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.window.batched import _peak_concurrent
 from repro.window.fast import _INT64_LIMIT, _affine_extents, _pack_columns
+from repro.window.simulator import check_transformation
 
 #: Default iterations decoded per block.  ``repro bench --chunk-sweep``
 #: emits one BENCH artifact per candidate size to justify this in-repo;
@@ -152,13 +153,7 @@ class _StreamPlan:
             self.t_rows = None
             self.t_mins = self.t_spans = ()
         else:
-            n = nest.depth
-            if transformation.shape != (n, n):
-                raise ValueError(
-                    "transformation shape does not match nest depth"
-                )
-            if transformation.det() not in (1, -1):
-                raise ValueError("transformation must be unimodular")
+            check_transformation(transformation, nest.depth)
             rows = transformation.to_lists()
             mins, maxs = _affine_extents(
                 rows, [0] * len(rows), nest.lowers, nest.uppers

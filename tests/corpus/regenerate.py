@@ -220,6 +220,25 @@ SEEDS = [
         note="conformance pin for the transfer lower bound",
     ),
     dict(
+        oracle="access-trace-reference",
+        seed=5,
+        source=(
+            "for i1 = 1 to 4 { for i2 = 1 to 3 { "
+            "A0[i1 + i2] = A0[2*i1] + B0[i2][i1] } }"
+        ),
+        detail=(
+            "Trace-identity pin: A0's write and read are not uniformly "
+            "generated and B0 shares the trace's id space only through "
+            "its per-array offset, so under every legal signed "
+            "permutation and the seed's skew, for the whole program and "
+            "each array, the array-coded access_stream must match the "
+            "per-point walk up to element names: length, write flags, "
+            "the partition of accesses into elements, next uses, and "
+            "Belady and LRU stats at two capacities."
+        ),
+        note="conformance pin for the array-coded access trace",
+    ),
+    dict(
         oracle="engines-agree-2d",
         seed=0,
         source=(

@@ -11,6 +11,7 @@ path's.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -183,6 +184,32 @@ class TestEdgeCases:
         obs.disable()
         assert observer.summary()["counters"]["fast.pack.fallback"] >= 1
         assert got == _serial_values(program, [None, skew], "A")
+
+    @pytest.mark.parametrize("exponent", [61, 62, 63])
+    def test_huge_skew_exact_or_refused(self, exponent):
+        # Regression: the pack fallback lexsorted an unscreened int64
+        # ``points @ T.T`` that wrapped, so T = [[1, 2**61], [0, 1]]
+        # scored 14 on X where the reference gives 7 (21 at 2**62, an
+        # OverflowError at 2**63) and evaluate_exact memoized it.  Every
+        # entry point must now agree with the reference or refuse.
+        program = parse_program(_MISSHAPED_NESTS[2])
+        candidates = [None, IntMatrix([[1, 2**exponent], [0, 1]])]
+        for array in ("X", None):
+            want = _serial_values(program, candidates, array)
+            entries = [
+                partial(_serial_values, program, candidates, array, engine)
+                for engine in ("auto", "fast", "streaming")
+            ] + [
+                partial(batched.batched_mws, program, candidates, array),
+                partial(evaluate_exact, program, candidates, array),
+            ]
+            for entry in entries:
+                try:
+                    got = entry()
+                except ValueError:
+                    continue
+                assert got == want
+        assert exact_cache_size() == 0
 
     def test_chunked_batches_match_unchunked(self, monkeypatch):
         program = random_program(7, GeneratorConfig(depth=2, max_trip=8))

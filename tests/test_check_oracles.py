@@ -239,6 +239,61 @@ class TestTileFootprintsOracle:
         assert "!= reference" in violation.detail
 
 
+class TestAccessTraceOracle:
+    def test_cross_oracle_over_depths_and_uniformity(self):
+        oracle = get_oracle("access-trace-reference")
+        assert oracle.kind == "cross"
+        programs = [oracle.generate(seed) for seed in range(6)]
+        assert {p.nest.depth for p in programs} == {1, 2, 3}
+        assert not all(
+            p.is_uniformly_generated(a) for p in programs for a in p.arrays
+        )
+
+    def test_both_traces_on_an_interchange(self):
+        """Reads precede the write within a point; the interchange runs
+        j outermost.  The array trace names B's elements 0-1 and A's
+        2-3 (offset past B's ids)."""
+        from repro.check.oracles import access_stream_reference
+        from repro.linalg import IntMatrix
+        from repro.memory.scratchpad import access_stream
+
+        program = parse_program(
+            "for i = 1 to 2 { for j = 1 to 2 { A[i] = B[j] } }"
+        )
+        t = IntMatrix([[0, 1], [1, 0]])
+        b1, b2, a1, a2 = ("B", (1,)), ("B", (2,)), ("A", (1,)), ("A", (2,))
+        assert access_stream_reference(program, transformation=t) == [
+            (b1, False), (a1, True), (b1, False), (a2, True),
+            (b2, False), (a1, True), (b2, False), (a2, True),
+        ]
+        elements, writes = access_stream(program, transformation=t)
+        assert elements.tolist() == [0, 2, 0, 3, 1, 2, 1, 3]
+        assert writes.tolist() == [False, True] * 4
+        assert access_stream(program, "B")[0].tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "target,breakage,message",
+        [
+            ("access_stream", lambda t: (t[0] // 2, t[1]), "group into elements"),
+            ("access_stream", lambda t: (t[0], ~t[1]), "write flags"),
+            ("next_use_chain", lambda n: n[::-1].copy(), "next-use chain"),
+        ],
+        ids=["merged-elements", "flipped-writes", "next-use"],
+    )
+    def test_flags_a_broken_trace(self, monkeypatch, target, breakage, message):
+        """The oracle is live: a trace or next-use chain that differs
+        from the per-point walk is a violation."""
+        import repro.memory.scratchpad as scratchpad
+
+        original = getattr(scratchpad, target)
+        monkeypatch.setattr(
+            scratchpad, target, lambda *args: breakage(original(*args))
+        )
+        violation = get_oracle("access-trace-reference").check(EXAMPLE, 0)
+        assert violation is not None
+        assert message in violation.detail
+
+
 class TestOracleSelfChecks:
     def test_violation_str_names_oracle(self):
         oracle = get_oracle("engines-agree-2d")

@@ -88,6 +88,16 @@ def test_batch_size_is_a_constant():
     assert not hasattr(batched, "BATCH_SIZE_ENV")
 
 
+def test_transfer_bound_builds_its_own_trace():
+    """The bound reads the one production trace; callers pass no trace
+    of their own."""
+    from repro.estimation.bounds import transfer_lower_bound
+
+    assert list(inspect.signature(transfer_lower_bound).parameters) == [
+        "program", "capacity", "array", "transformation",
+    ]
+
+
 def test_cli_rejects_engine_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["--engine", "fast", "analyze", "f.loop"])

@@ -4,13 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.estimation.bounds import transfer_lower_bound
 from repro.ir import NestBuilder, parse_program
 from repro.linalg import IntMatrix
 from repro.memory import (
+    CacheConfig,
     MemoryCostModel,
+    MemoryHierarchy,
+    MemoryTier,
     access_energy_pj,
     access_latency_ns,
     area_mm2,
+    simulate_cache,
+    simulate_hierarchy,
     simulate_scratchpad,
     size_memory_for_program,
 )
@@ -103,6 +109,73 @@ class TestScratchpad:
         stats = simulate_scratchpad(prog, capacity, array="X")
         assert stats.misses >= stats.cold_misses
         assert stats.hit_rate <= 1.0
+
+
+#: Each memory simulator at capacity 4, in the order of ``T``.
+SIMULATORS = {
+    "scratchpad": lambda p, t: simulate_scratchpad(p, 4, transformation=t),
+    "hierarchy": lambda p, t: simulate_hierarchy(
+        p, MemoryHierarchy("one", (MemoryTier("only", 4, 1.0, 1.0),)),
+        transformation=t,
+    ),
+    "bound": lambda p, t: transfer_lower_bound(p, 4, transformation=t),
+    "cache": lambda p, t: simulate_cache(
+        p, CacheConfig(total_lines=4, line_size=1, associativity=1),
+        transformation=t,
+    ),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([[1, 0]], "shape does not match nest depth"),
+            ([[2, 0], [0, 1]], "unimodular"),
+            ([[1, 0], [0, 0]], "unimodular"),
+        ],
+        ids=["1x2", "det2", "singular"],
+    )
+    @pytest.mark.parametrize("simulator", sorted(SIMULATORS))
+    def test_refuses_what_the_window_engines_refuse(
+        self, simulator, rows, message
+    ):
+        """Regression: the simulators replayed any ``T`` they could sort
+        by (the bound reported 69 transfers for all three), while every
+        window engine refuses each of these with a ``ValueError``."""
+        program = parse_program(
+            "for i = 1 to 6 { for j = 1 to 6 { "
+            "X[2*i + 5*j] = X[2*i + 5*j + 3] } }"
+        )
+        t = IntMatrix(rows)
+        with pytest.raises(ValueError, match=message):
+            max_window_size(program, "X", t)
+        with pytest.raises(ValueError, match=message):
+            SIMULATORS[simulator](program, t)
+
+    @pytest.mark.parametrize("simulator", ["scratchpad", "hierarchy", "bound"])
+    def test_dense_budget_refuses(self, monkeypatch, simulator):
+        """The trace reads the dense engine's point matrix, so a nest past
+        ``REPRO_DENSE_BUDGET`` gets its ValueError instead of a walk."""
+        from repro.window.fast import DENSE_BUDGET_ENV, clear_iteration_cache
+
+        monkeypatch.setenv(DENSE_BUDGET_ENV, "100")
+        clear_iteration_cache()
+        program = parse_program(
+            "for i = 1 to 11 { for j = 1 to 11 { A[i][j] = A[i][j] } }"
+        )
+        with pytest.raises(ValueError, match="budget"):
+            SIMULATORS[simulator](program, None)
+
+    def test_offset_element_ids_screened(self):
+        """Each array's ids fit int64, but offsetting B past A's would
+        pass 2**62: the whole-program trace refuses, one array does not."""
+        program = parse_program(
+            f"for i = 1 to 9 {{ A[{2**58}*i] = B[{2**58}*i] }}"
+        )
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            simulate_scratchpad(program, 4)
+        assert simulate_scratchpad(program, 4, array="A").cold_misses == 9
 
 
 class TestCostModels:
