@@ -23,8 +23,13 @@ shrinker can re-run the same relation on reduced programs.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import random
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.ir.generate import GeneratorConfig, random_program
 from repro.ir.loop import Loop, LoopNest
@@ -1439,8 +1444,6 @@ class AccessTraceReference(Oracle):
         )
 
     def check(self, program: Program, seed: int = 0) -> Violation | None:
-        import numpy as np
-
         from repro.memory.scratchpad import (
             access_stream,
             next_use_chain,
@@ -1505,4 +1508,372 @@ class AccessTraceReference(Oracle):
                                 f"{got} != reference {want}",
                                 program,
                             )
+        return None
+
+
+# ----------------------------------------------------------------------
+# candidate screens: the stacks and array screens against per-matrix code
+# ----------------------------------------------------------------------
+
+_TILING = "tiling: T d < 0 for a reuse distance"
+_ROW_TILING = "tiling: a*d1 + b*d2 < 0 for a reuse distance"
+_LEGALITY = "legality: reverses a lex-positive dependence"
+
+
+@functools.lru_cache(maxsize=None)
+def unimodular_matrices_reference(n: int, bound: int) -> np.ndarray:
+    """Per-matrix reference for :func:`repro.transform.elementary.unimodular_stack`.
+
+    Walks ``itertools.product`` of the entries and keeps each matrix
+    whose determinant is +-1 (closed forms for n = 2, 3, Bareiss
+    beyond).  Cached as an int64 ``(K, n, n)`` array: n = 3, bound 2 is
+    1,953,125 determinant checks.
+    """
+    entries = range(-bound, bound + 1)
+    kept: list = []
+    if n == 2:
+        for a, b, c, d in itertools.product(entries, repeat=4):
+            if a * d - b * c in (1, -1):
+                kept.append(((a, b), (c, d)))
+    elif n == 3:
+        for flat in itertools.product(entries, repeat=9):
+            a, b, c, d, e, f, g, h, i = flat
+            det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+            if det in (1, -1):
+                kept.append((flat[0:3], flat[3:6], flat[6:9]))
+    else:
+        for flat in itertools.product(entries, repeat=n * n):
+            m = IntMatrix([list(flat[k * n:(k + 1) * n]) for k in range(n)])
+            if m.det() in (1, -1):
+                kept.append(m.rows)
+    return np.array(kept, dtype=np.int64).reshape(len(kept), n, n)
+
+
+@functools.lru_cache(maxsize=None)
+def signed_permutations_reference(n: int) -> np.ndarray:
+    """Per-matrix reference for
+    :func:`repro.transform.elementary.signed_permutation_stack`."""
+    kept = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            rows = []
+            for target, sign in zip(perm, signs):
+                row = [0] * n
+                row[target] = sign
+                rows.append(row)
+            kept.append(rows)
+    return np.array(kept, dtype=np.int64).reshape(len(kept), n, n)
+
+
+def screen_reference(
+    matrices, window_distances, order_distances
+) -> tuple[list[bool], list[bool], list[int], list[int]]:
+    """Per-matrix reference for :func:`repro.transform.legality.screen_stack`:
+    ``(tileable, legal, min_level, level_sum)`` lists, one ``T.apply(d)``
+    per matrix and distance."""
+    from repro.dependence.distance import is_lex_positive, lex_level
+
+    out: tuple[list, list, list, list] = ([], [], [], [])
+    for t in matrices:
+        moved = [t.apply(d) for d in window_distances]
+        levels = [lex_level(v) or (t.n_rows + 1) for v in moved]
+        out[0].append(all(c >= 0 for v in moved for c in v))
+        out[1].append(all(is_lex_positive(t.apply(d)) for d in order_distances))
+        out[2].append(min(levels, default=0))
+        out[3].append(sum(levels))
+    return out
+
+
+def screened_reference(matrices, window_distances, order_distances, tiling, jr):
+    """Per-matrix reference for ``repro.transform.search._screened``: the
+    enumerate loop, one journal record per matrix as it is tested."""
+    from repro.transform.legality import is_legal, is_tileable
+
+    kept = []
+    for k, t in enumerate(matrices):
+        if tiling and not is_tileable(t, window_distances):
+            if jr is not None:
+                jr.record("enumerate", t.rows, "rejected", reason=_TILING)
+            continue
+        if not is_legal(t, order_distances):
+            if jr is not None:
+                jr.record("enumerate", t.rows, "rejected", reason=_LEGALITY)
+            continue
+        kept.append(k)
+        if jr is not None:
+            jr.record("enumerate", t.rows, "candidate")
+    return kept
+
+
+def level_leaders_reference(seed, matrices, window_distances, verify_top):
+    """Per-matrix reference for ``repro.transform.search._level_leaders``:
+    the seed first, then the matrices, by one stable sort on the level
+    key; the first ``verify_top``."""
+    from repro.dependence.distance import lex_level
+
+    def level_key(t: IntMatrix) -> tuple:
+        levels = [
+            lex_level(t.apply(d)) or (t.n_rows + 1) for d in window_distances
+        ]
+        weight = sum(abs(v) for row in t.rows for v in row)
+        return (-min(levels, default=0), -sum(levels), weight)
+
+    candidates = ([] if seed is None else [seed]) + list(matrices)
+    candidates.sort(key=level_key)
+    return candidates[:verify_top]
+
+
+def tileable_rows_reference(bound, window_distances, jr):
+    """Per-row reference for ``repro.transform.search._tileable_rows``."""
+    from repro.transform.search import _coprime_rows
+
+    kept = []
+    for a, b in _coprime_rows(bound):
+        if any(a * d1 + b * d2 < 0 for d1, d2 in window_distances):
+            if jr is not None:
+                jr.record("enumerate", ((a, b),), "rejected", reason=_ROW_TILING)
+            continue
+        kept.append((a, b))
+    return kept
+
+
+def _matrices(stack: np.ndarray) -> list[IntMatrix]:
+    return [IntMatrix(rows) for rows in stack.tolist()]
+
+
+@contextlib.contextmanager
+def per_matrix_screens():
+    """Run the transformation searches on the per-matrix reference.
+
+    Inside the block :mod:`repro.transform.search` enumerates with the
+    ``itertools`` references, screens and journals one matrix at a time,
+    ranks with a Python sort and filters 2-D rows one at a time — the
+    searches as they were before the array screens.  Restored on exit.
+    """
+    import repro.transform.search as search
+
+    def screened(stack, window_distances, order_distances, tiling, jr):
+        kept = screened_reference(
+            _matrices(stack), window_distances, order_distances, tiling, jr
+        )
+        return np.array(kept, dtype=np.intp), None
+
+    def leaders(seed, stack, survivors, verdict, window_distances, verify_top):
+        return level_leaders_reference(
+            seed, _matrices(stack[survivors]), window_distances, verify_top
+        )
+
+    patches = {
+        "unimodular_stack": unimodular_matrices_reference,
+        "signed_permutation_stack": signed_permutations_reference,
+        "_screened": screened,
+        "_level_leaders": leaders,
+        "_tileable_rows": tileable_rows_reference,
+    }
+    saved = {name: getattr(search, name) for name in patches}
+    try:
+        for name, fn in patches.items():
+            setattr(search, name, fn)
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(search, name, fn)
+
+
+def _journaled(search_fn, *args, **kwargs):
+    """``(result or error, journal records)`` of one search from cold caches."""
+    from repro.transform import journal
+    from repro.transform.search import clear_exact_cache
+
+    clear_exact_cache()
+    jr = journal.enable()
+    try:
+        result = search_fn(*args, **kwargs)
+    except (ValueError, KeyError) as exc:
+        result = f"{type(exc).__name__}: {exc}"
+    finally:
+        journal.disable()
+    return result, jr.records
+
+
+def _screen_spaces(depth: int) -> list[tuple[str, int | None]]:
+    """``(space, bound)`` pairs screened at this depth: the signed
+    permutations always, bounded unimodular matrices at bounds 1 and 2
+    while their per-matrix enumeration stays affordable (n <= 3)."""
+    spaces: list[tuple[str, int | None]] = [("signed", None)]
+    if depth <= 3:
+        spaces += [("unimodular", 1), ("unimodular", 2)]
+    return spaces
+
+
+@register
+class CandidateScreenReference(Oracle):
+    name = "candidate-screen-reference"
+    kind = "cross"
+    paper = (
+        "Sections 4.2-4.3 rank the legal, tileable unimodular "
+        "transformations by where they move reuse; screening a whole "
+        "enumerated space as array code is a re-association of the same "
+        "per-matrix tests, so the stacks, masks, level keys, leaders and "
+        "search journals must equal a one-matrix-at-a-time walk."
+    )
+    config = GeneratorConfig(min_trip=2, max_trip=6)
+
+    def generate(self, seed: int) -> Program:
+        depth = 1 + seed % 4
+        # Depth 4 keeps three access rows: fewer leave a kernel of
+        # dimension >= 3, whose dependence grid search takes seconds.
+        return random_program(
+            seed,
+            replace(
+                self.config,
+                depth=depth,
+                uniform_only=(seed // 4) % 2 == 0,
+                array_rank=3 if depth == 4 else None,
+            ),
+        )
+
+    def check(self, program: Program, seed: int = 0) -> Violation | None:
+        from repro.transform import search
+        from repro.transform.elementary import (
+            signed_permutation_stack,
+            unimodular_stack,
+        )
+        from repro.transform.legality import ordering_distances, reuse_distances
+
+        n = program.nest.depth
+        arrays = [a for a in program.arrays if program.is_uniformly_generated(a)]
+        program_order: dict = {}
+        for a in arrays:
+            program_order.update(dict.fromkeys(ordering_distances(program, a)))
+        distance_sets = [("program", (), list(program_order))] + [
+            (a, reuse_distances(program, a), ordering_distances(program, a))
+            for a in arrays
+        ]
+        # Bound 2 at depth 3 is 135,408 matrices a walk, so each case
+        # takes one array's distances over an eighth of that stack, both
+        # rotating with the seed (depth-3 seeds are 4 apart).
+        heavy = arrays[(seed // 4) % len(arrays)] if arrays else None
+        for space, bound in _screen_spaces(n):
+            if space == "signed":
+                stack, reference = (
+                    signed_permutation_stack(n), signed_permutations_reference(n)
+                )
+            else:
+                stack, reference = (
+                    unimodular_stack(n, bound),
+                    unimodular_matrices_reference(n, bound),
+                )
+            where = f"{space}" + ("" if bound is None else f" bound {bound}")
+            if stack.shape != reference.shape or not np.array_equal(
+                stack, reference
+            ):
+                return self.fail(
+                    f"{where}: stack {stack.shape} differs from the "
+                    f"reference enumeration {reference.shape}",
+                    program,
+                )
+            heavy_only = n == 3 and bound == 2
+            if heavy_only:
+                start = (seed // 4) % 8
+                stack = stack[start::8]
+                where += f" rows {start}::8"
+            matrices = _matrices(stack)
+            for label, window, order in distance_sets:
+                if heavy_only and label != heavy:
+                    continue
+                detail = self._screens(
+                    stack, matrices, window, order, space == "unimodular",
+                    with_stages=label != "program",
+                )
+                if detail is not None:
+                    return self.fail(
+                        f"{where}, {label} distances: {detail}", program
+                    )
+        runs = []
+        for array in arrays:
+            if n == 2:
+                runs.append((search.search_mws_2d, (program, array), {}))
+            elif n == 3:
+                runs.append(
+                    (search.search_mws_3d, (program, array), {"bound": 1})
+                )
+            else:
+                runs.append((search.search_general, (program, array), {}))
+            if n <= 2:
+                runs.append(
+                    (
+                        search.exhaustive_search, (program, array),
+                        {"bound": 1, "tileable_only": seed % 2 == 0},
+                    )
+                )
+        for fn, args, kwargs in runs:
+            got = _journaled(fn, *args, **kwargs)
+            with per_matrix_screens():
+                want = _journaled(fn, *args, **kwargs)
+            label = f"{fn.__name__}({args[1]!r}, {kwargs})"
+            if got[0] != want[0]:
+                return self.fail(
+                    f"{label}: {got[0]} != reference {want[0]}", program
+                )
+            if got[1] != want[1]:
+                k = next(
+                    (k for k, (x, y) in enumerate(zip(got[1], want[1])) if x != y),
+                    min(len(got[1]), len(want[1])),
+                )
+                mine = got[1][k] if k < len(got[1]) else None
+                theirs = want[1][k] if k < len(want[1]) else None
+                return self.fail(
+                    f"{label}: journal record {k} is {mine}, reference "
+                    f"{theirs} ({len(got[1])} vs {len(want[1])} records)",
+                    program,
+                )
+        return None
+
+    @staticmethod
+    def _screens(stack, matrices, window, order, tiling, with_stages):
+        """What differs between the array screen and the per-matrix walk
+        over one stack and distance set, or ``None``: masks and keys,
+        then (``with_stages``) the search stages built on them — the
+        enumerate journal and survivors of ``_screened`` and the
+        ``_level_leaders`` ranking."""
+        from repro.transform import search
+        from repro.transform.journal import SearchJournal
+        from repro.transform.legality import screen_stack
+
+        verdict = screen_stack(stack, window, order)
+        got = (
+            verdict.tileable.tolist(), verdict.legal.tolist(),
+            verdict.min_level.tolist(), verdict.level_sum.tolist(),
+        )
+        want = screen_reference(matrices, window, order)
+        for field, mine, theirs in zip(
+            ("tileable", "legal", "min_level", "level_sum"), got, want
+        ):
+            if mine != theirs:
+                k = next(k for k, (x, y) in enumerate(zip(mine, theirs)) if x != y)
+                return (
+                    f"{field} of T={matrices[k].rows} is {mine[k]}, "
+                    f"reference {theirs[k]}"
+                )
+        if not with_stages:
+            return None
+        mine_jr, their_jr = SearchJournal(), SearchJournal()
+        kept, verdict = search._screened(stack, window, order, tiling, mine_jr)
+        theirs = screened_reference(matrices, window, order, tiling, their_jr)
+        if mine_jr.records != their_jr.records or kept.tolist() != theirs:
+            return (
+                f"tiling={tiling}: {len(kept)} survivors and "
+                f"{len(mine_jr)} journal records differ from the "
+                f"reference's {len(theirs)} and {len(their_jr)}"
+            )
+        leaders = search._level_leaders(None, stack, kept, verdict, window, 4)
+        reference = level_leaders_reference(
+            None, [matrices[k] for k in theirs], window, 4
+        )
+        if leaders != reference:
+            return (
+                f"leaders {[t.rows for t in leaders]} != reference "
+                f"{[t.rows for t in reference]}"
+            )
         return None

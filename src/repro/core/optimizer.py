@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from repro import obs
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
-from repro.transform.elementary import signed_permutations
-from repro.transform.legality import is_legal, ordering_distances
+from repro.transform.elementary import signed_permutation_stack, unimodular_stack
+from repro.transform.legality import is_legal, legal_matrices, ordering_distances
 
 
 @dataclass(frozen=True)
@@ -54,26 +54,24 @@ def _program_ordering_distances(program: Program) -> list[tuple[int, ...]]:
 def candidate_transformations(program: Program, store=None) -> list[IntMatrix]:
     """Legal candidate transformations for program-level optimization.
 
-    Four sources: the identity; all signed permutations (interchange and
+    Five sources: the identity; all signed permutations (interchange and
     reversal compositions); for 2-deep nests every unimodular matrix with
     entries in ``[-2, 2]`` (skews included — what the sor kernel needs);
     per-array Section-4 search winners (2-D/3-D); and, at any depth, the
     Section-4.3 generalization — each array's access-matrix rows embedded
     as the leading rows of ``T`` so that array's reuse collapses to the
-    innermost levels (what motion-estimation kernels need).
+    innermost levels (what motion-estimation kernels need).  The two
+    enumerated spaces are screened for legality as whole stacks.
     """
     n = program.nest.depth
     distances = _program_ordering_distances(program)
     candidates: dict[IntMatrix, None] = {IntMatrix.identity(n): None}
-    for t in signed_permutations(n):
-        if is_legal(t, distances):
-            candidates.setdefault(t, None)
+    spaces = [signed_permutation_stack(n)]
     if n == 2:
-        from repro.transform.elementary import bounded_unimodular_matrices
-
-        for t in bounded_unimodular_matrices(2, 2):
-            if is_legal(t, distances):
-                candidates.setdefault(t, None)
+        spaces.append(unimodular_stack(2, 2))
+    for stack in spaces:
+        for t in legal_matrices(stack, distances):
+            candidates.setdefault(t, None)
     if n in (2, 3):
         from repro.transform.search import search_mws_2d, search_mws_3d
 

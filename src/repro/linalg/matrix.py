@@ -9,6 +9,7 @@ over Python ints; any float input is rejected.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 
@@ -29,7 +30,11 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        materialized = tuple(tuple(self._check_int(v) for v in row) for row in rows)
+        materialized = tuple(map(tuple, rows))
+        for row in materialized:
+            for v in row:
+                if type(v) is not int:
+                    self._check_int(v)
         if not materialized:
             raise ValueError("IntMatrix must have at least one row")
         width = len(materialized[0])
@@ -158,7 +163,7 @@ class IntMatrix:
         """
         if len(vector) != self.n_cols:
             raise ValueError(f"vector length {len(vector)} != n_cols {self.n_cols}")
-        return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.rows)
+        return tuple(sum(map(operator.mul, row, vector)) for row in self.rows)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix([self.col(j) for j in range(self.n_cols)])

@@ -10,8 +10,8 @@ orders of magnitude on such loops (89 -> 36 vs. -> 1 in Example 7).
 from __future__ import annotations
 
 from repro.ir.program import Program
-from repro.transform.elementary import signed_permutations
-from repro.transform.legality import is_legal, ordering_distances
+from repro.transform.elementary import signed_permutation_stack
+from repro.transform.legality import legal_matrices, ordering_distances
 from repro.transform.search import SearchResult
 from repro.window.simulator import max_window_size
 
@@ -22,15 +22,11 @@ def eisenbeis_search(program: Program, array: str) -> SearchResult:
     Tiling is not enforced — the original strategy predates tiling-aware
     legality and simply requires dependence preservation.
     """
-    order_dists = ordering_distances(program, array)
+    stack = signed_permutation_stack(program.nest.depth)
     best = None
-    examined = 0
-    for t in signed_permutations(program.nest.depth):
-        examined += 1
-        if not is_legal(t, order_dists):
-            continue
+    for t in legal_matrices(stack, ordering_distances(program, array)):
         exact = max_window_size(program, array, t)
         if best is None or exact < best[0]:
             best = (exact, t)
     exact, t = best
-    return SearchResult(array, t, exact, exact, examined, "eisenbeis")
+    return SearchResult(array, t, exact, exact, len(stack), "eisenbeis")

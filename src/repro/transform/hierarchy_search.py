@@ -61,8 +61,8 @@ from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.transform import journal
-from repro.transform.elementary import signed_permutations
-from repro.transform.legality import is_legal, ordering_distances
+from repro.transform.elementary import signed_permutation_stack
+from repro.transform.legality import legal_matrices, ordering_distances
 from repro.transform.tiling import is_fully_permutable, tile_footprints
 
 
@@ -157,14 +157,10 @@ def default_candidates(program: Program) -> list[IntMatrix | None]:
     for array in program.arrays:
         if program.is_uniformly_generated(array):
             distances.extend(ordering_distances(program, array))
-    identity = IntMatrix.identity(program.nest.depth).rows
-    out: list[IntMatrix | None] = [None]
-    for t in signed_permutations(program.nest.depth):
-        if t.rows == identity:
-            continue  # same order as None
-        if is_legal(t, distances):
-            out.append(t)
-    return out
+    identity = IntMatrix.identity(program.nest.depth)
+    legal = legal_matrices(signed_permutation_stack(program.nest.depth), distances)
+    # The identity is the same order as None.
+    return [None] + [t for t in legal if t != identity]
 
 
 def tile_candidates(

@@ -7,16 +7,23 @@ before sinks.  It is *tileable* (paper Section 4, after Irigoin & Triolet)
 when ``T @ d >= 0`` componentwise — every loop of the transformed nest
 carries all dependences forward, so rectangular blocks of iterations can
 execute atomically.  Tileability implies legality for nonzero distances.
+
+:func:`screen_stack` answers both questions, and the reuse levels the
+3-D search ranks by, for a whole stack of candidate matrices at once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.dependence.analysis import Dependence
 from repro.dependence.distance import is_lex_positive
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
+from repro.transform.elementary import as_matrices
 
 
 def transformed_distances(
@@ -53,6 +60,92 @@ def is_tileable(
         if any(component < 0 for component in transformation.apply(d)):
             return False
     return True
+
+
+#: Stack rows screened per block: temporaries stay O(block * rows).
+SCREEN_BLOCK = 8192
+
+
+@dataclass(frozen=True)
+class StackScreen:
+    """Per-matrix verdicts of :func:`screen_stack`, in stack order.
+
+    ``tileable[k]`` is :func:`is_tileable` of matrix ``k`` against the
+    window distances, ``legal[k]`` is :func:`is_legal` against the
+    ordering distances.  ``min_level`` and ``level_sum`` are the minimum
+    and the sum over the window distances of the lex level of ``T d``
+    (the zero vector counts one past the last row); both are 0 when
+    there are no window distances.
+    """
+
+    tileable: np.ndarray
+    legal: np.ndarray
+    min_level: np.ndarray
+    level_sum: np.ndarray
+
+
+def screen_stack(
+    stack: np.ndarray,
+    window_distances: Iterable[Sequence[int]],
+    order_distances: Iterable[Sequence[int]],
+) -> StackScreen:
+    """Tileability, legality and reuse levels of every matrix of a
+    ``(K, m, n)`` integer stack.
+
+    Works through the stack in blocks of :data:`SCREEN_BLOCK` matrices,
+    one distance at a time.  Products are int64 while
+    ``max|T| * n * max|d| < 2**62`` bounds every ``T @ d``; beyond that
+    the same code runs on exact Python ints, since distances are not
+    bounded by trip counts.
+
+    >>> s = screen_stack(np.array([[[2, 3], [1, 1]], [[1, 0], [0, 1]]]),
+    ...                  [(3, -2), (2, 0)], [(3, -2)])
+    >>> s.tileable.tolist(), s.legal.tolist(), s.min_level.tolist()
+    ([True, False], [True, True], [1, 1])
+    """
+    count, m, n = stack.shape
+    window = [tuple(d) for d in window_distances]
+    order = [tuple(d) for d in order_distances]
+    tileable = np.ones(count, dtype=bool)
+    legal = np.ones(count, dtype=bool)
+    min_level = np.full(count, m + 1 if window else 0, dtype=np.int64)
+    level_sum = np.zeros(count, dtype=np.int64)
+    if not (window or order) or not count:
+        return StackScreen(tileable, legal, min_level, level_sum)
+    entry = max(int(stack.max()), -int(stack.min()))
+    reach = max(abs(v) for d in window + order for v in d)
+    dtype = np.int64 if entry * n * max(reach, 1) < 2 ** 62 else object
+    window_vecs = [np.array(d, dtype=dtype) for d in window]
+    order_vecs = [np.array(d, dtype=dtype) for d in order]
+    for lo in range(0, count, SCREEN_BLOCK):
+        block = slice(lo, lo + SCREEN_BLOCK)
+        part = stack[block].astype(dtype)
+        for vec in window_vecs:
+            moved = part @ vec
+            tileable[block] &= (moved >= 0).all(axis=1)
+            nonzero = moved != 0
+            level = np.where(
+                nonzero.any(axis=1), nonzero.argmax(axis=1) + 1, m + 1
+            )
+            np.minimum(min_level[block], level, out=min_level[block])
+            level_sum[block] += level
+        for vec in order_vecs:
+            legal[block] &= _lex_positive(part @ vec)
+    return StackScreen(tileable, legal, min_level, level_sum)
+
+
+def legal_matrices(
+    stack: np.ndarray, distances: Iterable[Sequence[int]]
+) -> list[IntMatrix]:
+    """The stack's matrices legal for ``distances``, in stack order."""
+    return as_matrices(stack[screen_stack(stack, (), distances).legal])
+
+
+def _lex_positive(rows: np.ndarray) -> np.ndarray:
+    """Per row: the first nonzero entry is positive (the zero row is not)."""
+    nonzero = rows != 0
+    lead = np.take_along_axis(rows, nonzero.argmax(axis=1)[:, None], axis=1)
+    return nonzero.any(axis=1) & (lead[:, 0] > 0)
 
 
 #: ``(signature, array, kind/flags)`` -> distance vectors.  Dependence

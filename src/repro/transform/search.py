@@ -15,6 +15,13 @@ by (transformed reuse level, estimated window).
 Deeper nests: signed permutations plus access-matrix embeddings, exact
 scoring (the paper gives no closed form past depth 3).
 
+Every enumerated space (the bounded unimodular matrices, the signed
+permutations, and the 2-D coprime rows as ``1 x 2`` matrices) is an
+integer stack screened as array code by
+:func:`repro.transform.legality.screen_stack`; :class:`IntMatrix`
+objects are built only for the matrices a search keeps.  The per-matrix walk survives as the reference in
+:mod:`repro.check.oracles` (``per_matrix_screens``).
+
 Candidate evaluation — the hot path behind Figure 2 — is memoized in a
 module-level content-hash cache (:func:`evaluate_exact` keys results on
 ``(program.signature(), array, transformation)``), and the misses are
@@ -51,8 +58,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from repro import obs
-from repro.dependence.distance import lex_level
 from repro.estimation import bounds
 from repro.estimation.parametric import clear_param_cache, parametric_value
 from repro.ir.program import Program
@@ -61,14 +69,16 @@ from repro.store.lru import LRUCache
 from repro.transform import journal
 from repro.transform.completion import complete_first_row_2d, complete_rows_legal
 from repro.transform.elementary import (
-    bounded_unimodular_matrices,
-    signed_permutations,
+    as_matrices,
+    signed_permutation_stack,
+    unimodular_stack,
 )
 from repro.transform.legality import (
+    StackScreen,
     is_legal,
-    is_tileable,
     ordering_distances,
     reuse_distances,
+    screen_stack,
 )
 from repro.window.batched import BATCH_SIZE
 from repro.window.mws import mws_2d_estimate, mws_2d_estimate_batch
@@ -547,6 +557,54 @@ def _coprime_rows(bound: int) -> tuple[tuple[int, int], ...]:
     return tuple(rows)
 
 
+_ROW_TILING = "tiling: a*d1 + b*d2 < 0 for a reuse distance"
+_TILING = "tiling: T d < 0 for a reuse distance"
+_LEGALITY = "legality: reverses a lex-positive dependence"
+
+
+def _tileable_rows(
+    bound: int, window_dists: Sequence[tuple[int, ...]], jr
+) -> list[tuple[int, int]]:
+    """The coprime first rows ``(a, b)`` keeping every reuse distance
+    non-negative, in enumeration order; a recording journal gets one
+    rejection per dropped row."""
+    rows = _coprime_rows(bound)
+    stack = np.array(rows, dtype=np.int64).reshape(len(rows), 1, 2)
+    keep = screen_stack(stack, window_dists, ()).tileable.tolist()
+    if jr is not None:
+        for row, ok in zip(rows, keep):
+            if not ok:
+                jr.record("enumerate", (row,), "rejected", reason=_ROW_TILING)
+    return [row for row, ok in zip(rows, keep) if ok]
+
+
+def _screened(
+    stack: np.ndarray,
+    window_dists: Sequence[tuple[int, ...]],
+    order_dists: Sequence[tuple[int, ...]],
+    tiling: bool,
+    jr,
+) -> tuple[np.ndarray, StackScreen]:
+    """Indices of the stack's legal (and, when ``tiling``, tileable)
+    matrices, and the screen.  A recording journal gets one
+    ``enumerate`` record per matrix, in stack order, with the tiling
+    rejection before the legality one."""
+    verdict = screen_stack(stack, window_dists, order_dists)
+    keep = verdict.legal & verdict.tileable if tiling else verdict.legal
+    if jr is not None:
+        for rows, tileable, legal in zip(
+            stack.tolist(), verdict.tileable.tolist(), verdict.legal.tolist()
+        ):
+            rows = tuple(map(tuple, rows))
+            if tiling and not tileable:
+                jr.record("enumerate", rows, "rejected", reason=_TILING)
+            elif not legal:
+                jr.record("enumerate", rows, "rejected", reason=_LEGALITY)
+            else:
+                jr.record("enumerate", rows, "candidate")
+    return np.flatnonzero(keep), verdict
+
+
 def search_mws_2d_eager(
     program: Program,
     array: str,
@@ -570,22 +628,14 @@ def search_mws_2d_eager(
         window_dists = reuse_distances(program, array)
 
         scored: list[tuple[Fraction, IntMatrix]] = []
-        examined = 0
         ref = refs[0]
         use_eq2 = ref.rank == 1
         alpha = ref.access.row(0) if use_eq2 else None
         n1, n2 = program.nest.trip_counts
         jr = journal.active()
         with obs.span("estimate"):
-            for a, b in _coprime_rows(bound):
-                examined += 1
-                if any(a * d1 + b * d2 < 0 for d1, d2 in window_dists):
-                    if jr is not None:
-                        jr.record(
-                            "enumerate", ((a, b),), "rejected",
-                            reason="tiling: a*d1 + b*d2 < 0 for a reuse distance",
-                        )
-                    continue
+            examined = len(_coprime_rows(bound))
+            for a, b in _tileable_rows(bound, window_dists, jr):
                 t = complete_first_row_2d(a, b, window_dists)
                 if t is None:
                     if jr is not None:
@@ -596,10 +646,7 @@ def search_mws_2d_eager(
                     continue
                 if not is_legal(t, order_dists):
                     if jr is not None:
-                        jr.record(
-                            "enumerate", t.rows, "rejected",
-                            reason="legality: reverses a lex-positive dependence",
-                        )
+                        jr.record("enumerate", t.rows, "rejected", reason=_LEGALITY)
                     continue
                 if use_eq2:
                     estimate = mws_2d_estimate(alpha[0], alpha[1], n1, n2, a, b)
@@ -674,19 +721,9 @@ def search_mws_2d(
         alpha = ref.access.row(0) if use_eq2 else None
         n1, n2 = program.nest.trip_counts
         jr = journal.active()
-        examined = 0
+        examined = len(_coprime_rows(bound))
         with obs.span("estimate"):
-            tileable: list[tuple[int, int]] = []
-            for a, b in _coprime_rows(bound):
-                examined += 1
-                if any(a * d1 + b * d2 < 0 for d1, d2 in window_dists):
-                    if jr is not None:
-                        jr.record(
-                            "enumerate", ((a, b),), "rejected",
-                            reason="tiling: a*d1 + b*d2 < 0 for a reuse distance",
-                        )
-                    continue
-                tileable.append((a, b))
+            tileable = _tileable_rows(bound, window_dists, jr)
             if use_eq2:
                 estimates = mws_2d_estimate_batch(
                     alpha[0], alpha[1], n1, n2, tileable
@@ -730,8 +767,7 @@ def search_mws_2d(
                     if not is_legal(t, order_dists):
                         if jr is not None:
                             jr.record(
-                                "enumerate", t.rows, "rejected",
-                                reason="legality: reverses a lex-positive dependence",
+                                "enumerate", t.rows, "rejected", reason=_LEGALITY
                             )
                         continue
                     collected.append((estimate, t))
@@ -806,56 +842,33 @@ def search_mws_3d(
     with obs.span("search.3d", array=array, bound=bound):
         order_dists = ordering_distances(program, array)
         window_dists = reuse_distances(program, array)
-
-        candidates: list[IntMatrix] = []
-        examined = 0
         jr = journal.active()
         # Access-matrix embedding (Example 10's construction).
+        seed = None
         access = refs[0].access
         if access.n_rows < 3 and access.rank() == access.n_rows:
             embedded = complete_rows_legal(
                 [list(access.row(k)) for k in range(access.n_rows)], window_dists
             )
             if embedded is not None and is_legal(embedded, order_dists):
-                candidates.append(embedded)
+                seed = embedded
                 if jr is not None:
                     jr.record("seed", embedded.rows, "candidate")
         # Bounded enumeration fallback/competitors.
+        stack = unimodular_stack(3, bound)
+        examined = len(stack)
         with obs.span("enumerate"):
-            for t in bounded_unimodular_matrices(3, bound):
-                examined += 1
-                if not is_tileable(t, window_dists):
-                    if jr is not None:
-                        jr.record(
-                            "enumerate", t.rows, "rejected",
-                            reason="tiling: T d < 0 for a reuse distance",
-                        )
-                    continue
-                if not is_legal(t, order_dists):
-                    if jr is not None:
-                        jr.record(
-                            "enumerate", t.rows, "rejected",
-                            reason="legality: reverses a lex-positive dependence",
-                        )
-                    continue
-                candidates.append(t)
-                if jr is not None:
-                    jr.record("enumerate", t.rows, "candidate")
+            survivors, verdict = _screened(
+                stack, window_dists, order_dists, True, jr
+            )
         obs.counter("search.candidates.examined", examined)
-        if not candidates:
+        scored = len(survivors) + (seed is not None)
+        if not scored:
             raise ValueError(f"no legal transformation found for {array}")
-
-        def level_key(t: IntMatrix) -> tuple:
-            levels = [
-                lex_level(t.apply(d)) or (program.nest.depth + 1)
-                for d in window_dists
-            ]
-            # Deeper reuse levels first; small entries as tie-break.
-            return (-min(levels, default=0), -sum(levels), _entry_weight(t))
-
-        with obs.span("rank", scored=len(candidates)):
-            candidates.sort(key=level_key)
-        leaders = candidates[:verify_top]
+        with obs.span("rank", scored=scored):
+            leaders = _level_leaders(
+                seed, stack, survivors, verdict, window_dists, verify_top
+            )
         exacts = evaluate_exact(
             program, leaders, array=array, store=store, parametric=parametric
         )
@@ -868,6 +881,36 @@ def search_mws_3d(
         _search_memo_store(memo_key, result)
         _search_store_put(store, "3d", sig, array, knobs, result)
         return result
+
+
+def _level_leaders(
+    seed: IntMatrix | None,
+    stack: np.ndarray,
+    survivors: np.ndarray,
+    verdict: StackScreen,
+    window_dists: Sequence[tuple[int, ...]],
+    verify_top: int,
+) -> list[IntMatrix]:
+    """The ``verify_top`` best of the seed (first) and the surviving
+    stack matrices (in stack order), by one stable sort on deeper
+    minimum reuse level, then deeper level sum, then smaller entries."""
+    min_level = verdict.min_level[survivors]
+    level_sum = verdict.level_sum[survivors]
+    weight = np.abs(stack[survivors]).sum(axis=(1, 2), dtype=np.int64)
+    if seed is not None:
+        own = screen_stack(np.array([seed.rows]), window_dists, ())
+        # Survivors weigh at most n^2 * bound, so an int64 cap on the
+        # seed's weight keeps every comparison.
+        cap = np.iinfo(np.int64).max
+        min_level = np.concatenate((own.min_level, min_level))
+        level_sum = np.concatenate((own.level_sum, level_sum))
+        weight = np.concatenate(([min(_entry_weight(seed), cap)], weight))
+    order = np.lexsort((weight, -level_sum, -min_level))[:verify_top]
+    offset = 0 if seed is None else 1
+    return [
+        seed if pos < offset else IntMatrix(stack[survivors[pos - offset]].tolist())
+        for pos in order.tolist()
+    ]
 
 
 def search_general(
@@ -903,7 +946,6 @@ def search_general(
         order_dists = ordering_distances(program, array)
         window_dists = reuse_distances(program, array)
         candidates: dict[IntMatrix, None] = {IntMatrix.identity(n): None}
-        examined = 0
         jr = journal.active()
         if jr is not None:
             jr.record("seed", IntMatrix.identity(n).rows, "candidate")
@@ -916,18 +958,11 @@ def search_general(
                 candidates.setdefault(embedded, None)
                 if jr is not None:
                     jr.record("seed", embedded.rows, "candidate")
-        for t in signed_permutations(n):
-            examined += 1
-            if not is_legal(t, order_dists):
-                if jr is not None:
-                    jr.record(
-                        "enumerate", t.rows, "rejected",
-                        reason="legality: reverses a lex-positive dependence",
-                    )
-                continue
+        stack = signed_permutation_stack(n)
+        examined = len(stack)
+        legal, _ = _screened(stack, (), order_dists, False, jr)
+        for t in as_matrices(stack[legal]):
             candidates.setdefault(t, None)
-            if jr is not None:
-                jr.record("enumerate", t.rows, "candidate")
         obs.counter("search.candidates.examined", examined)
         ordered = list(candidates)
         outcomes = evaluate_cascade(
@@ -956,7 +991,12 @@ def search_best_transformation(
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
-    """Depth dispatcher used by the Figure-2 harness."""
+    """Per-array search by nest depth: the 2-D row search, the 3-D
+    level search (bound capped at 2), or :func:`search_general`.
+
+    Serves the api ``search`` kind and ``repro explain``; the Figure-2
+    table runs :func:`repro.core.optimizer.optimize_program` instead.
+    """
     depth = program.nest.depth
     if depth == 2:
         return search_mws_2d(
@@ -991,29 +1031,14 @@ def exhaustive_search(
     with obs.span("search.exhaustive", array=array, bound=bound):
         order_dists = ordering_distances(program, array)
         window_dists = reuse_distances(program, array)
-        legal: list[IntMatrix] = []
-        examined = 0
         jr = journal.active()
+        stack = unimodular_stack(n, bound)
+        examined = len(stack)
         with obs.span("enumerate"):
-            for t in bounded_unimodular_matrices(n, bound):
-                examined += 1
-                if tileable_only and not is_tileable(t, window_dists):
-                    if jr is not None:
-                        jr.record(
-                            "enumerate", t.rows, "rejected",
-                            reason="tiling: T d < 0 for a reuse distance",
-                        )
-                    continue
-                if not is_legal(t, order_dists):
-                    if jr is not None:
-                        jr.record(
-                            "enumerate", t.rows, "rejected",
-                            reason="legality: reverses a lex-positive dependence",
-                        )
-                    continue
-                legal.append(t)
-                if jr is not None:
-                    jr.record("enumerate", t.rows, "candidate")
+            keep, _ = _screened(
+                stack, window_dists, order_dists, tileable_only, jr
+            )
+            legal = as_matrices(stack[keep])
         obs.counter("search.candidates.examined", examined)
         if not legal:
             raise ValueError(f"no legal transformation found for {array}")

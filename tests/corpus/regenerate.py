@@ -239,6 +239,43 @@ SEEDS = [
         note="conformance pin for the array-coded access trace",
     ),
     dict(
+        oracle="candidate-screen-reference",
+        seed=10,
+        source=(
+            "for i = 1 to 3 { for j = 1 to 4 { for k = 1 to 3 { "
+            "A[i][j] = A[i][j - 1] + B[k][j] } } }"
+        ),
+        detail=(
+            "Leader-order pin for the 3-D level search: no bound-1 "
+            "matrix tiles A's five reuse distances, so its embedded "
+            "seed ((1, 0, 0), (0, 1, 0), (0, 2, 1)) ranks alone, while "
+            "B's seed ((0, 0, 1), (0, 1, 0), (1, 0, 0)) is also one of "
+            "its 2,088 tileable stack matrices with the same level key, "
+            "and the stable sort must keep the seed first.  Masks, keys, "
+            "leaders and journal records (on an eighth of the bound-2 "
+            "stack too) must match the per-matrix walk."
+        ),
+        note="conformance pin for the array candidate screens",
+    ),
+    dict(
+        oracle="candidate-screen-reference",
+        seed=2,
+        source=(
+            "for i = 1 to 3 { for j = 1 to 3 { for k = 1 to 3 { "
+            "A[2*i + 1] = A[2*i - 1] } } }"
+        ),
+        detail=(
+            "Level-sum pin for the 3-D leaders: A's two reuse distances "
+            "(0, 0, 1) and (1, -64, -64) leave many bound-1 matrices at "
+            "the same deepest minimum level, and the level sum decides "
+            "which four are simulated.  Ranking the sum the wrong way "
+            "round picks T=((1, -1, 1), (0, -1, 0), (1, 0, 0)) with exact "
+            "MWS 4 where the per-matrix sort finds "
+            "T=((1, 0, 0), (0, -1, 0), (0, -1, 1)) with MWS 2."
+        ),
+        note="mutation witness: level-sum sign flipped in the lexsort key",
+    ),
+    dict(
         oracle="engines-agree-2d",
         seed=0,
         source=(
