@@ -255,6 +255,21 @@ def _seed_transformation(program: Program, seed: int) -> IntMatrix:
     return pool[rng.randrange(len(pool))]
 
 
+@contextlib.contextmanager
+def streaming_blocks(seed: int):
+    """Run the streaming engine on blocks of 1-7 points, derived from
+    ``seed``, so that every fuzzed nest (at most 64 points here) spans
+    several blocks and exercises their merge.  Restored on exit."""
+    from repro.window import streaming
+
+    saved = streaming.CHUNK
+    streaming.CHUNK = 1 + seed % 7
+    try:
+        yield
+    finally:
+        streaming.CHUNK = saved
+
+
 def _mws_all_engines(
     program: Program, array: str, transformation: IntMatrix | None
 ) -> dict[str, int]:
@@ -286,7 +301,8 @@ class _EnginesAgree(Oracle):
         t = _seed_transformation(program, seed)
         for array in program.arrays:
             for transformation in (None, t):
-                values = _mws_all_engines(program, array, transformation)
+                with streaming_blocks(seed):
+                    values = _mws_all_engines(program, array, transformation)
                 if len(set(values.values())) != 1:
                     where = "native" if transformation is None else f"T={transformation.rows}"
                     return self.fail(
@@ -328,10 +344,11 @@ class TotalWindowAgrees(Oracle):
         from repro.window import max_total_window
         from repro.window.zhao_malik import max_total_window_zhao_malik
 
-        values = {
-            engine: max_total_window(program, engine=engine)
-            for engine in ("reference", "fast", "streaming")
-        }
+        with streaming_blocks(seed):
+            values = {
+                engine: max_total_window(program, engine=engine)
+                for engine in ("reference", "fast", "streaming")
+            }
         values["zhao_malik"] = max_total_window_zhao_malik(program)
         if len(set(values.values())) != 1:
             return self.fail(f"total windows disagree {values}", program)

@@ -12,7 +12,6 @@
     python -m repro figure2 [--kernel sor]  # regenerate the paper's table
     python -m repro param sor --sizes 32x32,64x64
                                             # closed forms in the loop bounds
-    python -m repro bench --chunk-sweep     # streaming-engine chunk sweep
     python -m repro check --seeds 500       # fuzz the conformance oracles
     python -m repro check --replay f.json   # replay one corpus counterexample
     python -m repro batch manifest.json     # batch-evaluate a manifest
@@ -471,63 +470,6 @@ def _cmd_tail(args: argparse.Namespace) -> int:
         _time.sleep(args.interval)
 
 
-#: Default program for ``repro bench``: a 256x256 stencil whose window
-#: the streaming engine chunks 100+ times at small chunk sizes.
-_BENCH_STENCIL = """
-for i = 1 to 256 {
-  for j = 1 to 256 {
-    A[i + j] = A[i + j + 1] + A[i + j + 2]
-  }
-}
-"""
-
-#: Chunk sizes swept by ``repro bench --chunk-sweep``.
-_SWEEP_SIZES = "4096,16384,65536,262144"
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.reporting.telemetry import build_artifact, write_artifact
-    from repro.window.streaming import max_total_window_streaming, stream_chunk
-
-    if args.file:
-        program = load_program(file=args.file)
-    else:
-        program = load_program(source=_BENCH_STENCIL, name="stencil256")
-    if args.chunk_sweep:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    else:
-        sizes = [stream_chunk()]
-    rows = []
-    for chunk in sizes:
-        own_observer = obs.get_observer() is None
-        observer = obs.enable() if own_observer else obs.get_observer()
-        start_chunks = int(observer.counters.get("streaming.chunks", 0))
-        start = time.perf_counter()
-        mws_total = max_total_window_streaming(program, chunk=chunk)
-        wall = time.perf_counter() - start
-        chunks = int(observer.counters.get("streaming.chunks", 0)) - start_chunks
-        if own_observer:
-            obs.disable()
-        metrics = {
-            "mws_total": mws_total,
-            "stream_wall_s": round(wall, 6),
-            "chunks": chunks,
-        }
-        artifact = build_artifact(f"chunk_{chunk}", metrics=metrics)
-        path = write_artifact(artifact, directory=args.out and Path(args.out))
-        rows.append((chunk, mws_total, wall, chunks, path))
-    header = f"{'chunk':>8} {'mws_total':>10} {'wall_s':>9} {'chunks':>7}  artifact"
-    print(f"streaming chunk sweep over {program.name} "
-          f"({program.nest.total_iterations} iterations):")
-    print(header)
-    print("-" * len(header))
-    for chunk, mws_total, wall, chunks, path in rows:
-        print(f"{chunk:>8} {mws_total:>10} {wall:>9.4f} {chunks:>7}  {path}")
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import (
         all_oracles,
@@ -869,29 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="poll period in seconds (default 1)",
     )
     p.set_defaults(func=_cmd_tail)
-
-    p = sub.add_parser(
-        "bench",
-        help="time the streaming engine; --chunk-sweep writes one "
-             "BENCH_chunk_<size>.json per chunk size",
-    )
-    p.add_argument(
-        "--file", help="loop-nest file (default: built-in 256x256 stencil)"
-    )
-    p.add_argument(
-        "--chunk-sweep",
-        action="store_true",
-        help="sweep chunk sizes instead of the session default",
-    )
-    p.add_argument(
-        "--sizes",
-        default=_SWEEP_SIZES,
-        help=f"comma-separated chunk sizes for the sweep (default {_SWEEP_SIZES})",
-    )
-    p.add_argument(
-        "--out", help="artifact directory (default: benchmarks/artifacts)"
-    )
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "check",

@@ -37,8 +37,8 @@ class AnalysisReport:
 def analyze_program(program: Program) -> AnalysisReport:
     """Estimate footprints and measure exact windows for every array.
 
-    Windows come from the streaming engine for nests too large to
-    enumerate densely.
+    Windows come from the dense engine while the nest fits
+    ``REPRO_DENSE_BUDGET`` and are streamed block by block past it.
     """
     obs.runctx.note_input(program.name, program.signature())
     with obs.span("pipeline.analyze", program=program.name):

@@ -2,7 +2,7 @@
 
 One module owns the whole ``BENCH_<name>.json`` life cycle: the writer
 (:func:`build_artifact` / :func:`write_artifact` — used by the benchmark
-harness, ``repro bench`` and the chunk sweep) and the comparison engine
+harness) and the comparison engine
 behind ``repro bench-compare``.  The comparison diffs only the
 ``metrics`` sections of two artifacts.  Direction is inferred from the
 metric name — reductions, speedups and hit counts are higher-is-better,

@@ -8,7 +8,8 @@ droppings from writers that died between write and rename, and ledger
 records from before a counter rename that make ``repro runs diff``
 noisy.  :func:`compact_store` is the one sweep that heals all of it:
 
-* walks the sharded ``v1/<kind>/`` layout one record file at a time;
+* walks the sharded ``v<SCHEMA_VERSION>/<kind>/`` layout one record file
+  at a time;
 * **deletes** records that fail the same validation reads apply —
   unparseable JSON, wrong schema/kind, missing value, or a filename
   that does not match the content address of the embedded key (a

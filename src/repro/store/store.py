@@ -10,7 +10,7 @@ served to every later process.  The store maps
 
 as one atomic record file per key under a versioned root::
 
-    <root>/v1/<kind>/<sha256(key)[:32]>.json
+    <root>/v<SCHEMA_VERSION>/<kind>/<sha256(key)[:32]>.json
 
 Properties:
 
@@ -19,8 +19,9 @@ Properties:
   record and concurrent writers of the same key are last-writer-wins
   (both wrote the same pure value anyway).
 * **Schema-version stamping.**  Every record carries ``schema`` and
-  echoes its ``kind`` and ``key``; the root is versioned (``v1``) so a
-  future layout change cannot misread old records.
+  echoes its ``kind`` and ``key``; the root is versioned (``v2``) so a
+  layout change, or a fix that changes answers, never serves old
+  records.
 * **Corruption-tolerant reads.**  A truncated, garbage, wrong-schema,
   or hash-colliding record is a *miss* (counted under
   ``store.corrupt``), never a crash — the caller recomputes and the
@@ -44,8 +45,11 @@ from repro import obs
 from repro.envutil import env_int
 from repro.store.lru import LRUCache
 
-#: Record/layout schema version; bump on any incompatible change.
-SCHEMA_VERSION = 1
+#: Record/layout schema version; bump on any incompatible change, and
+#: on any fix that changes an answer, so that stale records are never
+#: served.  2: element ids past int64 raise instead of wrapping (a
+#: ``v1`` store may hold windows computed from wrapped ids).
+SCHEMA_VERSION = 2
 
 #: Environment variable naming the store root directory.
 STORE_DIR_ENV = "REPRO_STORE_DIR"

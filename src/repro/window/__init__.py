@@ -26,7 +26,6 @@ from repro.window.simulator import (
     window_profile,
 )
 from repro.window.streaming import (
-    DEFAULT_CHUNK,
     max_total_window_streaming,
     max_window_size_streaming,
 )
@@ -49,7 +48,6 @@ from repro.window.zhao_malik import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK",
     "ENGINES",
     "batched_mws",
     "LivenessProfile",

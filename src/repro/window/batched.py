@@ -290,52 +290,21 @@ def _batched_time_keys(
         else:
             keys[krows[safe_pos]] = packed
     packed_rows: list[int] = []
-    weights: list = []
-    offsets: list[int] = []
+    packs: list[tuple[list[int], int]] = []
     for pos in exact:
-        t = mats[pos]
-        k = mat_rows[pos]
-        rows = t.to_lists()
-        mins, maxs = fast._affine_extents(
-            rows, [0] * len(rows), lowers, uppers
-        )
-        spans = [hi - lo + 1 for lo, hi in zip(mins, maxs)]
-        ok = fast.spans_fit_int64(spans)
-        if ok:
-            w = 1
-            wdims = [0] * len(spans)
-            for d in range(len(spans) - 1, -1, -1):
-                wdims[d] = w
-                w *= spans[d]
-            wprime = [
-                sum(rows[i][j] * wdims[i] for i in range(len(rows)))
-                for j in range(len(rows))
-            ]
-            offset = sum(m * wd for m, wd in zip(mins, wdims))
-            # Any partial sum of i . wprime (whatever order the matmul
-            # accumulates in) is bounded by the per-column magnitudes;
-            # the weight entries themselves must fit int64 too (a zero-
-            # width loop zeroes its reach term but not its weight).
-            reach = sum(
-                max(abs(wp * lo), abs(wp * hi))
-                for wp, lo, hi in zip(wprime, lowers, uppers)
-            )
-            ok = reach < fast._INT64_LIMIT and all(
-                abs(wp) < fast._INT64_LIMIT for wp in wprime
-            ) and abs(offset) < fast._INT64_LIMIT
-        if not ok:
+        pack = fast._time_pack(mats[pos].rows, lowers, uppers)
+        if pack is None:
             obs.counter("fast.pack.fallback")
-            keys[k] = fast._execution_times(program, t)
-            continue
-        packed_rows.append(k)
-        weights.append(wprime)
-        offsets.append(offset)
+            keys[mat_rows[pos]] = fast._execution_times(program, mats[pos])
+        else:
+            packed_rows.append(mat_rows[pos])
+            packs.append(pack)
     if packed_rows:
         # Exact-path candidates that proved wrap-free with python ints:
         # their weight vectors join one small matmul of their own.
-        wmat = np.array(weights, dtype=np.int64)  # (B, n)
+        wmat = np.array([w for w, _ in packs], dtype=np.int64)  # (B, n)
         packed = wmat @ points.T  # (B, N)
-        packed -= np.array(offsets, dtype=np.int64)[:, None]
+        packed -= np.array([c for _, c in packs], dtype=np.int64)[:, None]
         keys[np.array(packed_rows, dtype=np.intp)] = packed
     return keys
 

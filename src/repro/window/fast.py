@@ -6,28 +6,27 @@ randomized programs — but orders of magnitude faster, which is what makes
 the Figure-2 optimization search (hundreds of candidate transformations
 over ~10^5-iteration nests) tractable.
 
-Two layers of caching keep the search hot path cheap:
+The window kernel's steps live here once, and both exact engines run
+them, the dense engine on the whole box and :mod:`repro.window.streaming`
+one block at a time: :func:`_native_points` enumerates,
+:func:`_element_packer` packs exact int64 element ids, :func:`_runs` lays
+out the first/last-touch reduction, and :func:`_time_pack` folds the
+mixed-radix pack of ``u = T @ i`` (an *order-isomorphic* time key, so
+MWS needs no ``np.lexsort``) into one weight vector.
 
-* iteration/element state is cached per ``Program.signature()`` content
-  hash (not per object identity), so structurally equal programs — and in
-  particular programs re-pickled into pool workers — share one
-  enumeration;
-* the MWS path never ranks execution times.  MWS only needs an
-  *order-isomorphic* scalar key per iteration: lexicographic order of
-  ``u = T @ i`` equals numeric order of the mixed-radix packing of ``u``
-  over its per-column extents, so a matmul + packing replaces the old
-  ``np.lexsort`` (the former single biggest cost of candidate
-  evaluation).  :func:`max_window_size_fast` and
-  :func:`max_total_window_fast` are the batched scorer of
-  :mod:`repro.window.batched` at K=1.  Dense ranks are still computed
-  for the profile paths, which genuinely need 0..N-1 positions.
+The dense state is cached per ``Program.signature()`` content hash, so
+structurally equal programs (pickled clones in pool workers included)
+share one enumeration.  :func:`max_window_size_fast` and
+:func:`max_total_window_fast` are the batched scorer of
+:mod:`repro.window.batched` at K=1; dense ranks are still computed for
+the profile paths, which need 0..N-1 positions.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,7 +70,6 @@ class _ElementState(NamedTuple):
     ids: tuple[np.ndarray, ...]
     point_row: np.ndarray
     seg_starts: np.ndarray
-    n_elems: int
 
 
 class _IterState:
@@ -118,31 +116,53 @@ def _iter_state(program: Program) -> _IterState:
         _ITER_STATE.move_to_end(key)
         return state
     obs.counter("fast.iter_matrix.misses")
-    lowers = np.array(program.nest.lowers, dtype=np.int64)
-    trips = np.array(program.nest.trip_counts, dtype=np.int64)
-    n = program.nest.depth
+    trips = program.nest.trip_counts
     # math.prod over Python ints cannot wrap, unlike np.prod over int64.
-    total = math.prod(int(t) for t in trips)
+    total = math.prod(trips)
     budget = min(dense_budget(), _INT64_LIMIT)
     if total > budget:
-        raise ValueError(
-            f"nest has {total} iterations; dense enumeration exceeds the "
-            f"budget of {budget} (use the streaming engine, or raise "
-            f"{DENSE_BUDGET_ENV})"
+        way_out = (
+            f"; set {DENSE_BUDGET_ENV} to at least {total} to enumerate it"
+            if total <= _INT64_LIMIT
+            else ""
         )
-    points = np.empty((total, n), dtype=np.int64)
-    repeat = total
-    tile = 1
-    for k in range(n):
-        repeat //= int(trips[k])
-        axis = np.repeat(np.arange(trips[k], dtype=np.int64) + lowers[k], repeat)
-        points[:, k] = np.tile(axis, tile)
-        tile *= int(trips[k])
-    state = _IterState(points)
+        raise ValueError(
+            f"nest has {total} iterations, past the dense-enumeration "
+            f"budget of {budget}{way_out}"
+        )
+    state = _IterState(_native_points(program.nest.lowers, trips, 0, total))
     _ITER_STATE[key] = state
     while len(_ITER_STATE) > _ITER_STATE_LIMIT:
         _ITER_STATE.popitem(last=False)
     return state
+
+
+def _native_points(
+    lowers: Sequence[int], trips: Sequence[int], start: int, stop: int
+) -> np.ndarray:
+    """The iteration points at native positions ``[start, stop)``, as an
+    ``(stop - start, n)`` int64 array in ``LoopNest.iterate`` order
+    (innermost axis fastest).
+
+    Axis ``k`` holds ``(p // stride) % trip + lower`` at position ``p``,
+    constant over runs of ``stride`` (the product of the inner trips)
+    positions, so each column is its runs' values repeated by the runs'
+    lengths inside ``[start, stop)``.
+    """
+    points = np.empty((stop - start, len(trips)), dtype=np.int64)
+    stride = 1
+    for k in range(len(trips) - 1, -1, -1):
+        first, last = start // stride, (stop - 1) // stride
+        axis = np.arange(first, last + 1, dtype=np.int64) % trips[k]
+        axis += lowers[k]
+        if stride > 1:
+            counts = np.full(axis.shape[0], stride, dtype=np.int64)
+            counts[0] -= start - first * stride
+            counts[-1] -= (last + 1) * stride - stop
+            axis = np.repeat(axis, counts)
+        points[:, k] = axis
+        stride *= trips[k]
+    return points
 
 
 def _iteration_matrix(program: Program) -> np.ndarray:
@@ -218,6 +238,119 @@ def _pack_columns(
     return packed
 
 
+def _element_packer(
+    program: Program, array: str
+) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
+    """Exact int64 element ids of ``array``: a function from ``(m, n)``
+    points to one id array per reference, in reference order.
+
+    An id is the mixed-radix pack of the element's coordinates over the
+    array's touched box, taken from exact Python-int extents
+    (:func:`_affine_extents`), so equal elements share one id across
+    references.  Each reference's offset folds into the box corner, which
+    leaves ``points @ A.T`` and the pack as the int64 work.  Every value
+    that work produces (the matmul's partial sums, the corners, the ids)
+    is bounded here with exact integers first; past int64 this raises
+    ``ValueError`` naming the array (``KeyError`` for an unknown array).
+    """
+    refs = program.refs_to(array)
+    if not refs:
+        raise KeyError(array)
+    lowers, uppers = program.nest.lowers, program.nest.uppers
+    accesses = [ref.access.to_lists() for ref in refs]
+    los, his = zip(*(
+        _affine_extents(rows, ref.offset, lowers, uppers)
+        for rows, ref in zip(accesses, refs)
+    ))
+    mins = [min(col) for col in zip(*los)]
+    spans = [max(col) - lo + 1 for lo, col in zip(mins, zip(*his))]
+    if not spans_fit_int64(spans):
+        raise ValueError(
+            f"array {array}: touched bounding box {spans} too large for "
+            f"int64 element packing"
+        )
+    maps = []
+    for rows, ref in zip(accesses, refs):
+        corner = [m - b for m, b in zip(mins, ref.offset)]
+        reach = max(abs(v) for v in corner + [c for row in rows for c in row])
+        for row in rows:
+            # A partial sum of ``row . i``, in any summation order, adds
+            # a subset of the row's terms: it lies between the sum of
+            # their negative minima and the sum of their positive maxima.
+            terms = [
+                (c * lo, c * hi) for c, lo, hi in zip(row, lowers, uppers)
+            ]
+            reach = max(
+                reach,
+                sum(max(a, b, 0) for a, b in terms),
+                -sum(min(a, b, 0) for a, b in terms),
+            )
+        if reach >= 2**63:
+            raise ValueError(
+                f"array {array}: element coordinates reach {reach}, past "
+                f"int64"
+            )
+        maps.append((np.array(rows, dtype=np.int64).T, corner))
+
+    def pack(points: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(
+            _pack_columns(points @ access, corner, spans)
+            for access, corner in maps
+        )
+
+    return pack
+
+
+def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first/last-touch reduction's layout: one stable argsort of
+    ``ids`` and the start of each run of equal ids in that order.
+
+    ``np.minimum/maximum.reduceat`` at the starts, over any per-access
+    array gathered through the order, reduce it to one value per id.
+    """
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    head = np.empty(ordered.shape[0], dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return order, np.flatnonzero(head)
+
+
+def _time_pack(
+    rows: Sequence[Sequence[int]],
+    lowers: Sequence[int],
+    uppers: Sequence[int],
+) -> tuple[list[int], int] | None:
+    """The mixed-radix pack of ``u = T @ i`` over its exact extents as
+    one weight vector: ``(w, c)`` with key ``i . w - c``, or ``None``
+    when a value of it could pass 2**62.
+
+    With ``wd[d] = prod(spans[d+1:])`` the pack
+    ``sum_d (u_d - min_d) * wd[d]`` is linear in ``i``: ``w = T^T wd``
+    and ``c = sum_d min_d * wd[d]``.  Python ints keep the bounds exact:
+    the spans' product, every partial sum of ``i . w`` (whatever order a
+    matmul accumulates in), each weight (a zero-width loop zeroes its
+    reach term but not its weight) and ``c``.
+    """
+    mins, maxs = _affine_extents(rows, [0] * len(rows), lowers, uppers)
+    spans = [hi - lo + 1 for lo, hi in zip(mins, maxs)]
+    if not spans_fit_int64(spans):
+        return None
+    wdims = [math.prod(spans[d + 1 :]) for d in range(len(spans))]
+    weights = [
+        sum(row[j] * wd for row, wd in zip(rows, wdims))
+        for j in range(len(rows))
+    ]
+    offset = sum(m * wd for m, wd in zip(mins, wdims))
+    reach = sum(
+        max(abs(w * lo), abs(w * hi))
+        for w, lo, hi in zip(weights, lowers, uppers)
+    )
+    if max(reach, abs(offset), *map(abs, weights)) >= _INT64_LIMIT:
+        return None
+    return weights, offset
+
+
 def transformed_points(
     program: Program, transformation: IntMatrix | None = None
 ) -> np.ndarray:
@@ -282,66 +415,29 @@ def _element_state(program: Program, array: str) -> _ElementState:
     cached = state.elements.get(array)
     if cached is not None:
         return cached
-    refs = [ref for ref in program.references if ref.array == array]
-    if not refs:
-        raise KeyError(array)
-    points = state.points
-    total = points.shape[0]
-    per_ref = []
-    for ref in refs:
-        a = np.array(ref.access.to_lists(), dtype=np.int64)
-        b = np.array(ref.offset, dtype=np.int64)
-        per_ref.append(points @ a.T + b)
-    # Pack coordinates using the touched bounding box of all refs.
-    stacked = np.concatenate(per_ref, axis=0)
-    mins = stacked.min(axis=0)
-    maxs = stacked.max(axis=0)
-    spans = (maxs - mins + 1).astype(np.int64)
-    if not spans_fit_int64(spans):
-        raise ValueError(
-            f"array {array}: touched bounding box {spans.tolist()} too "
-            f"large for int64 element packing"
-        )
-    ids = tuple(
-        _pack_columns(elems, mins.tolist(), spans.tolist()) for elems in per_ref
-    )
-    all_ids = np.concatenate(ids)
-    _, inverse = np.unique(all_ids, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    seg_starts = np.flatnonzero(np.diff(inverse[order], prepend=-1))
+    ids = _element_packer(program, array)(state.points)
+    order, seg_starts = _runs(np.concatenate(ids))
     element = _ElementState(
         ids=ids,
-        point_row=order % total,
+        point_row=order % state.points.shape[0],
         seg_starts=seg_starts,
-        n_elems=int(seg_starts.shape[0]),
     )
     state.elements[array] = element
     return element
 
 
-def _element_ids(program: Program, array: str) -> list[np.ndarray]:
-    """Per-reference element ids, unified across all references to the array.
-
-    Elements are encoded by mixed-radix packing over the touched bounding
-    box, so equal elements share one integer id across references.
-    """
-    return list(_element_state(program, array).ids)
-
-
-def _lifetimes(
-    program: Program, array: str, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, last)`` time keys of each *live* element of the array.
-
-    ``times`` may be any order-isomorphic key array; elements touched at
-    a single time are dropped (never in the window).
-    """
-    element = _element_state(program, array)
+def _live_deltas(element: _ElementState, times: np.ndarray) -> np.ndarray:
+    """+1 at each live element's first touch, -1 at its last, over the
+    dense execution ranks ``times`` (``N + 1`` slots).  Elements touched
+    at a single time are never in the window."""
     seq = times[element.point_row]
     first = np.minimum.reduceat(seq, element.seg_starts)
     last = np.maximum.reduceat(seq, element.seg_starts)
     live = last > first
-    return first[live], last[live]
+    deltas = np.zeros(times.shape[0] + 1, dtype=np.int64)
+    np.add.at(deltas, first[live], 1)
+    np.add.at(deltas, last[live], -1)
+    return deltas
 
 
 @obs.profiled("fast.window_deltas")
@@ -357,12 +453,7 @@ def window_deltas(
     batched sweep (:mod:`repro.window.batched`) on packed keys instead.
     """
     times = _execution_times(program, transformation)
-    total = times.shape[0]
-    first, last = _lifetimes(program, array, times)
-    deltas = np.zeros(total + 1, dtype=np.int64)
-    np.add.at(deltas, first, 1)
-    np.add.at(deltas, last, -1)
-    return deltas
+    return _live_deltas(_element_state(program, array), times)
 
 
 def liveness_profile_fast(
@@ -377,20 +468,8 @@ def liveness_profile_fast(
 
     times = _execution_times(program, transformation)
     total = times.shape[0]
-    ids = _element_ids(program, array)
-    all_ids = np.concatenate(ids)
-    all_times = np.concatenate([times] * len(ids))
-    unique_ids, inverse = np.unique(all_ids, return_inverse=True)
-    n_elems = unique_ids.shape[0]
-    first = np.full(n_elems, total, dtype=np.int64)
-    last = np.full(n_elems, -1, dtype=np.int64)
-    np.minimum.at(first, inverse, all_times)
-    np.maximum.at(last, inverse, all_times)
-    live = last > first
-    deltas = np.zeros(total + 1, dtype=np.int64)
-    np.add.at(deltas, first[live], 1)
-    np.add.at(deltas, last[live], -1)
-    occupancy = np.cumsum(deltas[:-1])
+    element = _element_state(program, array)
+    occupancy = np.cumsum(_live_deltas(element, times)[:-1])
     peak = int(occupancy.max(initial=0))
     peak_time = int(np.argmax(occupancy)) if total else -1
     peak_point: tuple[int, ...] | None = None
@@ -399,13 +478,14 @@ def liveness_profile_fast(
         native_row = int(np.nonzero(times == peak_time)[0][0])
         peak_point = tuple(int(v) for v in points[native_row])
     # Reuse distances: gaps between consecutive accesses to the same
-    # element.  Sort accesses by (element, time); equal-element adjacent
-    # pairs are exactly the consecutive accesses.
-    order = np.lexsort((all_times, inverse))
-    sorted_elems = inverse[order]
-    sorted_times = all_times[order]
-    same_elem = sorted_elems[1:] == sorted_elems[:-1]
-    gaps = (sorted_times[1:] - sorted_times[:-1])[same_elem]
+    # element.  Sorting each element's run of accesses by time makes the
+    # consecutive accesses adjacent.
+    seq = times[element.point_row]
+    run = np.zeros(seq.shape[0], dtype=np.int64)
+    run[element.seg_starts[1:]] = 1
+    np.cumsum(run, out=run)
+    by_time = seq[np.lexsort((seq, run))]
+    gaps = np.diff(by_time)[run[1:] == run[:-1]]
     values, counts = np.unique(gaps, return_counts=True)
     reuse_histogram = {int(v): int(c) for v, c in zip(values, counts)}
     return LivenessProfile(

@@ -315,10 +315,11 @@ def window_profile(
 #: and :func:`repro.window.batched.batched_mws` — the only ``engine=``
 #: parameters; every caller above this package gets ``auto``, and only
 #: the oracles and tests name another.  All are exact and pinned equal by
-#: the differential suite; they differ in cost model: ``reference`` (pure Python, ground truth), ``fast``
-#: (dense numpy, O(N) memory), ``streaming`` (chunked, O(chunk+distinct)
-#: memory).  ``auto`` picks ``fast`` while the nest fits the dense budget
-#: and ``streaming`` beyond it.  The def-use comparator of
+#: the differential suite; they differ in cost model: ``reference`` (pure
+#: Python, ground truth), ``fast`` (dense numpy, O(N) memory),
+#: ``streaming`` (the dense kernel one block at a time, O(block +
+#: distinct) memory).  ``auto`` picks ``fast`` while the nest fits the
+#: dense budget and ``streaming`` beyond it.  The def-use comparator of
 #: :mod:`repro.window.zhao_malik` is exact too, but serves as an
 #: independent cross-check called directly, not as an engine.
 ENGINES = ("auto", "reference", "fast", "streaming")

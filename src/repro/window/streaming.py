@@ -1,25 +1,21 @@
-"""Streaming chunked window engine.
+"""Streaming window engine: the dense engine's kernel, one block at a time.
 
 Computes exact MWS without materializing the ``(N, n)`` iteration
-matrix: iterations are enumerated in fixed-size blocks decoded straight
-from their linear index, each block's accesses are reduced to per-element
-``(first, last)`` touch keys, and the block-local results are folded into
-a compressed per-array lifetime store.  Peak memory is
-``O(chunk + distinct elements)`` instead of ``O(N)``, which lifts the
-dense-enumeration budget of :mod:`repro.window.fast` — nests far beyond
-``REPRO_DENSE_BUDGET`` iterations stay searchable.
+matrix, so nests far beyond ``REPRO_DENSE_BUDGET`` iterations stay
+searchable.  Each block of :data:`CHUNK` native positions runs the steps
+of :mod:`repro.window.fast`: enumerate the block's points, pack their
+element ids, key their times and reduce each element to its first and
+last touch.  The same reduction merges the block results, amortized:
+pending rows merge once they outgrow the merged ones, so peak memory is
+``O(CHUNK + distinct elements)`` instead of ``O(N)``.  The peak scan is
+the batched sweep's :func:`~repro.window.batched._peak_concurrent`.
 
-Exactness: like the fast engine's MWS path, time is represented by
-*order-isomorphic* integer keys (the linear iteration index in native
-order; the mixed-radix packing of ``u = T @ i`` over its exact extents
-under a transformation).  First/last-touch comparisons and the final
-sorted-boundary peak scan only consume the order of the keys, so the
-result equals the reference simulator's — the differential suite pins
-all engines equal on randomized programs.
-
-The streaming engine intentionally has no dense-rank fallback: if the
-transformed extents cannot pack into int64 it raises rather than
-allocating O(N) rank arrays.
+Time keys are *order-isomorphic* integers: the native position, or the
+mixed-radix pack of ``u = T @ i`` under a transformation.  First/last
+comparisons and the peak scan read only their order, so the result
+equals the reference simulator's.  The streaming engine has no
+dense-rank fallback: a pack past int64 raises rather than allocate
+``O(N)`` rank arrays.
 """
 
 from __future__ import annotations
@@ -30,241 +26,99 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.envutil import env_int
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
+from repro.window import fast
 from repro.window.batched import _peak_concurrent
-from repro.window.fast import _INT64_LIMIT, _affine_extents, _pack_columns
 from repro.window.simulator import check_transformation
 
-#: Default iterations decoded per block.  ``repro bench --chunk-sweep``
-#: emits one BENCH artifact per candidate size to justify this in-repo;
-#: 65536 sits on the flat part of the sweep (big enough to amortize the
-#: per-chunk numpy dispatch, small enough to stay cache-resident).
-DEFAULT_CHUNK = 65536
+#: Native positions per block.  On a 2-core x86-64 host, blocks of 4096
+#: to 262144 points took 72-261 ms on a 1024x1024 stencil, 424-488 ms on
+#: a 1022x1022 Jacobi sweep and 279-345 ms on a 128**3 matmul; 65536
+#: (111, 452 and 279 ms) keeps a block's temporaries near 10 MB.
+CHUNK = 65536
 
-#: Environment variable overriding the chunk size.
-CHUNK_ENV = "REPRO_STREAM_CHUNK"
-
-
-def stream_chunk() -> int:
-    """Block size used by the streaming engine (env-overridable)."""
-    return env_int(CHUNK_ENV, DEFAULT_CHUNK)
+_Lifetimes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _decode_block(
-    start: int,
-    stop: int,
-    lowers: Sequence[int],
-    trips: Sequence[int],
-) -> np.ndarray:
-    """Iteration vectors for linear indices ``[start, stop)``.
-
-    The linear index is the native execution position, innermost axis
-    fastest — the same order ``LoopNest.iterate`` produces.
-    """
-    n = len(trips)
-    linear = np.arange(start, stop, dtype=np.int64)
-    coords = np.empty((stop - start, n), dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        trip = np.int64(trips[k])
-        coords[:, k] = linear % trip + np.int64(lowers[k])
-        linear //= trip
-    return coords
+def _first_last(
+    ids: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> _Lifetimes:
+    """Each distinct id with the min of its ``first`` and the max of its
+    ``last`` keys."""
+    order, starts = fast._runs(ids)
+    return (
+        ids[order[starts]],
+        np.minimum.reduceat(first[order], starts),
+        np.maximum.reduceat(last[order], starts),
+    )
 
 
-class _LifetimeStore:
-    """Compressed per-element ``(first, last)`` touch keys.
-
-    Block-local results are appended to a pending list and merged into
-    the compressed representation once the pending rows outgrow
-    ``max(4 * chunk, compressed rows)`` — amortized O(rows log rows)
-    total work while keeping peak memory proportional to the chunk size
-    plus the number of distinct elements.
-    """
-
-    __slots__ = ("_chunk", "_ids", "_first", "_last", "_pending", "_rows")
-
-    def __init__(self, chunk: int) -> None:
-        self._chunk = chunk
-        self._ids: np.ndarray | None = None
-        self._first: np.ndarray | None = None
-        self._last: np.ndarray | None = None
-        self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._rows = 0
-
-    def add(self, ids: np.ndarray, first: np.ndarray, last: np.ndarray) -> None:
-        if ids.size == 0:
-            return
-        self._pending.append((ids, first, last))
-        self._rows += ids.shape[0]
-        compressed = 0 if self._ids is None else self._ids.shape[0]
-        if self._rows > max(4 * self._chunk, compressed):
-            self._consolidate()
-
-    def _consolidate(self) -> None:
-        if not self._pending:  # nothing new (or nothing at all)
-            return
-        ids_parts = [p[0] for p in self._pending]
-        first_parts = [p[1] for p in self._pending]
-        last_parts = [p[2] for p in self._pending]
-        if self._ids is not None:
-            ids_parts.append(self._ids)
-            first_parts.append(self._first)
-            last_parts.append(self._last)
-        all_ids = np.concatenate(ids_parts)
-        all_first = np.concatenate(first_parts)
-        all_last = np.concatenate(last_parts)
-        unique_ids, inverse = np.unique(all_ids, return_inverse=True)
-        first = np.full(unique_ids.shape[0], np.iinfo(np.int64).max, np.int64)
-        last = np.full(unique_ids.shape[0], np.iinfo(np.int64).min, np.int64)
-        np.minimum.at(first, inverse, all_first)
-        np.maximum.at(last, inverse, all_last)
-        self._ids, self._first, self._last = unique_ids, first, last
-        self._pending = []
-        self._rows = 0
-
-    def live_lifetimes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(first, last)`` keys of elements touched at 2+ distinct times."""
-        self._consolidate()
-        if self._ids is None:
-            empty = np.array([], dtype=np.int64)
-            return empty, empty
-        live = self._last > self._first
-        return self._first[live], self._last[live]
-
-
-class _StreamPlan:
-    """Per-run constants: box geometry, time packing, element packing."""
-
-    __slots__ = ("lowers", "trips", "total", "t_rows", "t_mins", "t_spans")
-
-    def __init__(self, program: Program, transformation: IntMatrix | None):
-        nest = program.nest
-        self.lowers = nest.lowers
-        self.trips = nest.trip_counts
-        self.total = math.prod(int(t) for t in self.trips)
-        if self.total >= _INT64_LIMIT:
-            raise ValueError(
-                f"nest has {self.total} iterations; linear indices would "
-                f"overflow int64"
-            )
-        if transformation is None:
-            self.t_rows = None
-            self.t_mins = self.t_spans = ()
-        else:
-            check_transformation(transformation, nest.depth)
-            rows = transformation.to_lists()
-            mins, maxs = _affine_extents(
-                rows, [0] * len(rows), nest.lowers, nest.uppers
-            )
-            spans = [hi - lo + 1 for lo, hi in zip(mins, maxs)]
-            if math.prod(spans) >= _INT64_LIMIT:
-                raise ValueError(
-                    f"transformed time extents {spans} overflow int64 "
-                    f"packing; the streaming engine has no dense fallback"
-                )
-            self.t_rows = np.array(rows, dtype=np.int64)
-            self.t_mins, self.t_spans = mins, spans
-
-    def time_keys(self, coords: np.ndarray, start: int) -> np.ndarray:
-        if self.t_rows is None:
-            return np.arange(start, start + coords.shape[0], dtype=np.int64)
-        return _pack_columns(coords @ self.t_rows.T, self.t_mins, self.t_spans)
-
-
-class _ArrayPlan:
-    """Element packing for one array: per-ref matrices + global extents."""
-
-    __slots__ = ("accesses", "offsets", "mins", "spans")
-
-    def __init__(self, program: Program, array: str):
-        refs = [ref for ref in program.references if ref.array == array]
-        if not refs:
-            raise KeyError(array)
-        nest = program.nest
-        self.accesses = []
-        self.offsets = []
-        mins: list[int] | None = None
-        maxs: list[int] | None = None
-        for ref in refs:
-            rows = ref.access.to_lists()
-            offs = list(ref.offset)
-            self.accesses.append(np.array(rows, dtype=np.int64))
-            self.offsets.append(np.array(offs, dtype=np.int64))
-            lo, hi = _affine_extents(rows, offs, nest.lowers, nest.uppers)
-            if mins is None:
-                mins, maxs = lo, hi
-            else:
-                mins = [min(a, b) for a, b in zip(mins, lo)]
-                maxs = [max(a, b) for a, b in zip(maxs, hi)]
-        spans = [hi - lo + 1 for lo, hi in zip(mins, maxs)]
-        if math.prod(spans) >= _INT64_LIMIT:
-            raise ValueError(
-                f"array {array}: touched bounding box {spans} too large "
-                f"for int64 element packing"
-            )
-        self.mins, self.spans = mins, spans
-
-    def element_keys(self, coords: np.ndarray) -> np.ndarray:
-        """Packed element id per access; refs concatenated in order."""
-        parts = [
-            _pack_columns(coords @ a.T + b, self.mins, self.spans)
-            for a, b in zip(self.accesses, self.offsets)
-        ]
-        return np.concatenate(parts)
-
-
-def _reduce_block(
-    ids: np.ndarray, times: np.ndarray, store: _LifetimeStore
-) -> None:
-    """Compress one block's accesses to per-element first/last keys."""
-    unique_ids, inverse = np.unique(ids, return_inverse=True)
-    first = np.full(unique_ids.shape[0], np.iinfo(np.int64).max, np.int64)
-    last = np.full(unique_ids.shape[0], np.iinfo(np.int64).min, np.int64)
-    np.minimum.at(first, inverse, times)
-    np.maximum.at(last, inverse, times)
-    store.add(unique_ids, first, last)
+def _merge(parts: list[_Lifetimes]) -> _Lifetimes:
+    """Fold block results into one ``(id, first, last)`` triple."""
+    if len(parts) == 1:
+        return parts[0]
+    ids, first, last = (np.concatenate(column) for column in zip(*parts))
+    return _first_last(ids, first, last)
 
 
 def _stream_lifetimes(
     program: Program,
     arrays: Sequence[str],
     transformation: IntMatrix | None,
-    chunk: int,
-) -> dict[str, _LifetimeStore]:
-    plan = _StreamPlan(program, transformation)
-    array_plans = {name: _ArrayPlan(program, name) for name in arrays}
-    stores = {name: _LifetimeStore(chunk) for name in arrays}
-    for start in range(0, plan.total, chunk):
-        stop = min(start + chunk, plan.total)
-        obs.counter("streaming.chunks")
-        coords = _decode_block(start, stop, plan.lowers, plan.trips)
-        times = plan.time_keys(coords, start)
-        for name in arrays:
-            aplan = array_plans[name]
-            ids = aplan.element_keys(coords)
-            tiled = (
-                times
-                if len(aplan.accesses) == 1
-                else np.concatenate([times] * len(aplan.accesses))
+) -> list[_Lifetimes]:
+    """Per array, every element's ``(id, first, last)`` time keys."""
+    nest = program.nest
+    lowers, trips = nest.lowers, nest.trip_counts
+    total = math.prod(trips)
+    if total >= fast._INT64_LIMIT:
+        raise ValueError(
+            f"nest has {total} iterations; linear indices would overflow "
+            f"int64"
+        )
+    pack = None
+    if transformation is not None:
+        check_transformation(transformation, nest.depth)
+        fused = fast._time_pack(transformation.rows, lowers, nest.uppers)
+        if fused is None:
+            raise ValueError(
+                f"transformation {transformation.rows}: its time keys "
+                f"overflow int64 packing; the streaming engine has no "
+                f"dense fallback"
             )
-            _reduce_block(ids, tiled, stores[name])
-    return stores
+        pack = np.array(fused[0], dtype=np.int64), fused[1]
+    packers = [fast._element_packer(program, name) for name in arrays]
+    # Per array: the merged lifetimes first, then the pending blocks,
+    # merged once their rows outgrow the merged ones (amortized).
+    parts: list[list[_Lifetimes]] = [[] for _ in arrays]
+    for start in range(0, total, CHUNK):
+        stop = min(start + CHUNK, total)
+        obs.counter("streaming.chunks")
+        points = fast._native_points(lowers, trips, start, stop)
+        if pack is None:
+            times = np.arange(start, stop, dtype=np.int64)
+        else:
+            times = points @ pack[0] - pack[1]
+        for packer, held in zip(packers, parts):
+            ids = packer(points)
+            keys = np.tile(times, len(ids))
+            held.append(_first_last(np.concatenate(ids), keys, keys))
+            if sum(p[0].shape[0] for p in held[1:]) > held[0][0].shape[0]:
+                held[:] = [_merge(held)]
+    return [_merge(held) for held in parts]
 
 
 def max_window_size_streaming(
     program: Program,
     array: str,
     transformation: IntMatrix | None = None,
-    chunk: int | None = None,
 ) -> int:
-    """Exact MWS of one array, computed in O(chunk + distinct) memory."""
+    """Exact MWS of one array, computed in O(CHUNK + distinct) memory."""
     obs.counter("streaming.simulate.calls")
     with obs.span("simulate.streaming", array=array):
-        size = chunk if chunk is not None else stream_chunk()
-        stores = _stream_lifetimes(program, (array,), transformation, size)
-        first, last = stores[array].live_lifetimes()
+        ((_, first, last),) = _stream_lifetimes(
+            program, (array,), transformation
+        )
         return _peak_concurrent(first, last)
 
 
@@ -272,24 +126,19 @@ def max_total_window_streaming(
     program: Program,
     transformation: IntMatrix | None = None,
     arrays: Sequence[str] | None = None,
-    chunk: int | None = None,
 ) -> int:
     """Exact total MWS (``max_t sum_X |W_X(t)|``), streamed.
 
-    One pass over the iteration space feeds every array's lifetime
-    store; the final peak scan merges all arrays' intervals.
+    One pass over the iteration space feeds every array's lifetimes;
+    the final peak scan merges all arrays' intervals.
     """
     obs.counter("streaming.simulate.calls")
     with obs.span("simulate.streaming", array="*"):
         names = tuple(arrays) if arrays is not None else program.arrays
         if not names:
             return 0
-        size = chunk if chunk is not None else stream_chunk()
-        stores = _stream_lifetimes(program, names, transformation, size)
-        starts = []
-        ends = []
-        for name in names:
-            first, last = stores[name].live_lifetimes()
-            starts.append(first)
-            ends.append(last)
-        return _peak_concurrent(np.concatenate(starts), np.concatenate(ends))
+        lifetimes = _stream_lifetimes(program, names, transformation)
+        return _peak_concurrent(
+            np.concatenate([first for _, first, _ in lifetimes]),
+            np.concatenate([last for _, _, last in lifetimes]),
+        )

@@ -283,9 +283,10 @@ SEEDS = [
             "A0[i1 + i2] = A0[i1 + i2 + 1] + A0[i1 + i2 + 2] } }"
         ),
         detail=(
-            "Cross-engine pin: the diagonal stencil whose windows the "
-            "streaming engine chunks; all four engines must agree on it "
-            "natively and under the seed-derived transformed order."
+            "Cross-engine pin: all four engines must agree on the diagonal "
+            "stencil natively and under the seed-derived transformed "
+            "order.  At seed 0 the oracle streams it in blocks of one "
+            "point, so the streaming answer merges 36 block results."
         ),
         note="conformance pin for the four window engines",
     ),

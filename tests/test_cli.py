@@ -281,3 +281,58 @@ class TestCliServe:
 
         record = load_run(ResultStore(tmp_path), "last")
         assert record is not None and record["command"] == "serve"
+
+
+EXAMPLE_8 = """
+for i = 1 to 25 {
+  for j = 1 to 10 {
+    X[2*i + 5*j + 1] = X[2*i + 5*j + 5]
+  }
+}
+"""
+
+
+class TestDenseBudgetMessage:
+    """Past ``REPRO_DENSE_BUDGET`` the windows stream, but the profile,
+    sizing and hierarchy commands need the dense point matrix: their
+    error names the one thing a user can change."""
+
+    @pytest.fixture
+    def example8(self, tmp_path, monkeypatch):
+        from repro.window.fast import clear_iteration_cache
+
+        monkeypatch.setenv("REPRO_DENSE_BUDGET", "100")  # 250 iterations
+        clear_iteration_cache()
+        path = tmp_path / "ex8.loop"
+        path.write_text(EXAMPLE_8)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["viz", "size", "hierarchy"])
+    def test_error_names_the_budget_variable(self, example8, command, capsys):
+        assert main([command, example8]) == 1
+        err = capsys.readouterr().err
+        assert "nest has 250 iterations" in err
+        assert "set REPRO_DENSE_BUDGET to at least 250" in err
+        assert "streaming engine" not in err
+
+    def test_windows_stream_past_the_budget(self, example8, capsys):
+        assert main(["analyze", example8]) == 0
+        assert "window[X] = 44" in capsys.readouterr().out
+
+
+class TestElementIdsPastInt64:
+    """Coordinates past int64 are refused with the array's name, where
+    the dense engine once packed wrapped ids into a window of 2 (the
+    reference's is 1)."""
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_refused_not_wrapped(self, tmp_path, command, capsys):
+        path = tmp_path / "wrap.loop"
+        path.write_text(
+            "for i = 1 to 5 { for j = 1 to 2 { "
+            "X[4611686018427387904*i] = X[4611686018427387904*i] + 1 } }"
+        )
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "error: array X:" in captured.err
+        assert "window[X] = 2" not in captured.out

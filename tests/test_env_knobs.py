@@ -1,8 +1,7 @@
 """Validation of the numeric environment knobs and the workers count.
 
-ISSUE 5 satellites: ``dense_budget()``, ``clip_budget()`` and
-``stream_chunk()`` all read their env var through the shared
-:func:`repro.envutil.env_int` helper, so a typo'd value fails fast with
+``dense_budget()`` and ``clip_budget()`` read their env var through the
+shared :func:`repro.envutil.env_int` helper, so a typo'd value fails fast with
 the variable's name in the message, and zero/negative budgets — which
 used to silently disable dense mode or tier-2 pruning — are rejected.
 Negative ``workers`` counts are rejected when an
@@ -17,12 +16,10 @@ import pytest
 from repro.envutil import env_int
 from repro.estimation.bounds import CLIP_BUDGET_ENV, DEFAULT_CLIP_BUDGET, clip_budget
 from repro.window.fast import DEFAULT_DENSE_BUDGET, DENSE_BUDGET_ENV, dense_budget
-from repro.window.streaming import CHUNK_ENV, DEFAULT_CHUNK, stream_chunk
 
 KNOBS = [
     (DENSE_BUDGET_ENV, dense_budget, DEFAULT_DENSE_BUDGET),
     (CLIP_BUDGET_ENV, clip_budget, DEFAULT_CLIP_BUDGET),
-    (CHUNK_ENV, stream_chunk, DEFAULT_CHUNK),
 ]
 
 

@@ -11,7 +11,7 @@ from repro.linalg import IntMatrix
 from repro.window.batched import _batched_time_keys, _peak_concurrent
 from repro.window.fast import (
     _ITER_STATE,
-    _element_ids,
+    _element_state,
     _execution_times,
     _iteration_matrix,
     clear_iteration_cache,
@@ -109,19 +109,118 @@ class TestExecutionTimes:
 class TestElementIds:
     def test_equal_elements_share_ids(self):
         prog = parse_program("for i = 1 to 6 { B[0] = A[i] + A[i-1] }")
-        ids = _element_ids(prog, "A")
+        ids = _element_state(prog, "A").ids
         # A[i] at iteration t equals A[i-1] at iteration t+1.
         assert ids[0][0] == ids[1][1]
 
     def test_distinct_elements_distinct_ids(self):
         prog = parse_program("for i = 1 to 6 { A[i] = 1 }")
-        (ids,) = _element_ids(prog, "A")
+        (ids,) = _element_state(prog, "A").ids
         assert len(set(ids.tolist())) == 6
 
     def test_unknown_array(self):
         prog = parse_program("for i = 1 to 4 { A[i] = 1 }")
         with pytest.raises(KeyError):
-            _element_ids(prog, "Z")
+            _element_state(prog, "Z")
+
+
+#: 2**62: an access coefficient whose element coordinates wrap int64
+#: within five iterations.
+_BIG = 4611686018427387904
+
+
+def _element_id_paths(program):
+    """Every production path that reads the dense engine's element ids,
+    as a zero-argument callable each."""
+    from repro.memory.scratchpad import access_stream, simulate_scratchpad
+    from repro.transform.tiling import tile_footprints
+    from repro.window import (
+        batched_mws,
+        max_total_window,
+        max_window_size,
+        window_profile,
+    )
+    from repro.window.fast import liveness_profile_fast
+    from repro.window.streaming import max_window_size_streaming
+
+    depth = program.nest.depth
+    return {
+        "max_window_size": lambda: max_window_size(program, "X"),
+        "max_total_window": lambda: max_total_window(program),
+        "batched_mws": lambda: batched_mws(program, [None], "X")[0],
+        "batched_mws_total": lambda: batched_mws(program, [None])[0],
+        "streaming": lambda: max_window_size_streaming(program, "X"),
+        "access_stream": lambda: access_stream(program),
+        "simulate_scratchpad": lambda: simulate_scratchpad(program, 1),
+        "tile_footprints": lambda: tile_footprints(program, (1,) * depth),
+        "liveness_profile": lambda: liveness_profile_fast(program, "X"),
+        "window_profile": lambda: window_profile(program, "X"),
+    }
+
+
+class TestElementIdsPastInt64:
+    """Element ids are packed from exact Python-int extents: coordinates
+    past int64 raise ``ValueError`` naming the array instead of packing
+    wrapped int64 values into wrong ids (a window of 2 where the
+    reference says 1, and 4 ids for 10 distinct elements)."""
+
+    @pytest.mark.parametrize("subscript,reference", [
+        (f"[{_BIG}*i]", 1),
+        (f"[{_BIG}*i][j]", 0),
+    ])
+    def test_wrapping_coordinates_raise(self, subscript, reference):
+        from repro.window.simulator import max_window_size_reference
+        from repro.window.zhao_malik import max_window_size_zhao_malik
+
+        program = parse_program(
+            f"for i = 1 to 5 {{ for j = 1 to 2 {{ "
+            f"X{subscript} = X{subscript} + 1 }} }}"
+        )
+        assert max_window_size_reference(program, "X") == reference
+        assert max_window_size_zhao_malik(program, "X") == reference
+        for name, run in _element_id_paths(program).items():
+            with pytest.raises(ValueError, match="array X"):
+                run()
+                pytest.fail(f"{name} answered from wrapped ids")
+
+    @pytest.mark.parametrize("source", [
+        f"for i = 1 to 5 {{ for j = 1 to 2 {{ "
+        f"X[i + {_BIG}] = X[i + {_BIG}] + 1 }} }}",
+        f"for i = {_BIG} to {_BIG + 3} {{ X[i] = X[i - 1] }}",
+    ], ids=["offset", "bounds"])
+    def test_coordinates_inside_int64_keep_their_answers(self, source):
+        """Near 2**62 but inside int64: every path answers, with the
+        reference's window of 1.  (A 2**62 screen on ``|A| * max|bound|``
+        would refuse the second nest.)"""
+        from repro.window.simulator import max_window_size_reference
+
+        program = parse_program(source)
+        assert max_window_size_reference(program, "X") == 1
+        paths = _element_id_paths(program)
+        for name in ("max_window_size", "max_total_window", "batched_mws",
+                     "batched_mws_total", "streaming"):
+            assert paths[name]() == 1, name
+        elements, _ = paths["access_stream"]()
+        assert len(set(elements.tolist())) == 5
+        assert paths["liveness_profile"]().peak == 1
+
+    def test_matmul_partial_sums_are_bounded(self):
+        """The touched box is one element, but summing the first two
+        terms of ``A @ i`` reaches 2**63: refused, not wrapped.  Terms
+        of opposite signs that no partial sum can push past int64 are
+        kept."""
+        kept = parse_program(
+            f"for i = 1 to 1 {{ for j = 1 to 1 {{ "
+            f"X[{_BIG}*i - {_BIG}*j] = 0 }} }}"
+        )
+        assert kept.references[0].access.to_lists() == [[_BIG, -_BIG]]
+        assert _element_state(kept, "X").ids[0].tolist() == [0]
+        refused = parse_program(
+            f"for i = 1 to 1 {{ for j = 1 to 1 {{ for k = 1 to 1 {{ "
+            f"X[{_BIG}*i + {_BIG}*j - {_BIG}*k] = 0 }} }} }}"
+        )
+        with pytest.raises(ValueError, match="array X.*past int64"):
+            _element_state(refused, "X")
 
 
 class TestTimeKeys:

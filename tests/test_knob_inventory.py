@@ -5,7 +5,9 @@ from the input inside :mod:`repro.window` (dense while the nest fits
 ``REPRO_DENSE_BUDGET``, streaming beyond it).  Only the window entry
 points keep ``engine=``, for the oracles and tests that select the
 reference implementations; nothing above them, and no CLI flag, request
-field or environment variable, re-exposes the choice.
+field or environment variable, re-exposes the choice.  The streaming
+engine's block size is a constant too: no ``chunk`` parameter, no
+``REPRO_STREAM_CHUNK`` and no ``repro bench`` command to sweep it.
 """
 
 from __future__ import annotations
@@ -103,3 +105,33 @@ def test_cli_rejects_engine_flag(capsys):
         build_parser().parse_args(["--engine", "fast", "analyze", "f.loop"])
     assert excinfo.value.code == 2
     assert capsys.readouterr().err.startswith("usage: repro")
+
+
+def test_streaming_entry_points_take_no_chunk():
+    """The streaming block size is the constant ``streaming.CHUNK``."""
+    from repro.window import streaming
+
+    for fn in (
+        streaming.max_window_size_streaming,
+        streaming.max_total_window_streaming,
+    ):
+        assert "chunk" not in _parameters(fn)
+
+
+def test_cli_rejects_bench_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["bench", "--chunk-sweep"])
+    assert excinfo.value.code == 2
+    assert "'bench'" in capsys.readouterr().err
+
+
+def test_no_module_reads_the_stream_chunk_variable():
+    from pathlib import Path
+
+    src = Path(repro.__file__).parent
+    naming = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if "REPRO_STREAM_CHUNK" in path.read_text(encoding="utf-8")
+    ]
+    assert naming == []

@@ -25,7 +25,7 @@ from repro.obs import ledger
 from repro.obs.ledger import DigestTee, overall_hit_rate
 from repro.reporting import diff_runs, render_run_diff
 from repro.reporting.journal import reconcile
-from repro.store import ResultStore
+from repro.store import SCHEMA_VERSION, ResultStore
 from repro.transform import journal
 from repro.transform.search import (
     clear_exact_cache,
@@ -64,7 +64,8 @@ def _loop_file(tmp_path):
 
 
 def _ledger_files(store_dir):
-    return sorted((store_dir / "v1" / ledger.LEDGER_KIND).glob("*.json"))
+    base = store_dir / f"v{SCHEMA_VERSION}"
+    return sorted((base / ledger.LEDGER_KIND).glob("*.json"))
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +271,7 @@ class TestSealAndLoad:
     def test_corrupt_ledger_record_is_skipped(self, tmp_path):
         store = ResultStore(tmp_path)
         ledger.seal_run(_ctx(), None, store)
-        (tmp_path / "v1" / ledger.LEDGER_KIND / "garbage.json").write_text(
+        (store.base / ledger.LEDGER_KIND / "garbage.json").write_text(
             "{not json", encoding="utf-8"
         )
         assert len(ledger.list_runs(store)) == 1
@@ -530,7 +531,7 @@ class TestStoreRunStamp:
         store.put("exact", {"k": 1}, 42)
         runctx.end_run()
         store.put("exact", {"k": 2}, 43)
-        paths = sorted((tmp_path / "v1" / "exact").glob("*.json"))
+        paths = sorted((store.base / "exact").glob("*.json"))
         stamped = [
             json.loads(p.read_text(encoding="utf-8")).get("run")
             for p in paths

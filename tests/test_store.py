@@ -144,12 +144,14 @@ class TestResultStore:
         "corruption",
         [
             "",  # empty file
-            '{"schema": 1, "kind": "exact", "key"',  # truncated JSON
+            f'{{"schema": {SCHEMA_VERSION}, "kind": "exact", "key"',  # truncated
             "not json at all \x00\xff",  # garbage
             '{"schema": 999, "kind": "exact", "key": {"k": 1}, "value": 7}',
-            '{"schema": 1, "kind": "other", "key": {"k": 1}, "value": 7}',
-            '{"schema": 1, "kind": "exact", "key": {"k": 2}, "value": 7}',
-            '{"schema": 1, "kind": "exact", "key": {"k": 1}}',  # no value
+            f'{{"schema": {SCHEMA_VERSION}, "kind": "other", "key": {{"k": 1}}, '
+            '"value": 7}',
+            f'{{"schema": {SCHEMA_VERSION}, "kind": "exact", "key": {{"k": 2}}, '
+            '"value": 7}',
+            f'{{"schema": {SCHEMA_VERSION}, "kind": "exact", "key": {{"k": 1}}}}',
             "[1, 2, 3]",  # not an object
         ],
         ids=[
@@ -170,6 +172,19 @@ class TestResultStore:
         store.put("exact", key, 42)
         store.drop_memory()
         assert store.get("exact", key) == 42
+
+    def test_records_of_an_older_schema_are_never_served(
+        self, tmp_path, monkeypatch
+    ):
+        """A schema bump retires every record written before it: v1
+        stores may hold windows computed from wrapped int64 element ids."""
+        import repro.store.store as store_module
+
+        monkeypatch.setattr(store_module, "SCHEMA_VERSION", 1)
+        ResultStore(tmp_path).put("exact", {"k": 1}, 2)
+        monkeypatch.undo()
+        assert SCHEMA_VERSION >= 2
+        assert ResultStore(tmp_path).get("exact", {"k": 1}) is None
 
     def test_records_are_schema_stamped(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -1,35 +1,42 @@
-"""Streaming chunked window engine: parity, dispatch, and budget gating.
+"""Streaming window engine: parity, block merging, dispatch, budget
+gating and memory.
 
-The streaming engine (:mod:`repro.window.streaming`) must agree exactly
-with the dense fast engine and the reference simulator on every program,
-array, transformation and chunk size — it enumerates the same iteration
-space in fixed-size blocks and reduces per-chunk first/last touches into
-per-array lifetime stores.  These tests drive randomized differentials
-(including adversarially tiny chunks that force many store
-consolidations), the ``engine=`` dispatch on the public entry points,
-and the ``REPRO_DENSE_BUDGET`` gate that flips ``auto`` to streaming.
+The streaming engine (:mod:`repro.window.streaming`) runs the dense
+engine's kernel one block of ``streaming.CHUNK`` native positions at a
+time and merges the block results, so it must agree exactly with the
+dense fast engine and the reference simulator on every program, array,
+transformation and block size.  These tests monkeypatch ``CHUNK`` down
+to single points (forcing a merge at nearly every block), pin the
+hand-computed per-element lifetimes and the block count, drive the
+``engine=`` dispatch and the ``REPRO_DENSE_BUDGET`` gate that flips
+``auto`` to streaming, and bound the engine's memory on a nest the
+dense engine needs hundreds of MB for.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.ir import parse_program
 from repro.ir.generate import GeneratorConfig, random_program
 from repro.linalg import IntMatrix
-from repro.transform.elementary import (
-    bounded_unimodular_matrices,
-    signed_permutations,
+from repro.transform.elementary import signed_permutations
+from repro.window import (
+    ENGINES,
+    fast,
+    max_total_window,
+    max_window_size,
+    resolve_engine,
+    streaming,
 )
-from repro.window import ENGINES, max_total_window, max_window_size, resolve_engine
+from repro.window.batched import _peak_concurrent
 from repro.window.fast import max_total_window_fast, max_window_size_fast
 from repro.window.simulator import max_window_size_reference
 from repro.window.streaming import (
-    DEFAULT_CHUNK,
-    CHUNK_ENV,
     max_total_window_streaming,
     max_window_size_streaming,
-    stream_chunk,
 )
 
 EXAMPLE_8 = """
@@ -40,10 +47,37 @@ for i = 1 to 25 {
 }
 """
 
+STENCIL_1024 = """
+for i = 1 to 1024 {
+  for j = 1 to 1024 {
+    A[i + j] = A[i + j + 1] + A[i + j + 2]
+  }
+}
+"""
+
 _CONFIGS = {
     2: GeneratorConfig(depth=2, min_trip=2, max_trip=6, max_coeff=3),
     3: GeneratorConfig(depth=3, min_trip=2, max_trip=4, max_coeff=2),
 }
+
+
+@pytest.fixture
+def block(monkeypatch):
+    """Set the streaming block size for one test."""
+
+    def set_block(size: int) -> None:
+        monkeypatch.setattr(streaming, "CHUNK", size)
+
+    return set_block
+
+
+def _chunks(fn, *args) -> int:
+    observer = obs.enable()
+    try:
+        fn(*args)
+    finally:
+        obs.disable()
+    return observer.counters["streaming.chunks"]
 
 
 def _transformations(program):
@@ -58,31 +92,37 @@ class TestParity:
     @pytest.mark.parametrize("depth,seed", [
         (depth, seed) for depth in (2, 3) for seed in range(30)
     ])
-    def test_streaming_matches_fast_and_reference(self, depth, seed):
+    def test_streaming_matches_fast_and_reference(self, block, depth, seed):
+        block(13)
         program = random_program(seed, _CONFIGS[depth])
         for t in _transformations(program):
             for array in program.arrays:
-                fast = max_window_size_fast(program, array, t)
-                stream = max_window_size_streaming(program, array, t, chunk=13)
-                assert stream == fast, (
+                fast_value = max_window_size_fast(program, array, t)
+                stream = max_window_size_streaming(program, array, t)
+                assert stream == fast_value, (
                     f"seed={seed} array={array} "
                     f"T={None if t is None else t.rows}: "
-                    f"streaming={stream} fast={fast}\n{program}"
+                    f"streaming={stream} fast={fast_value}\n{program}"
                 )
             total_fast = max_total_window_fast(program, t)
-            total_stream = max_total_window_streaming(program, t, chunk=13)
+            total_stream = max_total_window_streaming(program, t)
             assert total_stream == total_fast
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK])
-    def test_chunk_size_is_invisible(self, chunk):
-        program = parse_program(EXAMPLE_8)
-        assert max_window_size_streaming(program, "X", chunk=chunk) == 44
-        assert max_total_window_streaming(program, chunk=chunk) == 44
-
-    def test_reference_agreement_on_example8_transformed(self):
+    @pytest.mark.parametrize("chunk", [1, 7, 13, 64, streaming.CHUNK])
+    def test_chunk_size_is_invisible(self, block, chunk):
+        block(chunk)
         program = parse_program(EXAMPLE_8)
         t = IntMatrix([[2, 3], [1, 1]])
-        assert max_window_size_streaming(program, "X", t, chunk=17) == \
+        assert max_window_size_streaming(program, "X") == 44
+        assert max_total_window_streaming(program) == 44
+        assert max_window_size_streaming(program, "X", t) == 21
+        assert max_total_window_streaming(program, t) == 21
+
+    def test_reference_agreement_on_example8_transformed(self, block):
+        block(17)
+        program = parse_program(EXAMPLE_8)
+        t = IntMatrix([[2, 3], [1, 1]])
+        assert max_window_size_streaming(program, "X", t) == \
             max_window_size_reference(program, "X", t) == 21
 
 
@@ -127,10 +167,8 @@ class TestDispatch:
         assert max_total_window(program, engine="auto") == 44
 
     def test_explicit_fast_past_budget_raises(self, monkeypatch):
-        from repro.window.fast import clear_iteration_cache
-
         monkeypatch.setenv("REPRO_DENSE_BUDGET", "100")
-        clear_iteration_cache()  # a cached dense matrix would skip the gate
+        fast.clear_iteration_cache()  # a cached dense matrix would skip the gate
         program = parse_program(EXAMPLE_8)
         with pytest.raises(ValueError, match="iterations"):
             max_window_size(program, "X", engine="fast")
@@ -138,32 +176,21 @@ class TestDispatch:
 
 class TestChunkConfig:
     def test_default_chunk(self, monkeypatch):
-        monkeypatch.delenv(CHUNK_ENV, raising=False)
-        assert stream_chunk() == DEFAULT_CHUNK
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "4096")
-        assert stream_chunk() == 4096
-
-    def test_invalid_chunk_rejected(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "0")
-        with pytest.raises(ValueError):
-            stream_chunk()
-
-    def test_env_chunk_drives_engine(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "9")
+        """The block size is a constant: no environment variable moves
+        it, so Example 8's 250 points stream as one block."""
+        monkeypatch.setenv("REPRO_STREAM_CHUNK", "9")
+        assert streaming.CHUNK == 65536
         program = parse_program(EXAMPLE_8)
-        assert max_window_size_streaming(program, "X") == 44
+        assert _chunks(max_window_size_streaming, program, "X") == 1
 
 
 class TestObservability:
-    def test_chunk_counters(self):
-        from repro import obs
-
+    def test_chunk_counters(self, block):
+        block(100)
         program = parse_program(EXAMPLE_8)  # 250 iterations
         observer = obs.enable()
         try:
-            max_window_size_streaming(program, "X", chunk=100)
+            max_window_size_streaming(program, "X")
         finally:
             obs.disable()
         counters = observer.counters
@@ -172,96 +199,103 @@ class TestObservability:
 
 
 class TestChunkLoopInternals:
-    """Direct tests of the chunk loop and its per-chunk store folding.
+    """Direct tests of the block loop, its reduction and its merge.
 
     A 2x2 nest over ``A[i + j]`` has four iterations touching elements
     2, 3, 3, 4 at linear times 0..3 — small enough to hand-compute the
-    exact per-element ``(first, last)`` keys any chunking must reduce
-    to.  Element keys are box-packed against the touched bounding box
-    ``[2, 4]``, so ids are ``value - 2``.
+    exact per-element ``(first, last)`` keys every block size must
+    reduce to.  Element ids are box-packed against the touched bounding
+    box ``[2, 4]``, so ids are ``value - 2``.
     """
 
     PROGRAM_SRC = (
         "for i = 1 to 2 { for j = 1 to 2 { A[i + j] = A[i + j] } }"
     )
 
-    def _stores(self, chunk):
-        from repro.window.streaming import _stream_lifetimes
-
-        program = parse_program(self.PROGRAM_SRC)
-        return _stream_lifetimes(program, ("A",), None, chunk)
-
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 16])
-    def test_store_contents_invariant_under_chunking(self, chunk):
-        """chunk=1, a non-divisor, an exact divisor and chunk >= total
-        must all fold to the same per-element lifetime keys."""
-        import numpy as np
-
-        store = self._stores(chunk)["A"]
-        store._consolidate()
-        assert store._ids.tolist() == [0, 1, 2]  # elements 2, 3, 4
-        assert store._first.tolist() == [0, 1, 3]
-        assert store._last.tolist() == [0, 2, 3]
-        first, last = store.live_lifetimes()
+    def test_store_contents_invariant_under_chunking(self, block, chunk):
+        """A block of 1, a non-divisor, an exact divisor and a block
+        past the total must all reduce and merge to the same
+        per-element lifetime keys."""
+        block(chunk)
+        program = parse_program(self.PROGRAM_SRC)
+        ((ids, first, last),) = streaming._stream_lifetimes(
+            program, ("A",), None
+        )
+        assert ids.tolist() == [0, 1, 2]  # elements 2, 3, 4
+        assert first.tolist() == [0, 1, 3]
+        assert last.tolist() == [0, 2, 3]
         # Only element 3 (id 1) is touched at two distinct times.
-        assert first.tolist() == [1]
-        assert last.tolist() == [2]
-        assert isinstance(first, np.ndarray)
+        assert _peak_concurrent(first, last) == 1
 
     @pytest.mark.parametrize(
         "chunk,expected",
         [(1, 4), (3, 2), (2, 2), (4, 1), (16, 1)],
         ids=["unit", "non-divisor", "divisor", "exact-total", "oversized"],
     )
-    def test_chunk_count_is_ceil_of_total(self, chunk, expected):
-        from repro import obs
-
-        observer = obs.enable()
-        try:
-            self._stores(chunk)
-        finally:
-            obs.disable()
-        assert observer.counters["streaming.chunks"] == expected
+    def test_chunk_count_is_ceil_of_total(self, block, chunk, expected):
+        block(chunk)
+        program = parse_program(self.PROGRAM_SRC)
+        assert _chunks(max_total_window_streaming, program) == expected
 
     def test_decode_block_matches_native_iteration_order(self):
-        from repro.window.streaming import _decode_block
-
-        program = parse_program(
-            "for i = 1 to 3 { for j = 2 to 4 { A[i][j] = 0 } }"
-        )
-        nest = program.nest
-        expected = [tuple(p) for p in nest.iterate()]
-        got = _decode_block(0, 9, nest.lowers, nest.trip_counts)
-        assert [tuple(row) for row in got.tolist()] == expected
-        # A mid-stream block is the matching slice of the full order.
-        middle = _decode_block(4, 7, nest.lowers, nest.trip_counts)
-        assert [tuple(row) for row in middle.tolist()] == expected[4:7]
+        """Every block ``[start, stop)`` is the matching slice of the
+        native order."""
+        for source in (
+            "for i = 1 to 3 { for j = 2 to 4 { A[i][j] = 0 } }",
+            "for i = -1 to 1 { for j = 0 to 3 { for k = 5 to 6 { "
+            "A[i][j][k] = 0 } } }",
+        ):
+            nest = parse_program(source).nest
+            expected = np.array(list(nest.iterate()), dtype=np.int64)
+            total = expected.shape[0]
+            for start in range(total):
+                for stop in range(start + 1, total + 1):
+                    got = fast._native_points(
+                        nest.lowers, nest.trip_counts, start, stop
+                    )
+                    assert np.array_equal(got, expected[start:stop])
 
     def test_lifetime_store_merges_across_blocks(self):
-        import numpy as np
-
-        from repro.window.streaming import _LifetimeStore
-
-        store = _LifetimeStore(chunk=2)
         ids = lambda *v: np.array(v, dtype=np.int64)
-        store.add(ids(5), ids(10), ids(10))
-        store.add(ids(5, 9), ids(2, 4), ids(2, 4))
-        store.add(ids(), ids(), ids())  # empty block is a no-op
-        first, last = store.live_lifetimes()
+        merged_ids, first, last = streaming._merge([
+            (ids(5), ids(10), ids(10)),
+            (ids(5, 9), ids(2, 4), ids(2, 4)),
+        ])
         # Element 5 spans blocks: first=min(10, 2), last=max(10, 2).
-        assert first.tolist() == [2]
-        assert last.tolist() == [10]
+        assert merged_ids.tolist() == [5, 9]
+        assert first.tolist() == [2, 4]
+        assert last.tolist() == [10, 4]
 
-    def test_empty_store_yields_empty_lifetimes(self):
-        from repro.window.streaming import _LifetimeStore
 
-        store = _LifetimeStore(chunk=4)
-        first, last = store.live_lifetimes()
-        assert first.size == 0 and last.size == 0
+class TestMemory:
+    def test_stencil_streams_in_bounded_memory(self):
+        """A 1024x1024 stencil (2**20 points) streams under a 32 MB
+        traced peak; the dense engine needs 160-235 MB for it."""
+        import tracemalloc
 
-    @pytest.mark.parametrize("chunk", [1, 3, 5, 250])
-    def test_env_chunk_edges_keep_answers_exact(self, monkeypatch, chunk):
-        monkeypatch.setenv(CHUNK_ENV, str(chunk))
-        program = parse_program(EXAMPLE_8)  # 250 iterations
-        assert max_window_size_streaming(program, "X") == 44
-        assert max_total_window_streaming(program) == 44
+        program = parse_program(STENCIL_1024)
+        tracemalloc.start()
+        try:
+            value = max_total_window_streaming(program)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == 1025
+        assert peak < 32 * 2**20
+
+
+class TestOverflow:
+    def test_time_keys_past_int64_raise(self):
+        """Streaming has no dense-rank fallback: a transformation whose
+        time pack cannot fit int64 raises, where the dense scorer falls
+        back to lexsort ranks for that candidate."""
+        program = parse_program(
+            "for i = 1 to 5 { for j = 1 to 5 { X[i] = X[j] } }"
+        )
+        t = IntMatrix([[1, 2**59], [0, 1]])
+        assert fast._time_pack(t.rows, (1, 1), (5, 5)) is None
+        assert max_window_size_fast(program, "X", t) == \
+            max_window_size_reference(program, "X", t)
+        with pytest.raises(ValueError, match="no dense fallback"):
+            max_window_size_streaming(program, "X", t)

@@ -37,6 +37,8 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+from repro.store import SCHEMA_VERSION
+
 
 def call(url, method="GET", payload=None, tenant=None, timeout=60.0):
     headers = {}
@@ -183,7 +185,8 @@ def main(argv=None) -> int:
                                      payload={})
             check(status == 202, "shutdown accepted")
             check(proc.wait(timeout=60) == 0, "server exited 0")
-            records = sorted(Path(store_dir).glob("v1/ledger/*.json"))
+            records = sorted(
+                Path(store_dir).glob(f"v{SCHEMA_VERSION}/ledger/*.json"))
             commands = [json.loads(p.read_text())["value"].get("command")
                         for p in records]
             check("serve" in commands,
