@@ -1529,6 +1529,271 @@ class AccessTraceReference(Oracle):
 
 
 # ----------------------------------------------------------------------
+# the lifetime table's consumers: array code against per-point walks
+# ----------------------------------------------------------------------
+
+def lifetime_stats_reference(
+    program: Program, array: str, transformation: IntMatrix | None = None
+):
+    """Per-point reference for :func:`repro.window.lifetime.lifetime_stats`:
+    the statistics of :func:`repro.window.simulator.element_lifetimes`."""
+    from repro.window.lifetime import LifetimeStats
+    from repro.window.simulator import element_lifetimes
+
+    spans = [
+        last - first
+        for first, last in element_lifetimes(
+            program, array, transformation
+        ).values()
+    ]
+    return LifetimeStats(
+        array=array,
+        touched_elements=len(spans),
+        max_lifetime=max(spans),
+        mean_lifetime=sum(spans) / len(spans),
+        single_use_elements=sum(1 for s in spans if s == 0),
+    )
+
+
+def address_lifetimes_reference(
+    program: Program,
+    array: str,
+    layout,
+    transformation: IntMatrix | None = None,
+) -> list[tuple[int, int, int]]:
+    """``(address, first, last)`` per touched element, from
+    :func:`repro.window.simulator.element_lifetimes`."""
+    from repro.window.simulator import element_lifetimes
+
+    decl = program.decl(array)
+    return [
+        (layout.address(decl, element), first, last)
+        for element, (first, last) in element_lifetimes(
+            program, array, transformation
+        ).items()
+    ]
+
+
+def allocate_window_reference(
+    program: Program,
+    array: str,
+    transformation: IntMatrix | None = None,
+    layout=None,
+):
+    """Per-point reference for
+    :func:`repro.transform.window_allocation.allocate_window`: the peak
+    closed-interval live count by an event sweep over the walked
+    lifetimes, then the upward scan of ``modulo_is_valid``."""
+    from repro.layout import RowMajorLayout
+    from repro.transform.window_allocation import (
+        ModuloAllocation,
+        modulo_is_valid,
+    )
+    from repro.window.simulator import max_window_size_reference
+
+    lifetimes = address_lifetimes_reference(
+        program, array, layout or RowMajorLayout(), transformation
+    )
+    declared = program.decl(array).declared_size
+    events: dict[int, int] = {}
+    for _, first, last in lifetimes:
+        events[first] = events.get(first, 0) + 1
+        events[last + 1] = events.get(last + 1, 0) - 1
+    peak = current = 0
+    for t in sorted(events):
+        current += events[t]
+        peak = max(peak, current)
+    modulus = max(1, peak)
+    while modulus < declared and not modulo_is_valid(lifetimes, modulus):
+        modulus += 1
+    mws = max_window_size_reference(program, array, transformation)
+    return ModuloAllocation(array, modulus, mws, declared)
+
+
+def line_lifetimes_reference(
+    program: Program,
+    array: str,
+    layout,
+    line_size: int,
+    transformation: IntMatrix | None = None,
+) -> dict[int, tuple[int, int]]:
+    """Each touched line's ``(first, last)`` execution time, walking every
+    point in the order of ``T.apply``: the reference for
+    :func:`repro.layout.max_line_window` (its peak by
+    :func:`repro.window.simulator._peak_live`) and
+    :func:`repro.layout.line_window_profile`."""
+    decl = program.decl(array)
+    refs = program.refs_to(array)
+    points = list(program.nest.iterate())
+    lifetimes: dict[int, tuple[int, int]] = {}
+    for time, p in enumerate(_reference_order(points, transformation)):
+        for ref in refs:
+            line = layout.address(decl, ref.element(points[p])) // line_size
+            lifetimes[line] = (lifetimes.get(line, (time,))[0], time)
+    return lifetimes
+
+
+def live_sizes_reference(lifetimes, total: int) -> tuple[int, ...]:
+    """Live count after each of ``total`` times, for ``(first, last)``
+    half-open intervals."""
+    deltas = [0] * (total + 1)
+    for first, last in lifetimes:
+        if last > first:
+            deltas[first] += 1
+            deltas[last] -= 1
+    return tuple(itertools.accumulate(deltas[:total]))
+
+
+def simulate_cache_reference(
+    program: Program,
+    config,
+    layout=None,
+    transformation: IntMatrix | None = None,
+):
+    """Per-point reference for :func:`repro.memory.simulate_cache`: every
+    access's laid-out line, point by point in the order of ``T.apply``,
+    through the same set-associative LRU."""
+    from collections import OrderedDict
+
+    from repro.memory.cachesim import CacheStats, allocate_arrays
+
+    bases, layout = allocate_arrays(program, layout)
+    points = list(program.nest.iterate())
+    sets: list[OrderedDict] = [OrderedDict() for _ in range(config.n_sets)]
+    hits = accesses = 0
+    for p in _reference_order(points, transformation):
+        for ref in program.references:
+            address = bases[ref.array] + layout.address(
+                program.decl(ref.array), ref.element(points[p])
+            )
+            line = address // config.line_size
+            ways = sets[line % config.n_sets]
+            accesses += 1
+            if line in ways:
+                hits += 1
+                ways.move_to_end(line)
+            else:
+                ways[line] = None
+                if len(ways) > config.associativity:
+                    ways.popitem(last=False)
+    return CacheStats(config, accesses, hits, accesses - hits)
+
+
+@register
+class LifetimeConsumersReference(Oracle):
+    name = "lifetime-consumers-reference"
+    kind = "cross"
+    paper = (
+        "Section 2.3's window is a function of each element's first and "
+        "last access; the window profile, lifetime statistics, line "
+        "windows, modulo buffers and the cache model all read the dense "
+        "engine's one lifetime table, so each must equal a point-by-point "
+        "walk of the same execution order: under row-major, column-major "
+        "and blocked layouts, four line sizes and three cache geometries."
+    )
+    config = GeneratorConfig(min_trip=2, max_trip=6)
+
+    def generate(self, seed: int) -> Program:
+        return random_program(
+            seed,
+            replace(
+                self.config, depth=1 + seed % 3, uniform_only=seed % 2 == 0
+            ),
+        )
+
+    def check(self, program: Program, seed: int = 0) -> Violation | None:
+        from repro.layout import (
+            BlockedLayout,
+            ColumnMajorLayout,
+            RowMajorLayout,
+            line_window_profile,
+            max_line_window,
+        )
+        from repro.memory.cachesim import CacheConfig, simulate_cache
+        from repro.transform.elementary import signed_permutations
+        from repro.transform.window_allocation import allocate_window
+        from repro.window.lifetime import lifetime_stats
+        from repro.window.simulator import (
+            _peak_live,
+            window_profile,
+            window_profile_reference,
+        )
+
+        depth = program.nest.depth
+        total = program.nest.total_iterations
+        permutations = list(signed_permutations(depth))
+        permutation = permutations[
+            random.Random(seed * 104729 + 3).randrange(len(permutations))
+        ]
+        for t in (None, permutation, _seed_skew(depth, seed)):
+            checks = []
+            for array in program.arrays:
+                checks += [
+                    (
+                        f"lifetime_stats({array})",
+                        lifetime_stats(program, array, t),
+                        lifetime_stats_reference(program, array, t),
+                    ),
+                    (
+                        f"window_profile({array})",
+                        window_profile(program, array, t),
+                        window_profile_reference(program, array, t),
+                    ),
+                ]
+                rank = program.decl(array).rank
+                for layout in (
+                    RowMajorLayout(),
+                    ColumnMajorLayout(),
+                    BlockedLayout((2,) * rank),
+                ):
+                    checks.append((
+                        f"allocate_window({array}, {layout})",
+                        allocate_window(program, array, t, layout),
+                        allocate_window_reference(program, array, t, layout),
+                    ))
+                    for size in (1, 2, 3, 8):
+                        lines = line_lifetimes_reference(
+                            program, array, layout, size, t
+                        ).values()
+                        checks += [
+                            (
+                                f"max_line_window({array}, {layout}, {size})",
+                                max_line_window(
+                                    program, array, layout, size, t
+                                ),
+                                _peak_live(lines),
+                            ),
+                            (
+                                f"line_window_profile({array}, {layout}, "
+                                f"{size})",
+                                line_window_profile(
+                                    program, array, layout, size, t
+                                ).sizes,
+                                live_sizes_reference(lines, total),
+                            ),
+                        ]
+            for config in (
+                CacheConfig(4, 2, 2),
+                CacheConfig(8, 4, 4),
+                CacheConfig(16, 1, 1),
+            ):
+                for layout in (RowMajorLayout(), ColumnMajorLayout()):
+                    checks.append((
+                        f"simulate_cache({config}, {layout})",
+                        simulate_cache(program, config, layout, t),
+                        simulate_cache_reference(program, config, layout, t),
+                    ))
+            where = "native" if t is None else f"T={t.rows}"
+            for label, got, want in checks:
+                if got != want:
+                    return self.fail(
+                        f"{where}: {label} = {got} != reference {want}",
+                        program,
+                    )
+        return None
+
+
+# ----------------------------------------------------------------------
 # candidate screens: the stacks and array screens against per-matrix code
 # ----------------------------------------------------------------------
 

@@ -976,7 +976,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         status = args.func(args)
         return status
-    except (ParseError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (
+        ParseError, FileNotFoundError, KeyError, ValueError, IndexError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

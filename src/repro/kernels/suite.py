@@ -158,15 +158,16 @@ def full_search(frame: int = 32, block: int = 8) -> Program:
 
     The reference window ``R[p+u][q+v]`` slides over the whole frame; the
     current block ``C`` is re-read per candidate.  Untransformed, a
-    ``block``-row band of ``R`` stays live.
+    ``block``-row band of ``R`` stays live.  Both frames are indexed
+    from 1, like the loops, so ``R``'s indices 2..32 lie inside them.
     """
     span = frame - block
     offset = block // 2
     return (
         NestBuilder("full_search")
         .loops(("p", 1, span), ("q", 1, span), ("u", 1, block), ("v", 1, block))
-        .declare("R", frame, frame)
-        .declare("C", frame, frame)
+        .declare("R", frame, frame, origins=(1, 1))
+        .declare("C", frame, frame, origins=(1, 1))
         .use(
             "S1",
             ("R", [[1, 0, 1, 0], [0, 1, 0, 1]], [0, 0]),
@@ -184,13 +185,14 @@ def rasta_flt(frames: int = 13, bands: int = 46, taps: int = 44) -> Program:
     spectral history ``X``, so untransformed roughly ``taps`` rows of
     ``X`` stay live; moving the band loop outward confines the window to
     one band column.  Declarations cover full 56x46 frame buffers for
-    both arrays (2 x 2576 = 5152 elements — the paper's default).
+    both arrays (2 x 2576 = 5152 elements — the paper's default),
+    indexed from 1 like the loops.
     """
     return (
         NestBuilder("rasta_flt")
         .loops(("f", 1, frames), ("b", 1, bands), ("t", 1, taps))
-        .declare("X", frames + taps - 1, bands)
-        .declare("Y", frames + taps - 1, bands)
+        .declare("X", frames + taps - 1, bands, origins=(1, 1))
+        .declare("Y", frames + taps - 1, bands, origins=(1, 1))
         .statement(
             "S1",
             write=("Y", [[1, 0, 0], [0, 1, 0]], [0, 0]),

@@ -10,10 +10,14 @@ array) shows up immediately: every live element occupies its own line.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.ir.program import Program
 from repro.layout.layouts import Layout, RowMajorLayout
 from repro.linalg import IntMatrix
-from repro.window.simulator import WindowProfile, _iteration_order
+from repro.window import fast
+from repro.window.batched import _peak_concurrent
+from repro.window.simulator import WindowProfile
 
 
 def _line_lifetimes(
@@ -22,30 +26,15 @@ def _line_lifetimes(
     layout: Layout,
     line_size: int,
     transformation: IntMatrix | None,
-) -> dict[int, tuple[int, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each touched line's first and last execution positions: the
+    minimum first and the maximum last touch of the elements it holds."""
     if line_size <= 0:
         raise ValueError("line size must be positive")
-    refs = [ref for ref in program.references if ref.array == array]
-    if not refs:
-        raise KeyError(array)
-    decl = program.decl(array)
-    order = _iteration_order(program, transformation)
-    iterator = order if order is not None else program.nest.iterate()
-    lifetimes: dict[int, tuple[int, int]] = {}
-    address_cache: dict[tuple[int, ...], int] = {}
-    for time, point in enumerate(iterator):
-        for ref in refs:
-            element = ref.element(point)
-            addr = address_cache.get(element)
-            if addr is None:
-                addr = layout.address(decl, element)
-                address_cache[element] = addr
-            line = addr // line_size
-            if line in lifetimes:
-                lifetimes[line] = (lifetimes[line][0], time)
-            else:
-                lifetimes[line] = (time, time)
-    return lifetimes
+    table = fast.lifetime_table(program, array, transformation)
+    lines = table.addresses(layout, program.decl(array)) // line_size
+    _, first, last = fast._first_last(lines, table.first, table.last)
+    return first, last
 
 
 def max_line_window(
@@ -61,20 +50,9 @@ def max_line_window(
     defaults to row-major.  With ``line_size=1`` this reduces exactly to
     the element window (tested).
     """
-    lifetimes = _line_lifetimes(
+    return _peak_concurrent(*_line_lifetimes(
         program, array, layout or RowMajorLayout(), line_size, transformation
-    )
-    events: dict[int, int] = {}
-    for first, last in lifetimes.values():
-        if last > first:
-            events[first] = events.get(first, 0) + 1
-            events[last] = events.get(last, 0) - 1
-    peak = current = 0
-    for t in sorted(events):
-        current += events[t]
-        if current > peak:
-            peak = current
-    return peak
+    ))
 
 
 def line_window_profile(
@@ -85,18 +63,8 @@ def line_window_profile(
     transformation: IntMatrix | None = None,
 ) -> WindowProfile:
     """Live-line count over execution time."""
-    lifetimes = _line_lifetimes(
+    first, last = _line_lifetimes(
         program, array, layout or RowMajorLayout(), line_size, transformation
     )
-    total = program.nest.total_iterations
-    deltas = [0] * (total + 1)
-    for first, last in lifetimes.values():
-        if last > first:
-            deltas[first] += 1
-            deltas[last] -= 1
-    sizes = []
-    current = 0
-    for t in range(total):
-        current += deltas[t]
-        sizes.append(current)
-    return WindowProfile(array, tuple(sizes))
+    sizes = fast._occupancy(first, last, program.nest.total_iterations)
+    return WindowProfile(array, tuple(sizes.tolist()))

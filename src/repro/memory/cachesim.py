@@ -12,10 +12,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.ir.program import Program
 from repro.layout.layouts import Layout, RowMajorLayout
 from repro.linalg import IntMatrix
-from repro.window.simulator import _iteration_order
+from repro.memory.scratchpad import access_stream
+from repro.window.fast import lifetime_table
 
 
 @dataclass(frozen=True)
@@ -76,36 +79,31 @@ def simulate_cache(
     transformation: IntMatrix | None = None,
 ) -> CacheStats:
     """Run the full access stream through a set-associative LRU cache,
-    in the order the reference window engine validates and gives ``T``."""
+    in the order :func:`~repro.memory.scratchpad.access_stream` gives
+    ``T`` (with the window engines' checks on it)."""
     bases, layout = allocate_arrays(program, layout)
-    decls = {decl.name: decl for decl in program.decls}
-    order = _iteration_order(program, transformation)
-    points = order if order is not None else program.nest.iterate()
-
+    elements, _ = access_stream(program, transformation=transformation)
+    # Line of every element id: arrays claim id ranges in the order of
+    # ``program.arrays``, as in the trace.
+    lines = np.concatenate([
+        lifetime_table(program, name).addresses(
+            layout, program.decl(name), bases[name]
+        )
+        for name in program.arrays
+    ])[elements] // config.line_size
     sets: list[OrderedDict[int, None]] = [
         OrderedDict() for _ in range(config.n_sets)
     ]
-    hits = misses = accesses = 0
-    refs = list(program.references)
-    address_cache: dict[tuple[str, tuple[int, ...]], int] = {}
-    for point in points:
-        for ref in refs:
-            element = ref.element(point)
-            key = (ref.array, element)
-            addr = address_cache.get(key)
-            if addr is None:
-                addr = bases[ref.array] + layout.address(decls[ref.array], element)
-                address_cache[key] = addr
-            line = addr // config.line_size
-            set_index = line % config.n_sets
-            ways = sets[set_index]
-            accesses += 1
-            if line in ways:
-                hits += 1
-                ways.move_to_end(line)
-            else:
-                misses += 1
-                ways[line] = None
-                if len(ways) > config.associativity:
-                    ways.popitem(last=False)
-    return CacheStats(config, accesses, hits, misses)
+    hits = 0
+    set_of = (lines % config.n_sets).tolist()
+    for line, set_index in zip(lines.tolist(), set_of):
+        ways = sets[set_index]
+        if line in ways:
+            hits += 1
+            ways.move_to_end(line)
+        else:
+            ways[line] = None
+            if len(ways) > config.associativity:
+                ways.popitem(last=False)
+    accesses = lines.shape[0]
+    return CacheStats(config, accesses, hits, accesses - hits)

@@ -64,10 +64,11 @@ def access_stream(
     ``array`` restricts the trace to one array; ``transformation``
     replays it in the order of :func:`repro.window.fast.execution_order`
     (the window engines' checks and 2**62 screen on ``T``).  Ids are the
-    engine's cached per-array element ids, offset so that arrays never
-    share one.  Every buffer model replays this one trace, which is what
-    makes a one-tier hierarchy reproduce :func:`simulate_scratchpad`
-    exactly.  A nest past ``REPRO_DENSE_BUDGET`` raises ``ValueError``.
+    engine's cached dense per-array element ids, each array's offset by
+    the element counts of the arrays before it.  Every buffer model
+    replays this one trace, which is what makes a one-tier hierarchy
+    reproduce :func:`simulate_scratchpad` exactly.  A nest past
+    ``REPRO_DENSE_BUDGET`` raises ``ValueError``.
     """
     refs = [
         ref for ref in program.references if array is None or ref.array == array
@@ -78,11 +79,9 @@ def access_stream(
     # Each array's per-reference ids, claimed in reference order.
     ids, offsets, end = {}, {}, 0
     for name in dict.fromkeys(ref.array for ref in refs):
-        per_ref = fast._element_state(program, name).ids
-        ids[name], offsets[name] = iter(per_ref), end
-        end += max(int(e.max()) for e in per_ref) + 1
-    if end >= fast._INT64_LIMIT:
-        raise ValueError(f"element ids of {list(ids)} pass 2**62 once offset")
+        element = fast._element_state(program, name)
+        ids[name], offsets[name] = iter(element.ids), end
+        end += element.packed.shape[0]
     elements = np.empty((order.shape[0], len(refs)), dtype=np.int64)
     for column, ref in enumerate(refs):
         np.add(next(ids[ref.array])[order], offsets[ref.array],

@@ -1,10 +1,11 @@
 """MWS-minimizing transformation search (paper Section 4.2-4.3).
 
-2-D: enumerate coprime candidate first rows ``(a, b)`` (branch-and-bound
-over the eq. (2) objective, or plain bounded enumeration), keep rows
-satisfying the tiling constraints ``a*d1 + b*d2 >= 0``, complete each to a
-unimodular matrix with :func:`complete_first_row_2d`, and rank by the
-eq. (2) estimate with exact-simulation tie-breaking of the leaders.
+2-D: enumerate every coprime first row ``(a, b)`` within the bound, keep
+rows satisfying the tiling constraints ``a*d1 + b*d2 >= 0``, complete
+each to a unimodular matrix with :func:`complete_first_row_2d`, and rank
+by the eq. (2) estimate with exact-simulation tie-breaking of the leaders.
+(The branch-and-bound minimizer of :mod:`repro.transform.branch_bound`
+is not on this path; only tests and an ablation bench call it.)
 
 3-D: per Section 4.3 the best window comes from making inner loops carry
 the reuse — when the access matrix rows extend to a legal unimodular

@@ -168,8 +168,8 @@ def tile_footprints(
         writeback = dict.fromkeys(arrays, 0)
         totals = np.zeros(n_grid, dtype=np.int64)
         for array in arrays:
-            ids = fast._element_state(program, array).ids
-            radix = max(int(e.max()) for e in ids) + 1
+            element = fast._element_state(program, array)
+            ids, radix = element.ids, element.packed.shape[0]
             if not fast.spans_fit_int64((n_grid, radix)):
                 raise ValueError(
                     f"array {array}: {n_grid} cells x {radix} element ids "

@@ -16,12 +16,15 @@ quantified in the ablation bench.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.ir.program import Program
 from repro.layout.layouts import Layout, RowMajorLayout
 from repro.linalg import IntMatrix
-from repro.window.simulator import element_lifetimes
+from repro.window.batched import _peak_concurrent
+from repro.window.fast import lifetime_table
+from repro.window.simulator import max_window_size
 
 
 @dataclass(frozen=True)
@@ -45,22 +48,6 @@ class ModuloAllocation:
         if self.declared == 0:
             return 0.0
         return 1.0 - self.modulus / self.declared
-
-
-def _address_lifetimes(
-    program: Program,
-    array: str,
-    layout: Layout,
-    transformation: IntMatrix | None,
-) -> list[tuple[int, int, int]]:
-    """(address, first, last) per touched element."""
-    decl = program.decl(array)
-    out = []
-    for element, (first, last) in element_lifetimes(
-        program, array, transformation
-    ).items():
-        out.append((layout.address(decl, element), first, last))
-    return out
 
 
 def modulo_is_valid(
@@ -88,13 +75,13 @@ def allocate_window(
     array: str,
     transformation: IntMatrix | None = None,
     layout: Layout | None = None,
-    search_limit: int | None = None,
 ) -> ModuloAllocation:
     """Smallest modulus folding the array into a conflict-free buffer.
 
     Exact: scans moduli upward from the peak *closed-interval* live count
     (a lower bound on any valid modulus) until validity holds; the
-    declared size is always valid, so the search terminates.
+    declared size is always valid, so the search ends there at the
+    latest.  Lifetimes come from :func:`repro.window.fast.lifetime_table`.
 
     >>> from repro.ir import parse_program
     >>> p = parse_program('''
@@ -105,33 +92,18 @@ def allocate_window(
     >>> allocate_window(p, "A").modulus
     2
     """
-    layout = layout or RowMajorLayout()
-    lifetimes = _address_lifetimes(program, array, layout, transformation)
-    if not lifetimes:
-        raise KeyError(array)
-    declared = program.decl(array).declared_size
-
-    # Peak closed-interval live count: lower bound for any modulus.
-    events: dict[int, int] = {}
-    for _, first, last in lifetimes:
-        events[first] = events.get(first, 0) + 1
-        events[last + 1] = events.get(last + 1, 0) - 1
-    peak = current = 0
-    for t in sorted(events):
-        current += events[t]
-        peak = max(peak, current)
-
-    from repro.window.simulator import max_window_size
-
-    mws = max_window_size(program, array, transformation)
-    limit = search_limit if search_limit is not None else declared
-    modulus = max(1, peak)
-    while modulus < limit:
-        if modulo_is_valid(lifetimes, modulus):
-            break
+    table = lifetime_table(program, array, transformation)
+    decl = program.decl(array)
+    addresses = table.addresses(layout or RowMajorLayout(), decl)
+    lifetimes = list(
+        zip(addresses.tolist(), table.first.tolist(), table.last.tolist())
+    )
+    # Closed intervals [first, last] are half-open [first, last + 1).
+    modulus = max(1, _peak_concurrent(table.first, table.last + 1))
+    declared = decl.declared_size
+    while modulus < declared and not modulo_is_valid(lifetimes, modulus):
         modulus += 1
-    else:
-        modulus = min(limit, declared)
+    mws = max_window_size(program, array, transformation)
     return ModuloAllocation(array, modulus, mws, declared)
 
 
@@ -146,7 +118,9 @@ def rewrite_with_buffer(
     The rewritten reference is ``<array>_buf[(<address expr>) % m]``;
     only arrays with affine layouts (row/column major) yield affine
     address expressions.  Returned as text (the modulo operation leaves
-    the pure-affine IR, so this is a codegen-level transform).
+    the pure-affine IR, so this is a codegen-level transform); both the
+    declaration and the references match whole identifiers only, so
+    ``AB`` and ``BA`` survive folding ``A``.
     """
     from repro.ir.codegen import generate_source
 
@@ -157,12 +131,12 @@ def rewrite_with_buffer(
     names = program.nest.index_names
     lines = []
     for line in source.splitlines():
-        if line.startswith("array ") and f" {array}" in f" {line[6:]}":
+        if line.startswith("array ") and line[6:].split("[")[0] == array:
             lines.append(f"array {array}_buf[{allocation.modulus}]")
             continue
         lines.append(line)
     text = "\n".join(lines) + "\n"
-    # Rewrite each reference textually via the IR (exact, not regex).
+    # Rewrite each reference as the IR renders it, at whole identifiers.
     for ref in program.refs_to(array):
         subs = ref.subscript_strings(names)
         original = f"{array}[" + "][".join(subs) + "]"
@@ -173,5 +147,7 @@ def rewrite_with_buffer(
             terms.append(f"{stride}*{expr}" if stride != 1 else expr)
         address = " + ".join(terms)
         replacement = f"{array}_buf[({address}) % {allocation.modulus}]"
-        text = text.replace(original, replacement)
+        text = re.sub(
+            rf"(?<!\w){re.escape(original)}", lambda _: replacement, text
+        )
     return text

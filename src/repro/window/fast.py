@@ -9,32 +9,38 @@ over ~10^5-iteration nests) tractable.
 The window kernel's steps live here once, and both exact engines run
 them, the dense engine on the whole box and :mod:`repro.window.streaming`
 one block at a time: :func:`_native_points` enumerates,
-:func:`_element_packer` packs exact int64 element ids, :func:`_runs` lays
-out the first/last-touch reduction, and :func:`_time_pack` folds the
-mixed-radix pack of ``u = T @ i`` (an *order-isomorphic* time key, so
-MWS needs no ``np.lexsort``) into one weight vector.
+:func:`_element_packer` packs exact int64 element ids, :func:`_runs` and
+:func:`_first_last` reduce them to first/last touches, and
+:func:`_time_pack` folds the mixed-radix pack of ``u = T @ i`` (an
+*order-isomorphic* time key, so MWS needs no ``np.lexsort``) into one
+weight vector.
 
 The dense state is cached per ``Program.signature()`` content hash, so
 structurally equal programs (pickled clones in pool workers included)
 share one enumeration.  :func:`max_window_size_fast` and
 :func:`max_total_window_fast` are the batched scorer of
-:mod:`repro.window.batched` at K=1; dense ranks are still computed for
-the profile paths, which need 0..N-1 positions.
+:mod:`repro.window.batched` at K=1; :func:`lifetime_table` is the
+per-element first/last table every other window reader builds on.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import OrderedDict
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.envutil import env_int
+from repro.ir.array import ArrayDecl
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.window.simulator import check_transformation
+
+if TYPE_CHECKING:
+    from repro.layout.layouts import Layout
 
 #: Dense enumeration materializes an ``(N, n)`` int64 matrix and packs
 #: element coordinates into int64 ids; both silently wrap past 2**63.
@@ -60,16 +66,19 @@ def dense_budget() -> int:
 class _ElementState(NamedTuple):
     """Per-(program, array) access structure, transformation-invariant.
 
-    ``ids`` are the per-reference packed element ids; ``point_row`` maps
-    each access (in element-sorted order) back to its native iteration
-    row; ``seg_starts`` delimits the runs of equal elements inside that
-    order, so per-candidate lifetimes are two ``reduceat`` calls over a
-    gathered time array instead of a unique + scatter per candidate.
+    ``ids`` are the per-reference dense element ids ``0..E-1``, in the
+    order of ``packed``, the ``E`` sorted ids of :func:`_element_packer`;
+    ``point_row`` maps each access (in element-sorted order) back to its
+    native iteration row; ``seg_starts`` delimits the runs of equal
+    elements inside that order, so per-candidate lifetimes are two
+    ``reduceat`` calls over a gathered time array instead of a unique +
+    scatter per candidate.
     """
 
     ids: tuple[np.ndarray, ...]
     point_row: np.ndarray
     seg_starts: np.ndarray
+    packed: np.ndarray
 
 
 class _IterState:
@@ -238,11 +247,12 @@ def _pack_columns(
     return packed
 
 
-def _element_packer(
-    program: Program, array: str
-) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
+def _element_packer(program: Program, array: str) -> tuple[
+    Callable[[np.ndarray], tuple[np.ndarray, ...]], list[int], list[int]
+]:
     """Exact int64 element ids of ``array``: a function from ``(m, n)``
-    points to one id array per reference, in reference order.
+    points to one id array per reference, in reference order, and the
+    touched box ``(mins, spans)`` the ids pack over.
 
     An id is the mixed-radix pack of the element's coordinates over the
     array's touched box, taken from exact Python-int extents
@@ -298,7 +308,7 @@ def _element_packer(
             for access, corner in maps
         )
 
-    return pack
+    return pack, mins, spans
 
 
 def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,6 +324,19 @@ def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     head[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
     return order, np.flatnonzero(head)
+
+
+def _first_last(
+    ids: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct id, ascending, with the min of its ``first`` and
+    the max of its ``last`` values, reduced over :func:`_runs`."""
+    order, starts = _runs(ids)
+    return (
+        ids[order[starts]],
+        np.minimum.reduceat(first[order], starts),
+        np.maximum.reduceat(last[order], starts),
+    )
 
 
 def _time_pack(
@@ -415,45 +438,85 @@ def _element_state(program: Program, array: str) -> _ElementState:
     cached = state.elements.get(array)
     if cached is not None:
         return cached
-    ids = _element_packer(program, array)(state.points)
-    order, seg_starts = _runs(np.concatenate(ids))
+    flat = np.concatenate(_element_packer(program, array)[0](state.points))
+    order, seg_starts = _runs(flat)
+    packed = flat[order[seg_starts]]
+    # Dense ids: each access's run number, scattered back to access order.
+    run = np.zeros(flat.shape[0], dtype=np.int64)
+    run[seg_starts[1:]] = 1
+    np.cumsum(run, out=run)
+    flat[order] = run
     element = _ElementState(
-        ids=ids,
+        ids=tuple(flat.reshape(-1, state.points.shape[0])),
         point_row=order % state.points.shape[0],
         seg_starts=seg_starts,
+        packed=packed,
     )
     state.elements[array] = element
     return element
 
 
-def _live_deltas(element: _ElementState, times: np.ndarray) -> np.ndarray:
-    """+1 at each live element's first touch, -1 at its last, over the
-    dense execution ranks ``times`` (``N + 1`` slots).  Elements touched
-    at a single time are never in the window."""
-    seq = times[element.point_row]
-    first = np.minimum.reduceat(seq, element.seg_starts)
-    last = np.maximum.reduceat(seq, element.seg_starts)
+def _occupancy(first: np.ndarray, last: np.ndarray, total: int) -> np.ndarray:
+    """Live count after each of ``total`` execution positions: the running
+    sum of +1 at each ``[first, last)`` interval's start and -1 at its end."""
     live = last > first
-    deltas = np.zeros(times.shape[0] + 1, dtype=np.int64)
-    np.add.at(deltas, first[live], 1)
-    np.add.at(deltas, last[live], -1)
-    return deltas
+    return np.cumsum(
+        np.bincount(first[live], minlength=total)
+        - np.bincount(last[live], minlength=total)
+    )
 
 
-@obs.profiled("fast.window_deltas")
-def window_deltas(
+class LifetimeTable(NamedTuple):
+    """Every touched element of one array, in dense element-id order: its
+    coordinates (``corner`` plus its row of ``offsets``) and its first and
+    last execution positions."""
+
+    corner: tuple[int, ...]
+    offsets: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+    def addresses(
+        self, layout: Layout, decl: ArrayDecl, base: int = 0
+    ) -> np.ndarray:
+        """Each element's ``base + layout.address(decl, coordinates)`` as
+        int64: one call per element, so the layout's own checks hold (an
+        element outside ``decl`` raises ``IndexError``)."""
+        corner = self.corner
+        elements = (
+            tuple(map(operator.add, row, corner))
+            for row in self.offsets.tolist()
+        )
+        try:
+            return np.fromiter(
+                (base + layout.address(decl, e) for e in elements),
+                dtype=np.int64,
+                count=self.offsets.shape[0],
+            )
+        except OverflowError:
+            raise ValueError(
+                f"array {decl.name}: addresses pass int64"
+            ) from None
+
+
+def lifetime_table(
     program: Program,
     array: str,
     transformation: IntMatrix | None = None,
-) -> np.ndarray:
-    """+1/-1 event array over execution time for one array's live set.
-
-    Needs dense 0..N-1 execution ranks (the deltas are indexed by time),
-    so this is the profile-path workhorse; the plain MWS path runs the
-    batched sweep (:mod:`repro.window.batched`) on packed keys instead.
-    """
-    times = _execution_times(program, transformation)
-    return _live_deltas(_element_state(program, array), times)
+) -> LifetimeTable:
+    """The paper's per-element table (Section 2.3) under ``T``, from the
+    cached element state: packed ids decode through the packer's box.
+    ``T`` gets the engines' checks; a nest past ``REPRO_DENSE_BUDGET``
+    raises ``ValueError``, an unknown array ``KeyError``."""
+    element = _element_state(program, array)
+    seq = _execution_times(program, transformation)[element.point_row]
+    _, mins, spans = _element_packer(program, array)
+    return LifetimeTable(
+        tuple(mins),
+        np.stack(np.unravel_index(element.packed, spans), axis=1),
+        np.minimum.reduceat(seq, element.seg_starts),
+        np.maximum.reduceat(seq, element.seg_starts),
+    )
 
 
 def liveness_profile_fast(
@@ -469,7 +532,12 @@ def liveness_profile_fast(
     times = _execution_times(program, transformation)
     total = times.shape[0]
     element = _element_state(program, array)
-    occupancy = np.cumsum(_live_deltas(element, times)[:-1])
+    seq = times[element.point_row]
+    occupancy = _occupancy(
+        np.minimum.reduceat(seq, element.seg_starts),
+        np.maximum.reduceat(seq, element.seg_starts),
+        total,
+    )
     peak = int(occupancy.max(initial=0))
     peak_time = int(np.argmax(occupancy)) if total else -1
     peak_point: tuple[int, ...] | None = None
@@ -480,7 +548,6 @@ def liveness_profile_fast(
     # Reuse distances: gaps between consecutive accesses to the same
     # element.  Sorting each element's run of accesses by time makes the
     # consecutive accesses adjacent.
-    seq = times[element.point_row]
     run = np.zeros(seq.shape[0], dtype=np.int64)
     run[element.seg_starts[1:]] = 1
     np.cumsum(run, out=run)
@@ -490,7 +557,7 @@ def liveness_profile_fast(
     reuse_histogram = {int(v): int(c) for v, c in zip(values, counts)}
     return LivenessProfile(
         array=array,
-        occupancy=tuple(int(v) for v in occupancy),
+        occupancy=tuple(occupancy.tolist()),
         peak=peak,
         peak_time=peak_time,
         peak_point=peak_point,
@@ -521,12 +588,3 @@ def max_total_window_fast(
     names = tuple(arrays) if arrays is not None else program.arrays
     return _score(program, [transformation], names, "*")[0]
 
-
-def window_profile_fast(
-    program: Program,
-    array: str,
-    transformation: IntMatrix | None = None,
-) -> np.ndarray:
-    """Vectorized window-size profile over execution time."""
-    deltas = window_deltas(program, array, transformation)
-    return np.cumsum(deltas[:-1])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
-from repro.window.simulator import element_lifetimes
+from repro.window.fast import lifetime_table
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,12 @@ def lifetime_stats(
     ``max_lifetime`` and ``mean_lifetime`` — the same reuse happens much
     closer together in time.
     """
-    lifetimes = element_lifetimes(program, array, transformation)
-    if not lifetimes:
-        raise KeyError(array)
-    spans = [last - first for first, last in lifetimes.values()]
+    table = lifetime_table(program, array, transformation)
+    spans = table.last - table.first
     return LifetimeStats(
         array=array,
-        touched_elements=len(spans),
-        max_lifetime=max(spans),
-        mean_lifetime=sum(spans) / len(spans),
-        single_use_elements=sum(1 for s in spans if s == 0),
+        touched_elements=spans.shape[0],
+        max_lifetime=int(spans.max()),
+        mean_lifetime=int(spans.sum()) / spans.shape[0],
+        single_use_elements=int((spans == 0).sum()),
     )

@@ -300,15 +300,19 @@ def window_profile(
     array: str,
     transformation: IntMatrix | None = None,
 ) -> WindowProfile:
-    """Exact window size at every iteration (vectorized engine).
+    """Exact window size at every iteration, from the dense engine's
+    :func:`~repro.window.fast.lifetime_table`.
 
-    Semantics defined by :func:`window_profile_reference`; the numpy
-    engine is used for speed and the test suite pins them equal.
+    Semantics defined by :func:`window_profile_reference`; the test
+    suite pins them equal.
     """
-    from repro.window.fast import window_profile_fast
+    from repro.window import fast
 
-    sizes = window_profile_fast(program, array, transformation)
-    return WindowProfile(array, tuple(int(v) for v in sizes))
+    table = fast.lifetime_table(program, array, transformation)
+    sizes = fast._occupancy(
+        table.first, table.last, program.nest.total_iterations
+    )
+    return WindowProfile(array, tuple(sizes.tolist()))
 
 
 #: Engine names accepted by :func:`max_window_size`, :func:`max_total_window`

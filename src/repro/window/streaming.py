@@ -41,25 +41,12 @@ CHUNK = 65536
 _Lifetimes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _first_last(
-    ids: np.ndarray, first: np.ndarray, last: np.ndarray
-) -> _Lifetimes:
-    """Each distinct id with the min of its ``first`` and the max of its
-    ``last`` keys."""
-    order, starts = fast._runs(ids)
-    return (
-        ids[order[starts]],
-        np.minimum.reduceat(first[order], starts),
-        np.maximum.reduceat(last[order], starts),
-    )
-
-
 def _merge(parts: list[_Lifetimes]) -> _Lifetimes:
     """Fold block results into one ``(id, first, last)`` triple."""
     if len(parts) == 1:
         return parts[0]
     ids, first, last = (np.concatenate(column) for column in zip(*parts))
-    return _first_last(ids, first, last)
+    return fast._first_last(ids, first, last)
 
 
 def _stream_lifetimes(
@@ -87,7 +74,7 @@ def _stream_lifetimes(
                 f"dense fallback"
             )
         pack = np.array(fused[0], dtype=np.int64), fused[1]
-    packers = [fast._element_packer(program, name) for name in arrays]
+    packers = [fast._element_packer(program, name)[0] for name in arrays]
     # Per array: the merged lifetimes first, then the pending blocks,
     # merged once their rows outgrow the merged ones (amortized).
     parts: list[list[_Lifetimes]] = [[] for _ in arrays]
@@ -102,7 +89,7 @@ def _stream_lifetimes(
         for packer, held in zip(packers, parts):
             ids = packer(points)
             keys = np.tile(times, len(ids))
-            held.append(_first_last(np.concatenate(ids), keys, keys))
+            held.append(fast._first_last(np.concatenate(ids), keys, keys))
             if sum(p[0].shape[0] for p in held[1:]) > held[0][0].shape[0]:
                 held[:] = [_merge(held)]
     return [_merge(held) for held in parts]

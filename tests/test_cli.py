@@ -105,6 +105,14 @@ class TestCliExtensions:
         assert main(["buffer", "--optimized", str(path)]) == 0
         assert "MWS=21" in capsys.readouterr().out
 
+    def test_buffer_element_outside_declaration(self, tmp_path, capsys):
+        """Regression: the layout's IndexError escaped ``main`` as a
+        traceback."""
+        path = tmp_path / "halo.loop"
+        path.write_text("array A[0:3]\nfor i = 1 to 4 { A[i] = A[i - 1] }\n")
+        assert main(["buffer", str(path)]) == 1
+        assert capsys.readouterr().err == "error: element (4,) outside A[4]\n"
+
     def test_distribute(self, tmp_path, capsys):
         path = tmp_path / "pair.txt"
         path.write_text(
@@ -294,8 +302,8 @@ for i = 1 to 25 {
 
 class TestDenseBudgetMessage:
     """Past ``REPRO_DENSE_BUDGET`` the windows stream, but the profile,
-    sizing and hierarchy commands need the dense point matrix: their
-    error names the one thing a user can change."""
+    sizing, hierarchy and buffer commands need the dense point matrix:
+    their error names the one thing a user can change."""
 
     @pytest.fixture
     def example8(self, tmp_path, monkeypatch):
@@ -307,7 +315,7 @@ class TestDenseBudgetMessage:
         path.write_text(EXAMPLE_8)
         return str(path)
 
-    @pytest.mark.parametrize("command", ["viz", "size", "hierarchy"])
+    @pytest.mark.parametrize("command", ["viz", "size", "hierarchy", "buffer"])
     def test_error_names_the_budget_variable(self, example8, command, capsys):
         assert main([command, example8]) == 1
         err = capsys.readouterr().err

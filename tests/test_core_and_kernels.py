@@ -15,6 +15,7 @@ from repro.kernels import (
     threestep_log,
     two_point,
 )
+from repro.kernels.extended import EXTENDED_KERNELS
 from repro.linalg import IntMatrix, is_unimodular
 from repro.reporting import figure2_row, render_table
 from repro.transform.legality import is_legal, ordering_distances
@@ -161,6 +162,30 @@ class TestKernels:
             prog = spec.build()
             assert prog.nest.total_iterations > 0
             assert prog.arrays
+
+    @pytest.mark.parametrize(
+        "spec", KERNELS + EXTENDED_KERNELS, ids=lambda spec: spec.name
+    )
+    def test_touched_box_inside_declarations(self, spec):
+        """Regression: ``full_search`` read ``R`` at indices 2..32 and
+        ``rasta_flt`` touched ``X``/``Y`` at rows up to 56 of zero-based
+        56-row declarations, so every layout-addressed model raised
+        ``IndexError`` on them."""
+        prog = spec.build()
+        lowers, uppers = prog.nest.lowers, prog.nest.uppers
+        for ref in prog.references:
+            decl = prog.decl(ref.array)
+            for row, offset, origin, extent in zip(
+                ref.access.to_lists(), ref.offset, decl.origins, decl.extents
+            ):
+                terms = [
+                    (c * lo, c * hi) for c, lo, hi in zip(row, lowers, uppers)
+                ]
+                low = offset + sum(min(t) for t in terms)
+                high = offset + sum(max(t) for t in terms)
+                assert origin <= low and high < origin + extent, (
+                    f"{ref} touches {low}..{high} outside {decl}"
+                )
 
 
 class TestFigure2Rows:

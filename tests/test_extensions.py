@@ -106,6 +106,20 @@ class TestWindowAllocation:
         assert f"% {alloc.modulus}]" in text
         assert "X[" not in text.replace("X_buf[", "")
 
+    def test_rewrite_matches_whole_identifiers(self):
+        """Regression: folding ``A`` by substring match also rewrote the
+        declaration of ``AB`` and the reference ``BA[i]``."""
+        prog = parse_program(
+            "for i = 1 to 9 { AB[i] = A[i] + A[i-1] + BA[i] }"
+        )
+        text = rewrite_with_buffer(prog, "A", allocate_window(prog, "A"))
+        assert text.splitlines()[:3] == [
+            "array A_buf[2]", "array BA[1:9]", "array AB[1:9]",
+        ]
+        assert (
+            "S1: AB[i] = A_buf[((i)) % 2] + A_buf[((i - 1)) % 2] + BA[i]"
+        ) in text
+
     def test_unknown_array(self):
         prog = parse_program(EX8)
         with pytest.raises(KeyError):

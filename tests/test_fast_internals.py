@@ -16,8 +16,9 @@ from repro.window.fast import (
     _iteration_matrix,
     clear_iteration_cache,
     dense_budget,
-    window_deltas,
+    lifetime_table,
 )
+from repro.window.simulator import element_lifetimes, window_profile
 
 
 def _time_keys(program, transformation):
@@ -132,10 +133,14 @@ _BIG = 4611686018427387904
 def _element_id_paths(program):
     """Every production path that reads the dense engine's element ids,
     as a zero-argument callable each."""
+    from repro.layout import max_line_window
+    from repro.memory import CacheConfig, simulate_cache
     from repro.memory.scratchpad import access_stream, simulate_scratchpad
+    from repro.transform import allocate_window
     from repro.transform.tiling import tile_footprints
     from repro.window import (
         batched_mws,
+        lifetime_stats,
         max_total_window,
         max_window_size,
         window_profile,
@@ -155,7 +160,57 @@ def _element_id_paths(program):
         "tile_footprints": lambda: tile_footprints(program, (1,) * depth),
         "liveness_profile": lambda: liveness_profile_fast(program, "X"),
         "window_profile": lambda: window_profile(program, "X"),
+        "lifetime_stats": lambda: lifetime_stats(program, "X"),
+        "max_line_window": lambda: max_line_window(program, "X"),
+        "allocate_window": lambda: allocate_window(program, "X"),
+        "simulate_cache": lambda: simulate_cache(program, CacheConfig(4)),
     }
+
+
+class TestLifetimeTable:
+    @staticmethod
+    def _as_dict(table):
+        return {
+            tuple(c + o for c, o in zip(table.corner, row)): (first, last)
+            for row, first, last in zip(
+                table.offsets.tolist(), table.first.tolist(),
+                table.last.tolist(),
+            )
+        }
+
+    @pytest.mark.parametrize(
+        "rows", [None, [[0, 1], [1, 0]], [[1, 1], [0, 1]]]
+    )
+    def test_matches_the_reference_walk(self, rows):
+        prog = parse_program(
+            "for i = 1 to 4 { for j = 1 to 3 { "
+            "X[i][j + i] = X[i - 1][2*j] + X[j][i] } }"
+        )
+        t = None if rows is None else IntMatrix(rows)
+        table = lifetime_table(prog, "X", t)
+        assert self._as_dict(table) == element_lifetimes(prog, "X", t)
+        # Dense id order is the packed (row-major over the box) order.
+        assert table.offsets.tolist() == sorted(table.offsets.tolist())
+
+    def test_coordinates_past_int64_stay_exact(self):
+        """Offsets fold into the box corner, which stays a Python int, so
+        coordinates past int64 keep their addresses."""
+        from repro.check.oracles import allocate_window_reference
+        from repro.layout import RowMajorLayout
+        from repro.transform import allocate_window
+
+        prog = parse_program(
+            f"for i = 1 to 5 {{ X[i + {2**64}] = X[i + {2**64 - 1}] }}"
+        )
+        table = lifetime_table(prog, "X")
+        assert table.corner == (2**64,)
+        assert self._as_dict(table) == element_lifetimes(prog, "X")
+        assert table.addresses(RowMajorLayout(), prog.decl("X")).tolist() == [
+            0, 1, 2, 3, 4, 5,
+        ]
+        assert allocate_window(prog, "X") == allocate_window_reference(
+            prog, "X"
+        )
 
 
 class TestElementIdsPastInt64:
@@ -280,17 +335,15 @@ class TestDenseBudget:
         assert _iteration_matrix(prog).shape == (20, 1)
 
 
-class TestWindowDeltas:
-    def test_deltas_sum_to_zero(self):
+class TestWindowProfile:
+    def test_window_empties_by_the_last_iteration(self):
         prog = parse_program(
             "for i = 1 to 8 { X[2*i + 1] = X[2*i + 5] }"
         )
-        deltas = window_deltas(prog, "X")
-        assert int(deltas.sum()) == 0
+        assert window_profile(prog, "X").sizes[-1] == 0
 
-    def test_cumsum_nonnegative(self):
+    def test_sizes_nonnegative(self):
         prog = parse_program(
             "for i = 1 to 8 { X[2*i + 1] = X[2*i + 5] }"
         )
-        deltas = window_deltas(prog, "X")
-        assert (np.cumsum(deltas[:-1]) >= 0).all()
+        assert min(window_profile(prog, "X").sizes) >= 0

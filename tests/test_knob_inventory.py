@@ -7,7 +7,8 @@ points keep ``engine=``, for the oracles and tests that select the
 reference implementations; nothing above them, and no CLI flag, request
 field or environment variable, re-exposes the choice.  The streaming
 engine's block size is a constant too: no ``chunk`` parameter, no
-``REPRO_STREAM_CHUNK`` and no ``repro bench`` command to sweep it.
+``REPRO_STREAM_CHUNK`` and no ``repro bench`` command to sweep it.  The
+modulo allocation scans to a valid modulus with no ``search_limit``.
 """
 
 from __future__ import annotations
@@ -135,3 +136,15 @@ def test_no_module_reads_the_stream_chunk_variable():
         if "REPRO_STREAM_CHUNK" in path.read_text(encoding="utf-8")
     ]
     assert naming == []
+
+
+def test_allocate_window_takes_no_search_limit():
+    """Regression: ``search_limit`` below the true modulus returned an
+    unchecked one (Example 8 at 10: modulus 10 for an MWS of 44).  The
+    scan now always ends at a valid modulus, the declared size at the
+    latest."""
+    from repro.transform.window_allocation import allocate_window
+
+    assert list(inspect.signature(allocate_window).parameters) == [
+        "program", "array", "transformation", "layout",
+    ]

@@ -20,7 +20,9 @@ from repro.memory import (
     simulate_scratchpad,
     size_memory_for_program,
 )
-from repro.window import max_total_window, max_window_size
+from repro.layout import line_window_profile, max_line_window
+from repro.transform import allocate_window
+from repro.window import lifetime_stats, max_total_window, max_window_size
 
 
 EX8 = """
@@ -110,8 +112,31 @@ class TestScratchpad:
         assert stats.misses >= stats.cold_misses
         assert stats.hit_rate <= 1.0
 
+    def test_wide_arrays_share_one_trace(self):
+        """Regression: each array's packed ids fit int64, but offsetting
+        B's past A's passed 2**62, so the whole-program trace refused.
+        Dense ids number each array's elements from 0, and the trace
+        equals the per-point reference."""
+        from repro.check.oracles import (
+            _first_occurrence_labels,
+            access_stream_reference,
+        )
+        from repro.memory.scratchpad import access_stream
 
-#: Each memory simulator at capacity 4, in the order of ``T``.
+        program = parse_program(
+            f"for i = 1 to 9 {{ A[{2**58}*i] = B[{2**58}*i] }}"
+        )
+        elements, writes = access_stream(program)
+        expected = access_stream_reference(program)
+        assert writes.tolist() == [is_write for _, is_write in expected]
+        assert _first_occurrence_labels(
+            elements.tolist()
+        ) == _first_occurrence_labels(element for element, _ in expected)
+        assert simulate_scratchpad(program, 4).cold_misses == 18
+
+
+#: Each memory simulator at capacity 4, and each other reader of the
+#: window's lifetime table on the first array, in the order of ``T``.
 SIMULATORS = {
     "scratchpad": lambda p, t: simulate_scratchpad(p, 4, transformation=t),
     "hierarchy": lambda p, t: simulate_hierarchy(
@@ -123,6 +148,14 @@ SIMULATORS = {
         p, CacheConfig(total_lines=4, line_size=1, associativity=1),
         transformation=t,
     ),
+    "line_window": lambda p, t: max_line_window(
+        p, p.arrays[0], transformation=t
+    ),
+    "line_window_profile": lambda p, t: line_window_profile(
+        p, p.arrays[0], transformation=t
+    ),
+    "allocate_window": lambda p, t: allocate_window(p, p.arrays[0], t),
+    "lifetime_stats": lambda p, t: lifetime_stats(p, p.arrays[0], t),
 }
 
 
@@ -153,10 +186,11 @@ class TestRefusals:
         with pytest.raises(ValueError, match=message):
             SIMULATORS[simulator](program, t)
 
-    @pytest.mark.parametrize("simulator", ["scratchpad", "hierarchy", "bound"])
+    @pytest.mark.parametrize("simulator", sorted(SIMULATORS))
     def test_dense_budget_refuses(self, monkeypatch, simulator):
-        """The trace reads the dense engine's point matrix, so a nest past
-        ``REPRO_DENSE_BUDGET`` gets its ValueError instead of a walk."""
+        """The trace and the lifetime table read the dense engine's point
+        matrix, so a nest past ``REPRO_DENSE_BUDGET`` gets its ValueError
+        instead of a walk."""
         from repro.window.fast import DENSE_BUDGET_ENV, clear_iteration_cache
 
         monkeypatch.setenv(DENSE_BUDGET_ENV, "100")
@@ -166,16 +200,6 @@ class TestRefusals:
         )
         with pytest.raises(ValueError, match="budget"):
             SIMULATORS[simulator](program, None)
-
-    def test_offset_element_ids_screened(self):
-        """Each array's ids fit int64, but offsetting B past A's would
-        pass 2**62: the whole-program trace refuses, one array does not."""
-        program = parse_program(
-            f"for i = 1 to 9 {{ A[{2**58}*i] = B[{2**58}*i] }}"
-        )
-        with pytest.raises(ValueError, match=r"2\*\*62"):
-            simulate_scratchpad(program, 4)
-        assert simulate_scratchpad(program, 4, array="A").cold_misses == 9
 
 
 class TestCostModels:

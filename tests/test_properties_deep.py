@@ -58,15 +58,12 @@ class TestAllocationProperty:
         array = prog.arrays[0]
         alloc = allocate_window(prog, array)
         assert alloc.mws <= alloc.modulus <= max(1, alloc.declared)
-        # Re-verify conflict-freedom independently.
-        from repro.transform.window_allocation import (
-            _address_lifetimes,
-            modulo_is_valid,
-        )
+        # Re-verify conflict-freedom against the per-point lifetimes.
+        from repro.check.oracles import address_lifetimes_reference
+        from repro.transform.window_allocation import modulo_is_valid
 
-        lifetimes = _address_lifetimes(prog, array, RowMajorLayout(), None)
-        if alloc.modulus < alloc.declared:
-            assert modulo_is_valid(lifetimes, alloc.modulus)
+        lifetimes = address_lifetimes_reference(prog, array, RowMajorLayout())
+        assert modulo_is_valid(lifetimes, alloc.modulus)
 
 
 class TestDistributionProperty:

@@ -422,19 +422,27 @@ class TestTiling:
                 [[1, 2**58], [0, 1]],
                 "tile grid",
             ),
-            # The grid fits; 64 cells x 2**61.8 element ids do not.
-            (
-                f"for i = 1 to 8 {{ for j = 1 to 8 {{ A[{2**56}*i][j] = 0 }} }}",
-                [[1, 0], [0, 1]],
-                "element ids",
-            ),
         ],
-        ids=["matmul", "grid", "pack"],
+        ids=["matmul", "grid"],
     )
     def test_int64_screens_refuse(self, source, rows, limit):
         program = parse_program(source)
         with pytest.raises(ValueError, match=limit):
             tile_footprints(program, (1, 1), IntMatrix(rows))
+
+    def test_wide_element_box_matches_reference(self):
+        """Regression: 64 cells times the 2**61.8 packed ids of a wide
+        element box passed 2**62, so the footprints refused.  The pack
+        now uses dense ids (64 elements here) and equals the per-point
+        reference."""
+        from repro.check.oracles import tile_footprints_reference
+
+        program = parse_program(
+            f"for i = 1 to 8 {{ for j = 1 to 8 {{ A[{2**56}*i][j] = 0 }} }}"
+        )
+        got = tile_footprints(program, (1, 1))
+        assert got == tile_footprints_reference(program, (1, 1))
+        assert got.n_cells == 64
 
     def test_dense_budget_refuses(self, monkeypatch):
         """Footprints enumerate the dense engine's point matrix, so a nest
