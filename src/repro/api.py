@@ -101,41 +101,28 @@ def evaluate_kind(
         value = evaluate_exact(program, [None], array=array, store=store)[0]
         return {"array": array, "mws": value}
     if kind == "analyze":
-        from repro.estimation.memory import estimate_program_memory
-        from repro.transform.search import evaluate_exact
+        from repro.core.pipeline import analyze_program
 
-        per_array = {
-            name: evaluate_exact(program, [None], array=name, store=store)[0]
-            for name in program.arrays
-        }
-        total = evaluate_exact(program, [None], array=None, store=store)[0]
-        footprint = estimate_program_memory(program)
+        report = analyze_program(program, store=store)
         return {
-            "program": program.name,
-            "default_memory": program.default_memory,
-            "footprint": footprint.footprint_total,
-            "mws": per_array,
-            "mws_total": total,
+            "program": report.program,
+            "default_memory": report.default_memory,
+            "footprint": report.footprint.footprint_total,
+            "mws": report.mws_per_array,
+            "mws_total": report.mws_total,
         }
     if kind == "hierarchy":
         from repro.memory.hierarchy import preset as hierarchy_preset
-        from repro.memory.sizing import size_memory_for_hierarchy
+        from repro.memory.sizing import tiers_needed
+        from repro.transform.search import evaluate_exact
 
-        key = {"sig": program.signature(), "preset": preset}
-        if store is not None:
-            hit = store.get("hierarchy.sizing", key)
-            if isinstance(hit, dict):
-                return hit
         stack = hierarchy_preset(preset)
-        report = size_memory_for_hierarchy(program, stack)
-        value = {
+        mws = evaluate_exact(program, [None], store=store)[0]
+        return {
             "preset": preset,
-            "mws_words": report.mws_words,
-            "tiers_needed": report.tiers_needed,
+            "mws_words": mws,
+            "tiers_needed": tiers_needed(stack, mws),
         }
-        if store is not None:
-            store.put("hierarchy.sizing", key, value)
-        return value
     if kind == "param":
         from repro.estimation.parametric import resolve_parametric
 
@@ -487,8 +474,11 @@ class AnalysisService:
             request.kernel, request.file, request.source, request.name
         )
 
-    def _payload(self, request: AnalysisRequest, evaluator) -> tuple:
-        """Resolve the request into the item task's payload."""
+    def _payload(
+        self, request: AnalysisRequest, evaluator, program: Program | None
+    ) -> tuple:
+        """Resolve the request (unless its ``program`` is given) into the
+        item task's payload."""
         if evaluator is None:
             # functools.partial of a module-level callable pickles to
             # pool workers; the default path ships the bare function.
@@ -497,7 +487,8 @@ class AnalysisService:
                 evaluator = functools.partial(
                     evaluate_kind, preset=request.preset
                 )
-        program = self.resolve_program(request)
+        if program is None:
+            program = self.resolve_program(request)
         return (
             evaluator, f"{request.kind} {request.target}",
             program.signature(), request.kind, program, request.array,
@@ -505,17 +496,22 @@ class AnalysisService:
         )
 
     def evaluate(
-        self, request: AnalysisRequest, evaluator=None
+        self,
+        request: AnalysisRequest,
+        evaluator=None,
+        program: Program | None = None,
     ) -> AnalysisResponse:
         """Evaluate inline (no pool, no preemption); never raises on the
         *item's* behalf — failures come back as ``status="error"``.
 
-        ``evaluator`` (tests only) replaces :func:`evaluate_kind`.
+        ``evaluator`` (tests only) replaces :func:`evaluate_kind`;
+        ``program`` is the request's program when the caller has
+        already resolved it (``repro batch`` does, to deduplicate).
         """
         started = time.perf_counter()
         try:
             result, delta = _run_item(
-                self._payload(request, evaluator), drain=False
+                self._payload(request, evaluator, program), drain=False
             )
         except Exception as exc:
             obs.counter("batch.items.error")
@@ -533,6 +529,7 @@ class AnalysisService:
         request: AnalysisRequest,
         timeout: float | None = None,
         evaluator=None,
+        program: Program | None = None,
     ) -> AnalysisResponse:
         """Evaluate on the worker pool with the item timeout path.
 
@@ -541,16 +538,17 @@ class AnalysisService:
         and respawned (``batch.worker.reclaimed``) and the response is
         ``status="timeout"``.  With ``workers=0`` this degrades to
         :meth:`evaluate`.  ``evaluator`` (tests only; module-level so it
-        pickles) replaces :func:`evaluate_kind`.  Thread-safe.
+        pickles) replaces :func:`evaluate_kind`; ``program`` is as in
+        :meth:`evaluate`.  Thread-safe.
         """
         if timeout is None:
             timeout = request.timeout
         if timeout is None:
             timeout = self.timeout
         if self.workers < 1:
-            return self.evaluate(request, evaluator)
+            return self.evaluate(request, evaluator, program)
         try:
-            payload = self._payload(request, evaluator)
+            payload = self._payload(request, evaluator, program)
         except Exception as exc:
             obs.counter("batch.items.error")
             return _failed(request, exc)

@@ -2159,3 +2159,161 @@ class CandidateScreenReference(Oracle):
                 f"{[t.rows for t in reference]}"
             )
         return None
+
+
+# ----------------------------------------------------------------------
+# the search cache
+# ----------------------------------------------------------------------
+
+#: Record kinds holding a whole search answer (one record per answer).
+_WHOLE_ANSWER_KINDS = ("search", "optimize", "hierarchy")
+
+
+def _logging_store(root):
+    """A :class:`repro.store.ResultStore` that lists the record files
+    of the whole answers it is asked for (``store.read``)."""
+    from repro.store import ResultStore
+
+    class LoggingStore(ResultStore):
+        def __init__(self, root) -> None:
+            super().__init__(root)
+            self.read: list = []
+
+        def get(self, kind, key):
+            if kind in _WHOLE_ANSWER_KINDS:
+                self.read.append(self.record_path(kind, key))
+            return super().get(kind, key)
+
+    return LoggingStore(root)
+
+
+def _small_tcm():
+    """The ``tcm`` preset shrunk to 8 + 32 words, so generated nests
+    overflow it and the hierarchy search prunes."""
+    from repro.memory.hierarchy import preset
+
+    return preset("tcm").resized(0, 8).resized(1, 32)
+
+
+def search_cache_answers(
+    program: Program, store, cold: bool = False
+) -> list[tuple[str, object]]:
+    """Every whole answer the search cache serves for ``program``, in a
+    fixed order: the per-array search of each uniform array,
+    ``optimize_program``, ``search_hierarchy`` with ``prune`` on and off
+    (depth <= 3, on :func:`_small_tcm`), and the five non-``param`` api
+    kinds as ``(field, value)`` lists, so field order counts.  The
+    caller's own name reads ``"<caller>"``, so any other name shows; an
+    error is an answer too.  ``cold`` empties the memos before each
+    answer, so that none is served from another's cache entry."""
+    from repro.api import evaluate_kind
+    from repro.core.optimizer import optimize_program
+    from repro.transform.hierarchy_search import search_hierarchy
+    from repro.transform.search import clear_exact_cache, search_best_transformation
+
+    def named(value):
+        if getattr(value, "program", None) == program.name:
+            return replace(value, program="<caller>")
+        if isinstance(value, dict):
+            return [
+                (k, "<caller>" if k == "program" and v == program.name else v)
+                for k, v in value.items()
+            ]
+        return value
+
+    calls = [
+        (f"search {array}",
+         functools.partial(search_best_transformation, program, array, store=store))
+        for array in program.arrays if program.is_uniformly_generated(array)
+    ]
+    calls.append(("optimize", functools.partial(optimize_program, program, store=store)))
+    if program.nest.depth <= 3:
+        calls += [
+            (f"hierarchy prune={prune}",
+             functools.partial(
+                 search_hierarchy, program, _small_tcm(), prune=prune, store=store
+             ))
+            for prune in (True, False)
+        ]
+    calls += [
+        (f"kind {kind}", functools.partial(evaluate_kind, kind, program, store=store))
+        for kind in ("optimize", "search", "mws", "analyze", "hierarchy")
+    ]
+    answers: list[tuple[str, object]] = []
+    for label, call in calls:
+        if cold:
+            clear_exact_cache()
+        try:
+            answers.append((label, named(call())))
+        except (ValueError, KeyError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            answers.append((label, error.replace(program.name, "<caller>")))
+    return answers
+
+
+@register
+class SearchCacheRoundtrip(Oracle):
+    name = "search-cache-roundtrip"
+    kind = "cross"
+    paper = (
+        "Section 4's search result is a pure function of the loop nest "
+        "and the search knobs, so serving it from the in-process memo or "
+        "the store, under any program name, or recomputing it past a "
+        "corrupt record must give exactly the storeless answer."
+    )
+    config = GeneratorConfig(min_trip=2, max_trip=5)
+
+    def generate(self, seed: int) -> Program:
+        depth = 2 + seed % 3
+        # Depth 4 keeps three access rows, as in candidate-screen-reference.
+        return random_program(
+            seed,
+            replace(
+                self.config,
+                depth=depth,
+                uniform_only=(seed // 3) % 2 == 0,
+                array_rank=3 if depth == 4 else None,
+            ),
+        )
+
+    def check(self, program: Program, seed: int = 0) -> Violation | None:
+        import json
+        import tempfile
+
+        from repro.transform.search import clear_exact_cache
+
+        renamed = _rebuild(program, name=f"{program.name}-renamed")
+        want = search_cache_answers(renamed, None, cold=True)
+        with tempfile.TemporaryDirectory() as root:
+            store = _logging_store(root)
+            for label, subject in (
+                ("fresh store", program),
+                ("warm store, memos cleared", renamed),
+                ("one record truncated", renamed),
+            ):
+                clear_exact_cache()
+                store.drop_memory()
+                if label == "one record truncated":
+                    # A record the warm pass read, so this pass reads it.
+                    read = sorted(p for p in set(store.read) if p.exists())
+                    victim = read[seed % len(read)]
+                    text = victim.read_text(encoding="utf-8")
+                    victim.write_text(text[: len(text) // 2], encoding="utf-8")
+                store.read = []
+                got = search_cache_answers(subject, store)
+                for (what, mine), (_, theirs) in zip(got, want):
+                    if mine != theirs:
+                        return self.fail(
+                            f"{label}: {what} answered {mine}, storeless "
+                            f"{theirs}",
+                            program,
+                        )
+            try:
+                json.loads(victim.read_text(encoding="utf-8"))
+            except ValueError:
+                return self.fail(
+                    f"truncated record {victim.parent.name}/{victim.name} "
+                    f"was not rewritten by the recompute",
+                    program,
+                )
+        return None

@@ -58,7 +58,7 @@ def _load_target(target: str):
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     program = load_program(file=args.file)
-    print(analyze_program(program))
+    print(analyze_program(program, store=args.store_obj))
     return 0
 
 
@@ -81,9 +81,7 @@ def _cmd_dependences(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     program = load_program(file=args.file)
-    result = optimize_program(
-        program, store=args.store_obj, parametric=args.parametric
-    )
+    result = optimize_program(program, store=args.store_obj)
     print(f"MWS before : {result.mws_before}")
     print(f"MWS after  : {result.mws_after}")
     print(f"reduction  : {100 * result.reduction:.1f}%")
@@ -632,11 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="search the MWS-minimizing transformation")
     p.add_argument("file")
     p.add_argument("--codegen", action="store_true", help="emit transformed source")
-    p.add_argument(
-        "--parametric",
-        action="store_true",
-        help="answer candidate scores from derived closed forms where possible",
-    )
     p.add_argument(
         "--hierarchy",
         metavar="PRESET",

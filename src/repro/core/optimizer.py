@@ -12,13 +12,19 @@ provision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro import obs
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.transform.elementary import signed_permutation_stack, unimodular_stack
 from repro.transform.legality import is_legal, legal_matrices, ordering_distances
+from repro.transform.search import (
+    cached_search,
+    cascade_winner,
+    search_mws_2d,
+    search_mws_3d,
+)
 
 
 @dataclass(frozen=True)
@@ -42,15 +48,6 @@ class OptimizationResult:
         return 1.0 - self.mws_after / self.mws_before
 
 
-def _program_ordering_distances(program: Program) -> list[tuple[int, ...]]:
-    out: dict[tuple[int, ...], None] = {}
-    for array in program.arrays:
-        if program.is_uniformly_generated(array):
-            for d in ordering_distances(program, array):
-                out.setdefault(d, None)
-    return list(out)
-
-
 def candidate_transformations(program: Program, store=None) -> list[IntMatrix]:
     """Legal candidate transformations for program-level optimization.
 
@@ -64,7 +61,7 @@ def candidate_transformations(program: Program, store=None) -> list[IntMatrix]:
     enumerated spaces are screened for legality as whole stacks.
     """
     n = program.nest.depth
-    distances = _program_ordering_distances(program)
+    distances = ordering_distances(program)
     candidates: dict[IntMatrix, None] = {IntMatrix.identity(n): None}
     spaces = [signed_permutation_stack(n)]
     if n == 2:
@@ -73,8 +70,6 @@ def candidate_transformations(program: Program, store=None) -> list[IntMatrix]:
         for t in legal_matrices(stack, distances):
             candidates.setdefault(t, None)
     if n in (2, 3):
-        from repro.transform.search import search_mws_2d, search_mws_3d
-
         search = search_mws_2d if n == 2 else search_mws_3d
         for array in program.arrays:
             if not program.is_uniformly_generated(array):
@@ -119,9 +114,7 @@ def _access_embeddings(
     return out
 
 
-def optimize_program(
-    program: Program, store=None, parametric: bool = False
-) -> OptimizationResult:
+def optimize_program(program: Program, store=None) -> OptimizationResult:
     """Choose the legal transformation minimizing total MWS.
 
     Exact scoring via the window simulator; the identity is always a
@@ -132,34 +125,59 @@ def optimize_program(
     order (first, so its score is always exact) sets the incumbent, and
     candidates whose certified/clipped lower bound cannot strictly beat
     the running best are never simulated — the chosen transformation is
-    identical to scoring everything.  ``store`` (a
-    :class:`repro.store.ResultStore`) persists search results and exact
-    values, so a warm process re-optimizes without simulating.
-    ``parametric=True`` answers candidate scores from derived
-    closed-form expressions where the parametric engine covers them
-    (identical values; see :func:`repro.transform.search.evaluate_exact`).
+    identical to scoring everything.  The whole result is cached by
+    program signature (record kind ``optimize``, see
+    :func:`repro.transform.search.cached_search`), so a repeat — or a
+    warm process with ``store`` (a :class:`repro.store.ResultStore`) —
+    answers without listing candidates.
     """
-    from repro.transform.search import evaluate_cascade
-
     with obs.span("optimize", program=program.name):
-        with obs.span("candidates"):
-            candidates = candidate_transformations(program, store=store)
-        obs.counter("optimize.candidates", len(candidates))
-        outcomes = evaluate_cascade(
-            program, [None] + candidates, array=None,
-            store=store, parametric=parametric,
+        result = cached_search(
+            "optimize", {"sig": program.signature()}, store,
+            lambda: _optimize(program, store), _encode, _decode,
         )
-        before = outcomes[0].value
-        best_t = IntMatrix.identity(program.nest.depth)
-        best_value = before
-        for t, outcome in zip(candidates, outcomes[1:]):
-            if outcome.exact and outcome.value < best_value:
-                best_value = outcome.value
-                best_t = t
+    # The signature leaves names out, so a hit answers with the caller's.
+    return replace(result, program=program.name)
+
+
+def _optimize(program: Program, store) -> OptimizationResult:
+    with obs.span("candidates"):
+        candidates = candidate_transformations(program, store=store)
+    obs.counter("optimize.candidates", len(candidates))
+    outcomes, (after, best) = cascade_winner(
+        program, [None, *candidates], store=store
+    )
+    return OptimizationResult(
+        program=program.name,
+        transformation=(
+            IntMatrix.identity(program.nest.depth) if best is None else best
+        ),
+        mws_before=outcomes[0].value,
+        mws_after=after,
+        candidates_tried=len(candidates),
+    )
+
+
+def _encode(result: OptimizationResult) -> dict:
+    return {
+        "t": result.transformation.rows,
+        "before": result.mws_before,
+        "after": result.mws_after,
+        "tried": result.candidates_tried,
+    }
+
+
+def _decode(value) -> OptimizationResult | None:
+    """Stored payload -> result (named by the caller); ``None`` (a
+    counted ``store.corrupt`` miss) when it does not decode."""
+    try:
         return OptimizationResult(
-            program=program.name,
-            transformation=best_t,
-            mws_before=before,
-            mws_after=best_value,
-            candidates_tried=len(candidates),
+            program="",
+            transformation=IntMatrix(value["t"]),
+            mws_before=int(value["before"]),
+            mws_after=int(value["after"]),
+            candidates_tried=int(value["tried"]),
         )
+    except (KeyError, TypeError, ValueError, IndexError):
+        obs.counter("store.corrupt")
+        return None

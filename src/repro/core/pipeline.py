@@ -9,7 +9,6 @@ from repro.core.optimizer import OptimizationResult, optimize_program
 from repro.estimation.memory import ProgramMemoryReport, estimate_program_memory
 from repro.ir.program import Program
 from repro.memory.sizing import SizingReport, size_memory_for_program
-from repro.window.simulator import max_total_window, max_window_size
 
 
 @dataclass(frozen=True)
@@ -34,17 +33,22 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def analyze_program(program: Program) -> AnalysisReport:
+def analyze_program(program: Program, store=None) -> AnalysisReport:
     """Estimate footprints and measure exact windows for every array.
 
-    Windows come from the dense engine while the nest fits
-    ``REPRO_DENSE_BUDGET`` and are streamed block by block past it.
+    Windows are scored through
+    :func:`repro.transform.search.evaluate_exact` (memoized, and
+    persisted in ``store`` when one is given): the dense engine while
+    the nest fits ``REPRO_DENSE_BUDGET``, streamed block by block past
+    it.
     """
+    from repro.transform.search import evaluate_exact
+
     obs.runctx.note_input(program.name, program.signature())
     with obs.span("pipeline.analyze", program=program.name):
         footprint = estimate_program_memory(program)
         per_array = {
-            array: max_window_size(program, array)
+            array: evaluate_exact(program, [None], array=array, store=store)[0]
             for array in program.arrays
         }
         return AnalysisReport(
@@ -52,7 +56,7 @@ def analyze_program(program: Program) -> AnalysisReport:
             default_memory=program.default_memory,
             footprint=footprint,
             mws_per_array=per_array,
-            mws_total=max_total_window(program),
+            mws_total=evaluate_exact(program, [None], store=store)[0],
         )
 
 

@@ -120,6 +120,16 @@ class HierarchySizingReport:
         return self.stats.energy_pj
 
 
+def tiers_needed(hierarchy: MemoryHierarchy, mws_words: int) -> int | None:
+    """The shallowest prefix of the stack whose summed capacity covers
+    ``mws_words`` (see :class:`HierarchySizingReport`); ``None`` when
+    even the whole stack is too small."""
+    for index, cumulative in enumerate(hierarchy.cumulative_capacities):
+        if cumulative >= max(1, mws_words):
+            return index + 1
+    return None
+
+
 def size_memory_for_hierarchy(
     program: Program,
     hierarchy: MemoryHierarchy,
@@ -137,15 +147,10 @@ def size_memory_for_hierarchy(
     stats = simulate_hierarchy(
         program, hierarchy, transformation=transformation, policy=policy
     )
-    tiers_needed = None
-    for index, cumulative in enumerate(hierarchy.cumulative_capacities):
-        if cumulative >= max(1, mws):
-            tiers_needed = index + 1
-            break
     return HierarchySizingReport(
         program=program.name,
         hierarchy=hierarchy.name,
         mws_words=mws,
-        tiers_needed=tiers_needed,
+        tiers_needed=tiers_needed(hierarchy, mws),
         stats=stats,
     )

@@ -198,14 +198,17 @@ def run_batch(
                       workers=service.workers):
             if service.workers == 0:
                 for item in unique:
-                    finish(item, service.evaluate(item.request, evaluator))
+                    finish(item, service.evaluate(
+                        item.request, evaluator, item.program
+                    ))
             else:
                 # One driver thread per pool slot, as the HTTP server
                 # drives the service; completions are handled here.
                 with ThreadPoolExecutor(max_workers=service.workers) as threads:
                     futures = {
                         threads.submit(
-                            service.submit, item.request, evaluator=evaluator
+                            service.submit, item.request,
+                            evaluator=evaluator, program=item.program,
                         ): item
                         for item in unique
                     }

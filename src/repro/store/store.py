@@ -1,10 +1,14 @@
 """Persistent, content-addressed result store.
 
-Exact windows, search results, and cascade outcomes are pure functions
-of ``Program.signature()`` and the search knobs, so — like the reuse
+Exact windows and whole search answers are pure functions of
+``Program.signature()`` and the search knobs, so — like the reuse
 profiles AutoLALA and the static estimators treat as cacheable
 artifacts keyed by the loop nest — they can be persisted once and
-served to every later process.  The store maps
+served to every later process.  The record kinds are ``exact`` (one
+window), ``search``, ``optimize`` and ``hierarchy`` (whole search
+answers, read and written only by
+:func:`repro.transform.search.cached_search`), ``parametric`` (a
+derived closed form) and ``ledger`` (a sealed run).  The store maps
 
     (program signature, kind, array, knob key)  ->  JSON value
 

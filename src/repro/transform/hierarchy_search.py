@@ -45,15 +45,16 @@ the result's certified off-chip floor.
 
 Instrumentation: span ``search.hierarchy`` (one ``tiling.footprints``
 child per measured tile), counters ``search.hierarchy.{lb_evals,pruned,
-evaluated,configs}``, journal stage ``"hierarchy"``, and persistent store
-records under the new kind ``"hierarchy"``.
+evaluated,configs}``, journal stage ``"hierarchy"``, and whole results
+cached through :func:`repro.transform.search.cached_search` (record kind
+``"hierarchy"``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro import obs
 from repro.estimation.bounds import transfer_lower_bound
@@ -63,6 +64,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.transform import journal
 from repro.transform.elementary import signed_permutation_stack
 from repro.transform.legality import legal_matrices, ordering_distances
+from repro.transform.search import cached_search
 from repro.transform.tiling import is_fully_permutable, tile_footprints
 
 
@@ -153,12 +155,10 @@ def default_candidates(program: Program) -> list[IntMatrix | None]:
     enumerate at any depth, and interchanges are where tiling wins come
     from (skews are covered by passing explicit candidates).
     """
-    distances: list[tuple[int, ...]] = []
-    for array in program.arrays:
-        if program.is_uniformly_generated(array):
-            distances.extend(ordering_distances(program, array))
     identity = IntMatrix.identity(program.nest.depth)
-    legal = legal_matrices(signed_permutation_stack(program.nest.depth), distances)
+    legal = legal_matrices(
+        signed_permutation_stack(program.nest.depth), ordering_distances(program)
+    )
     # The identity is the same order as None.
     return [None] + [t for t in legal if t != identity]
 
@@ -230,7 +230,6 @@ def _decode_plan(value: dict) -> HierarchyPlan:
 
 def _encode_result(result: HierarchySearchResult) -> dict:
     return {
-        "program": result.program,
         "hierarchy": result.hierarchy,
         "best": _encode_plan(result.best),
         "flat": _encode_plan(result.flat),
@@ -239,15 +238,16 @@ def _encode_result(result: HierarchySearchResult) -> dict:
         "configs": result.configs,
         "evaluated": result.evaluated,
         "pruned": result.pruned,
+        "method": result.method,
     }
 
 
 def _decode_result(value) -> HierarchySearchResult | None:
-    """Stored payload -> result; ``None`` (a miss) when it does not
-    decode — corrupt records heal on the recompute's write."""
+    """Stored payload -> result (named by the caller); ``None`` (a
+    counted ``store.corrupt`` miss) when it does not decode."""
     try:
         return HierarchySearchResult(
-            program=str(value["program"]),
+            program="",
             hierarchy=str(value["hierarchy"]),
             best=_decode_plan(value["best"]),
             flat=_decode_plan(value["flat"]),
@@ -256,25 +256,11 @@ def _decode_result(value) -> HierarchySearchResult | None:
             configs=int(value["configs"]),
             evaluated=int(value["evaluated"]),
             pruned=int(value["pruned"]),
-            method="store",
+            method=str(value["method"]),
         )
     except (KeyError, TypeError, ValueError, IndexError):
         obs.counter("store.corrupt")
         return None
-
-
-def _store_key(
-    program: Program,
-    hierarchy: MemoryHierarchy,
-    candidates: list[IntMatrix | None],
-    max_tile: int,
-) -> dict:
-    return {
-        "sig": program.signature(),
-        "hier": hierarchy.spec(),
-        "cands": [None if t is None else t.rows for t in candidates],
-        "max_tile": max_tile,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -295,22 +281,43 @@ def search_hierarchy(
     ``candidates`` defaults to :func:`default_candidates`; pass
     ``[None]`` to keep the native order.  With
     ``prune=False`` every feasible configuration is evaluated; the
-    prunes are admissible, so the winner is identical either way.
-    Passing ``store=`` persists the result under kind ``"hierarchy"``.
+    prunes are admissible, so the winner is identical either way (the
+    counts differ, so ``prune`` is part of the cache key).  The whole
+    result is cached through
+    :func:`repro.transform.search.cached_search` under record kind
+    ``"hierarchy"``, persisted when ``store=`` is passed.  The default
+    candidates depend only on the program, so they are keyed as
+    ``None`` and enumerated only when the search runs.
     """
+    if candidates is not None and not candidates:
+        raise ValueError("no candidate transformations")
+    key = {
+        "sig": program.signature(),
+        "hier": hierarchy.spec(),
+        "cands": None if candidates is None else [
+            None if t is None else t.rows for t in candidates
+        ],
+        "max_tile": max_tile,
+        "prune": prune,
+    }
+    result = cached_search(
+        "hierarchy", key, store,
+        lambda: _search(program, hierarchy, candidates, max_tile, prune),
+        _encode_result, _decode_result,
+    )
+    # The signature leaves names out, so a hit answers with the caller's.
+    return replace(result, program=program.name)
+
+
+def _search(
+    program: Program,
+    hierarchy: MemoryHierarchy,
+    candidates: list[IntMatrix | None] | None,
+    max_tile: int,
+    prune: bool,
+) -> HierarchySearchResult:
     if candidates is None:
         candidates = default_candidates(program)
-    if not candidates:
-        raise ValueError("no candidate transformations")
-
-    key = _store_key(program, hierarchy, candidates, max_tile)
-    if store is not None and journal.active() is None:
-        value = store.get("hierarchy", key)
-        if value is not None:
-            decoded = _decode_result(value)
-            if decoded is not None:
-                return decoded
-
     arrays = sorted(program.arrays)
     accesses = _accesses_per_array(program)
     tiers = hierarchy.tiers
@@ -456,7 +463,7 @@ def search_hierarchy(
     bound_words = transfer_lower_bound(
         program, hierarchy.total_capacity, transformation=best.transformation
     )
-    result = HierarchySearchResult(
+    return HierarchySearchResult(
         program=program.name,
         hierarchy=hierarchy.name,
         best=best,
@@ -468,6 +475,3 @@ def search_hierarchy(
         pruned=pruned,
         method="cascade" if prune else "exhaustive",
     )
-    if store is not None and journal.active() is None:
-        store.put("hierarchy", key, _encode_result(result))
-    return result

@@ -189,19 +189,25 @@ def ordering_distances(
     from repro.dependence.analysis import array_dependences
 
     def compute() -> list[tuple[int, ...]]:
-        arrays = [array] if array is not None else [
-            a for a in program.arrays if program.is_uniformly_generated(a)
-        ]
         seen: dict[tuple[int, ...], None] = {}
-        for name in arrays:
-            if not program.is_uniformly_generated(name):
-                raise ValueError(f"{name}: non-uniform references")
-            for dep in array_dependences(program, name, include_input=True):
-                if not dep.kind.constrains_order:
-                    continue
-                if reductions_reorderable and dep.reduction:
-                    continue
-                seen.setdefault(dep.distance, None)
+        if array is None:
+            # The union of the memoized per-array sets, so that each
+            # array's dependences are analysed once, whichever set the
+            # caller asks for first.
+            for name in program.arrays:
+                if program.is_uniformly_generated(name):
+                    seen.update(dict.fromkeys(
+                        ordering_distances(program, name, reductions_reorderable)
+                    ))
+            return list(seen)
+        if not program.is_uniformly_generated(array):
+            raise ValueError(f"{array}: non-uniform references")
+        for dep in array_dependences(program, array, include_input=True):
+            if not dep.kind.constrains_order:
+                continue
+            if reductions_reorderable and dep.reduction:
+                continue
+            seen.setdefault(dep.distance, None)
         return list(seen)
 
     key = (program.signature(), array, reductions_reorderable, "ordering")

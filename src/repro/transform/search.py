@@ -42,28 +42,33 @@ tiers are provably safe: they never prune a candidate that could
 strictly improve on the incumbent, so the winner is identical to
 evaluating everything.
 
-Whole-search results are additionally memoized in ``_SEARCH_CACHE``
-(content-hash keyed, bypassed while a journal records so ``repro
-explain`` always sees a full trace).  Both memos are bounded
-:class:`~repro.store.lru.LRUCache` instances with eviction counters;
-passing ``store=`` (a :class:`repro.store.ResultStore`) additionally
-persists exact values, search results, and cascade outcomes across
-processes — see :mod:`repro.store`.
+Every whole search result — the per-array searches here,
+:func:`repro.core.optimizer.optimize_program` and
+:func:`repro.transform.hierarchy_search.search_hierarchy` — goes through
+one cache, :func:`cached_search`: the content-hash keyed
+``_SEARCH_CACHE`` memo, then the store, then the computation, all
+bypassed while a journal records so ``repro explain`` always sees a full
+trace.  Both memos are bounded :class:`~repro.store.lru.LRUCache`
+instances with eviction counters; passing ``store=`` (a
+:class:`repro.store.ResultStore`) additionally persists exact values
+(record kind ``exact``) and whole results (``search``, ``optimize``,
+``hierarchy``) across processes — see :mod:`repro.store`.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from repro import obs
 from repro.estimation import bounds
-from repro.estimation.parametric import clear_param_cache, parametric_value
+from repro.estimation.parametric import clear_param_cache
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.store.lru import LRUCache
@@ -117,12 +122,13 @@ class SearchResult:
 _EXACT_CACHE_LIMIT = 65536
 _EXACT_CACHE: LRUCache = LRUCache(_EXACT_CACHE_LIMIT, counter="search.cache")
 
-#: Whole-search memo: ``(kind, program signature, array, bounds...)`` ->
-#: :class:`SearchResult`.  Search results are pure in the program and the
-#: search knobs, so repeated searches — benchmark loops, the Figure-2
-#: table re-running per array, service pool workers — hit here.
-#: Bypassed while a journal records, so ``repro explain`` always sees
-#: the full trace.
+#: Whole-search memo of :func:`cached_search`: ``(record kind,
+#: canonical key)`` -> result (a :class:`SearchResult`, an
+#: ``OptimizationResult`` or a ``HierarchySearchResult``).  Results are
+#: pure in the program and the search knobs, so repeated searches —
+#: benchmark loops, the Figure-2 table re-running per array, service
+#: pool workers — hit here.  Bypassed while a journal records, so
+#: ``repro explain`` always sees the full trace.
 #: LRU-bounded (``search.memo.evictions``): benchmark loops cycling more
 #: than the limit evict one key at a time instead of thrashing the whole
 #: memo with a wholesale ``clear()``.
@@ -146,21 +152,50 @@ def exact_cache_size() -> int:
     return len(_EXACT_CACHE)
 
 
-def _search_memo_get(key: tuple) -> "SearchResult | None":
+_R = TypeVar("_R")
+_T = TypeVar("_T")
+
+
+def cached_search(
+    record_kind: str,
+    key: dict,
+    store,
+    compute: Callable[[], _R],
+    encode: Callable[[_R], Any],
+    decode: Callable[[Any], "_R | None"],
+) -> _R:
+    """One search's whole result: memo, then store, then ``compute()``.
+
+    The in-process ``_SEARCH_CACHE`` answers first (``search.memo.*``
+    counters), then ``store`` under ``(record_kind, key)``; only a miss
+    in both computes, and the result fills both.  A memo hit still
+    writes through to a ``store`` that lacks the record (an answer
+    first computed without a store is persisted by the first call that
+    passes one).  ``decode`` maps a stored payload back to a result, or
+    to ``None`` (counting ``store.corrupt``) when it does not decode — a
+    miss, which the recompute's write heals.  While a journal records
+    both layers are skipped, so ``repro explain`` always sees the full
+    trace.
+    """
     if journal.active() is not None:
-        return None
-    result = _SEARCH_CACHE.get(key)
+        return compute()
+    memo_key = (record_kind, json.dumps(key, sort_keys=True))
+    result = _SEARCH_CACHE.get(memo_key)
     if result is not None:
         obs.counter("search.memo.hits")
-    else:
-        obs.counter("search.memo.misses")
+        if store is not None and store.get(record_kind, key) is None:
+            store.put(record_kind, key, encode(result))
+        return result
+    obs.counter("search.memo.misses")
+    if store is not None:
+        value = store.get(record_kind, key)
+        result = None if value is None else decode(value)
+    if result is None:
+        result = compute()
+        if store is not None:
+            store.put(record_kind, key, encode(result))
+    _SEARCH_CACHE.put(memo_key, result)
     return result
-
-
-def _search_memo_store(key: tuple, result: "SearchResult") -> None:
-    if journal.active() is not None:
-        return
-    _SEARCH_CACHE.put(key, result)
 
 
 def _t_key(transformation: IntMatrix | None) -> tuple | None:
@@ -210,36 +245,12 @@ def _decode_result(value) -> "SearchResult | None":
         return None
 
 
-def _search_store_get(store, kind: str, sig: str, array: str, knobs: dict):
-    """Persisted :class:`SearchResult`, or ``None``; bypassed while a
-    journal records so ``repro explain`` still sees the full trace."""
-    if store is None or journal.active() is not None:
-        return None
-    value = store.get("search", {"kind": kind, "sig": sig, "array": array, **knobs})
-    if value is None:
-        return None
-    return _decode_result(value)
-
-
-def _search_store_put(
-    store, kind: str, sig: str, array: str, knobs: dict, result: "SearchResult"
-) -> None:
-    if store is None:
-        return
-    store.put(
-        "search",
-        {"kind": kind, "sig": sig, "array": array, **knobs},
-        _encode_result(result),
-    )
-
-
 def evaluate_exact(
     program: Program,
     candidates: Sequence[IntMatrix | None],
     array: str | None = None,
     stage: str = "evaluate",
     store=None,
-    parametric: bool = False,
 ) -> list[int]:
     """Exact MWS for each candidate transformation, in candidate order.
 
@@ -253,22 +264,11 @@ def evaluate_exact(
     stay out of the ranked candidate table).  ``store`` (a
     :class:`repro.store.ResultStore`) persists each exact value, so a
     later process skips the simulation entirely.
-
-    ``parametric=True`` consults the parametric engine before
-    simulating a miss: a closed form is derived once per program
-    *family* (bounds stripped — see
-    :func:`repro.estimation.parametric.parametric_signature`) and every
-    size inside its verified domain is answered by substitution.  The
-    values are identical to simulation (the derivation is verified
-    against the engines), so caches and stores are shared with the
-    non-parametric path; derivation failure or off-domain bounds fall
-    back to simulation (``param.fallback``).
     """
     sig = program.signature()
     jr = journal.active()
     results: list[int | None] = [None] * len(candidates)
     misses: list[int] = []
-    substituted = 0
     for idx, t in enumerate(candidates):
         hit = _EXACT_CACHE.get((sig, array, _t_key(t)))
         if hit is None and store is not None:
@@ -276,29 +276,13 @@ def evaluate_exact(
             if isinstance(persisted, int) and not isinstance(persisted, bool):
                 hit = persisted
                 _EXACT_CACHE.put((sig, array, _t_key(t)), hit)
-        if hit is None and parametric:
-            value = parametric_value(
-                program, "mws", array=array, transformation=t, store=store
-            )
-            if value is not None:
-                substituted += 1
-                hit = value
-                _EXACT_CACHE.put((sig, array, _t_key(t)), hit)
-                if store is not None:
-                    store.put(
-                        "exact", _exact_store_key(sig, array, _t_key(t)), hit
-                    )
-                if jr is not None:
-                    jr.record(stage, _t_key(t), "parametric", exact=hit)
-                results[idx] = hit
-                continue
         if hit is None:
             misses.append(idx)
         else:
             results[idx] = hit
             if jr is not None:
                 jr.record(stage, _t_key(t), "cache_hit", exact=hit)
-    obs.counter("search.cache.hits", len(candidates) - len(misses) - substituted)
+    obs.counter("search.cache.hits", len(candidates) - len(misses))
     obs.counter("search.cache.misses", len(misses))
     if misses:
         from repro.window.batched import batched_mws
@@ -350,7 +334,6 @@ def evaluate_cascade(
     array: str | None = None,
     clip_budget: int | None = None,
     store=None,
-    parametric: bool = False,
 ) -> list[CascadeOutcome]:
     """Tiered exact evaluation: certify, lower-bound, simulate survivors.
 
@@ -376,35 +359,13 @@ def evaluate_cascade(
     also writes a stage-``"cascade"`` journal record, so ``repro
     explain`` reconciles them.
 
-    ``store`` persists both the per-candidate exact values (through
-    :func:`evaluate_exact`) and the whole outcome list, keyed by the
-    candidate sequence and the resolved clip budget, so a warm process
-    replays the cascade without touching the simulator.
-
-    ``parametric=True`` applies only to the survivor simulations: the
-    tier-2 lower-bound batch runs on the clipped sub-box program, whose
-    tiny bounds sit below any derived domain, so routing it through the
-    parametric engine would only pay derivation costs to fall back.
+    ``store`` persists the per-candidate exact values (through
+    :func:`evaluate_exact`); whole search results are cached by the
+    searches themselves (:func:`cached_search`).
     """
     sig = program.signature()
     jr = journal.active()
     budget = bounds.clip_budget() if clip_budget is None else clip_budget
-
-    cascade_key = None
-    if store is not None and jr is None:
-        cascade_key = {
-            "sig": sig,
-            "array": array,
-            "ts": [_t_key(t) for t in candidates],
-            "clip": budget,
-        }
-        persisted = store.get("cascade", cascade_key)
-        decoded = _decode_outcomes(persisted)
-        if decoded is not None:
-            for t, outcome in zip(candidates, decoded):
-                if outcome.exact:
-                    _EXACT_CACHE.put((sig, array, _t_key(t)), outcome.value)
-            return decoded
 
     # Tier 1: transformation-invariant certified facts.
     if array is None:
@@ -427,10 +388,7 @@ def evaluate_cascade(
                            "(exact MWS 0 under any ordering)",
                     exact=0,
                 )
-        outcomes = [CascadeOutcome(0, True, "tier1") for _ in candidates]
-        if cascade_key is not None:
-            store.put("cascade", cascade_key, _encode_outcomes(outcomes))
-        return outcomes
+        return [CascadeOutcome(0, True, "tier1") for _ in candidates]
 
     # Tier 2: one batched lower-bound evaluation on the clipped program.
     # Worth it only when the full nest dwarfs the clipped one.
@@ -464,7 +422,7 @@ def evaluate_cascade(
             return
         values = evaluate_exact(
             program, [candidates[i] for i in pending], array=array,
-            store=store, parametric=parametric,
+            store=store,
         )
         for i, value in zip(pending, values):
             outcomes[i] = CascadeOutcome(value, True, "simulated")
@@ -511,28 +469,31 @@ def evaluate_cascade(
     obs.counter("search.cascade.tier2_pruned", tier2_pruned)
     obs.counter("search.cascade.pruned", tier1_pruned + tier2_pruned)
     obs.counter("search.cascade.simulated", simulated)
-    if cascade_key is not None:
-        store.put("cascade", cascade_key, _encode_outcomes(outcomes))
     return outcomes
 
 
-def _encode_outcomes(outcomes: Sequence[CascadeOutcome]) -> list[list]:
-    return [[o.value, o.exact, o.tier] for o in outcomes]
+def _first_min(scored: Iterable[tuple[int, _T]]) -> tuple[int, _T]:
+    """The ``(value, candidate)`` pair of smallest value, the earliest
+    on ties: every search's one winner rule (a later candidate wins
+    only by a strict improvement)."""
+    return min(scored, key=lambda pair: pair[0])
 
 
-def _decode_outcomes(value) -> list[CascadeOutcome] | None:
-    """Stored cascade payload -> outcomes; ``None`` (a miss) when it
-    does not decode."""
-    if value is None:
-        return None
-    try:
-        return [
-            CascadeOutcome(int(v), bool(exact), str(tier))
-            for v, exact, tier in value
-        ]
-    except (TypeError, ValueError):
-        obs.counter("store.corrupt")
-        return None
+def cascade_winner(
+    program: Program,
+    candidates: Sequence[_T],
+    array: str | None = None,
+    store=None,
+) -> tuple[list[CascadeOutcome], tuple[int, _T]]:
+    """Run :func:`evaluate_cascade` and pick the first strict minimum
+    among its exact outcomes (pruned candidates cannot win); returns
+    the outcomes and ``(value, winner)``."""
+    outcomes = evaluate_cascade(program, candidates, array=array, store=store)
+    return outcomes, _first_min(
+        (outcome.value, t)
+        for t, outcome in zip(candidates, outcomes)
+        if outcome.exact
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -668,12 +629,19 @@ def search_mws_2d_eager(
             scored.sort(key=lambda item: (item[0], _entry_weight(item[1])))
         leaders = scored[:verify_top]
         exacts = evaluate_exact(program, [t for _, t in leaders], array=array)
-        best = None
-        for (estimate, t), exact in zip(leaders, exacts):
-            if best is None or exact < best[0]:
-                best = (exact, estimate, t)
-        exact, estimate, t = best
+        exact, (estimate, t) = _first_min(zip(exacts, leaders))
         return SearchResult(array, t, estimate, exact, examined, "2d-enumeration")
+
+
+def _cached_result(
+    kind: str, program: Program, array: str, store, compute, **knobs
+) -> SearchResult:
+    """A per-array search through :func:`cached_search` (record kind
+    ``search``, keyed by the search kind, program, array and knobs)."""
+    key = {"kind": kind, "sig": program.signature(), "array": array, **knobs}
+    return cached_search(
+        "search", key, store, compute, _encode_result, _decode_result
+    )
 
 
 def search_mws_2d(
@@ -682,7 +650,6 @@ def search_mws_2d(
     bound: int = 8,
     verify_top: int = 6,
     store=None,
-    parametric: bool = False,
 ) -> SearchResult:
     """Find a tileable unimodular transformation minimizing the array's MWS.
 
@@ -701,19 +668,19 @@ def search_mws_2d(
     """
     if program.nest.depth != 2:
         raise ValueError("search_mws_2d requires a 2-deep nest")
-    refs = program.refs_to(array)
-    if not refs:
+    if not program.refs_to(array):
         raise KeyError(array)
-    sig = program.signature()
-    memo_key = ("2d", sig, array, bound, verify_top)
-    memoized = _search_memo_get(memo_key)
-    if memoized is not None:
-        return memoized
-    knobs = {"bound": bound, "verify_top": verify_top}
-    persisted = _search_store_get(store, "2d", sig, array, knobs)
-    if persisted is not None:
-        _search_memo_store(memo_key, persisted)
-        return persisted
+    return _cached_result(
+        "2d", program, array, store,
+        lambda: _search_2d(program, array, bound, verify_top, store),
+        bound=bound, verify_top=verify_top,
+    )
+
+
+def _search_2d(
+    program: Program, array: str, bound: int, verify_top: int, store
+) -> SearchResult:
+    refs = program.refs_to(array)
     with obs.span("search.2d", array=array, bound=bound):
         order_dists = ordering_distances(program, array)
         window_dists = reuse_distances(program, array)
@@ -790,18 +757,10 @@ def search_mws_2d(
             collected.sort(key=lambda item: (item[0], _entry_weight(item[1])))
         leaders = collected[:verify_top]
         exacts = evaluate_exact(
-            program, [t for _, t in leaders], array=array,
-            store=store, parametric=parametric,
+            program, [t for _, t in leaders], array=array, store=store
         )
-        best = None
-        for (estimate, t), exact in zip(leaders, exacts):
-            if best is None or exact < best[0]:
-                best = (exact, estimate, t)
-        exact, estimate, t = best
-        result = SearchResult(array, t, estimate, exact, examined, "2d-enumeration")
-        _search_memo_store(memo_key, result)
-        _search_store_put(store, "2d", sig, array, knobs, result)
-        return result
+        exact, (estimate, t) = _first_min(zip(exacts, leaders))
+        return SearchResult(array, t, estimate, exact, examined, "2d-enumeration")
 
 
 def _entry_weight(matrix: IntMatrix) -> int:
@@ -814,7 +773,6 @@ def search_mws_3d(
     bound: int = 1,
     verify_top: int = 4,
     store=None,
-    parametric: bool = False,
 ) -> SearchResult:
     """Section 4.3 search for 3-deep nests.
 
@@ -827,19 +785,19 @@ def search_mws_3d(
     """
     if program.nest.depth != 3:
         raise ValueError("search_mws_3d requires a 3-deep nest")
-    refs = program.refs_to(array)
-    if not refs:
+    if not program.refs_to(array):
         raise KeyError(array)
-    sig = program.signature()
-    memo_key = ("3d", sig, array, bound, verify_top)
-    memoized = _search_memo_get(memo_key)
-    if memoized is not None:
-        return memoized
-    knobs = {"bound": bound, "verify_top": verify_top}
-    persisted = _search_store_get(store, "3d", sig, array, knobs)
-    if persisted is not None:
-        _search_memo_store(memo_key, persisted)
-        return persisted
+    return _cached_result(
+        "3d", program, array, store,
+        lambda: _search_3d(program, array, bound, verify_top, store),
+        bound=bound, verify_top=verify_top,
+    )
+
+
+def _search_3d(
+    program: Program, array: str, bound: int, verify_top: int, store
+) -> SearchResult:
+    refs = program.refs_to(array)
     with obs.span("search.3d", array=array, bound=bound):
         order_dists = ordering_distances(program, array)
         window_dists = reuse_distances(program, array)
@@ -870,18 +828,9 @@ def search_mws_3d(
             leaders = _level_leaders(
                 seed, stack, survivors, verdict, window_dists, verify_top
             )
-        exacts = evaluate_exact(
-            program, leaders, array=array, store=store, parametric=parametric
-        )
-        best = None
-        for t, exact in zip(leaders, exacts):
-            if best is None or exact < best[0]:
-                best = (exact, t)
-        exact, t = best
-        result = SearchResult(array, t, exact, exact, examined, "3d-level-search")
-        _search_memo_store(memo_key, result)
-        _search_store_put(store, "3d", sig, array, knobs, result)
-        return result
+        exacts = evaluate_exact(program, leaders, array=array, store=store)
+        exact, t = _first_min(zip(exacts, leaders))
+        return SearchResult(array, t, exact, exact, examined, "3d-level-search")
 
 
 def _level_leaders(
@@ -918,7 +867,6 @@ def search_general(
     program: Program,
     array: str,
     store=None,
-    parametric: bool = False,
 ) -> SearchResult:
     """Depth-agnostic search: signed permutations + access embeddings.
 
@@ -930,18 +878,16 @@ def search_general(
     scored through :func:`evaluate_cascade`, which certifies or
     lower-bounds most of them away before simulating.
     """
-    refs = program.refs_to(array)
-    if not refs:
+    if not program.refs_to(array):
         raise KeyError(array)
-    sig = program.signature()
-    memo_key = ("general", sig, array)
-    memoized = _search_memo_get(memo_key)
-    if memoized is not None:
-        return memoized
-    persisted = _search_store_get(store, "general", sig, array, {})
-    if persisted is not None:
-        _search_memo_store(memo_key, persisted)
-        return persisted
+    return _cached_result(
+        "general", program, array, store,
+        lambda: _search_general(program, array, store),
+    )
+
+
+def _search_general(program: Program, array: str, store) -> SearchResult:
+    refs = program.refs_to(array)
     with obs.span("search.general", array=array, depth=program.nest.depth):
         n = program.nest.depth
         order_dists = ordering_distances(program, array)
@@ -965,24 +911,12 @@ def search_general(
         for t in as_matrices(stack[legal]):
             candidates.setdefault(t, None)
         obs.counter("search.candidates.examined", examined)
-        ordered = list(candidates)
-        outcomes = evaluate_cascade(
-            program, ordered, array=array,
-            store=store, parametric=parametric,
+        _, (exact, t) = cascade_winner(
+            program, list(candidates), array=array, store=store
         )
-        best = None
-        for t, outcome in zip(ordered, outcomes):
-            if not outcome.exact:
-                continue
-            if best is None or outcome.value < best[0]:
-                best = (outcome.value, t)
-        exact, t = best
-        result = SearchResult(
+        return SearchResult(
             array, t, exact, exact, examined, "permutation-search"
         )
-        _search_memo_store(memo_key, result)
-        _search_store_put(store, "general", sig, array, {}, result)
-        return result
 
 
 def search_best_transformation(
@@ -990,7 +924,6 @@ def search_best_transformation(
     array: str,
     bound: int = 6,
     store=None,
-    parametric: bool = False,
 ) -> SearchResult:
     """Per-array search by nest depth: the 2-D row search, the 3-D
     level search (bound capped at 2), or :func:`search_general`.
@@ -1000,16 +933,10 @@ def search_best_transformation(
     """
     depth = program.nest.depth
     if depth == 2:
-        return search_mws_2d(
-            program, array, bound=bound,
-            store=store, parametric=parametric,
-        )
+        return search_mws_2d(program, array, bound=bound, store=store)
     if depth == 3:
-        return search_mws_3d(
-            program, array, bound=min(bound, 2),
-            store=store, parametric=parametric,
-        )
-    return search_general(program, array, store=store, parametric=parametric)
+        return search_mws_3d(program, array, bound=min(bound, 2), store=store)
+    return search_general(program, array, store=store)
 
 
 def exhaustive_search(
@@ -1018,7 +945,6 @@ def exhaustive_search(
     bound: int = 1,
     tileable_only: bool = True,
     store=None,
-    parametric: bool = False,
 ) -> SearchResult:
     """Brute-force over all bounded unimodular matrices, exact scoring.
 
@@ -1043,15 +969,5 @@ def exhaustive_search(
         obs.counter("search.candidates.examined", examined)
         if not legal:
             raise ValueError(f"no legal transformation found for {array}")
-        outcomes = evaluate_cascade(
-            program, legal, array=array,
-            store=store, parametric=parametric,
-        )
-        best = None
-        for t, outcome in zip(legal, outcomes):
-            if not outcome.exact:
-                continue
-            if best is None or outcome.value < best[0]:
-                best = (outcome.value, t)
-        exact, t = best
+        _, (exact, t) = cascade_winner(program, legal, array=array, store=store)
         return SearchResult(array, t, exact, exact, examined, "exhaustive")

@@ -30,12 +30,8 @@ def is_fully_permutable(
     (transformed) nest — any loop order, and hence rectangular tiling, is
     legal.
     """
-    distances = []
-    for array in program.arrays:
-        if program.is_uniformly_generated(array):
-            distances.extend(ordering_distances(program, array))
     t = transformation if transformation is not None else IntMatrix.identity(program.nest.depth)
-    return is_tileable(t, distances)
+    return is_tileable(t, ordering_distances(program))
 
 
 @dataclass(frozen=True)

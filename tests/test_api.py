@@ -140,8 +140,9 @@ class TestEvaluateKind:
         cold = evaluate_kind("hierarchy", program, store=store)
         assert cold["preset"] == "tcm"
         assert cold["tiers_needed"] >= 1
+        clear_exact_cache()  # only the store can answer now
         warm = evaluate_kind("hierarchy", program, store=store)
-        assert warm == cold
+        assert list(warm.items()) == list(cold.items())
         assert observer.counters["store.mem.hits"] >= 1
 
     def test_param(self, program):

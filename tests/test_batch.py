@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.api import evaluate_kind
+from repro.api import KINDS, evaluate_kind
 from repro.obs import flight, runctx
 from repro.store import (
     BatchOutcome,
@@ -204,6 +204,24 @@ class TestRunBatch:
         assert observer.counters["batch.worker.reclaimed"] == 2
         assert observer.counters["batch.item.timeout"] == 2
 
+    def test_each_item_resolves_its_program_once(self, monkeypatch):
+        import repro.api
+
+        calls = []
+        load_program = repro.api.load_program
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return load_program(*args, **kwargs)
+
+        monkeypatch.setattr(repro.api, "load_program", counting)
+        report = run_batch([
+            {"kind": "mws", "kernel": "2point"},
+            {"kind": "mws", "kernel": "sor"},
+        ])
+        assert report.ok
+        assert len(calls) == 2
+
     def test_parallel_matches_serial(self):
         entries = [
             {"kind": "optimize", "kernel": "2point"},
@@ -239,6 +257,15 @@ class TestWarmColdParity:
         histograms = observer.summary()["histograms"]
         assert histograms["batch.latency.warm_s"]["count"] >= 1
         assert histograms["batch.latency.cold_s"]["count"] >= 1
+
+    def test_every_kind_prints_the_same_table_cold_and_warm(self, tmp_path):
+        """Regression: a warm ``hierarchy`` item answered with its stored
+        dict in sorted key order, so its row read differently warm."""
+        entries = [{"kind": kind, "kernel": "2point"} for kind in KINDS]
+        cold = run_batch(entries, store=ResultStore(tmp_path))
+        clear_exact_cache()
+        warm = run_batch(entries, store=ResultStore(tmp_path))
+        assert render_batch_table(warm) == render_batch_table(cold)
 
     def test_storeless_run_matches_stored_run(self, tmp_path):
         with_store = run_batch(self.ENTRIES, store=ResultStore(tmp_path))

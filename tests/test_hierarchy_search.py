@@ -22,7 +22,7 @@ from repro.check.oracles import tile_footprints_reference
 from repro.ir import parse_program
 from repro.kernels import matmult, sor, two_point
 from repro.linalg import IntMatrix
-from repro.memory import MemoryHierarchy, MemoryTier
+from repro.memory import MemoryHierarchy, MemoryTier, preset
 from repro.store import ResultStore
 from repro.transform import (
     HierarchyPlan,
@@ -31,6 +31,7 @@ from repro.transform import (
     search_hierarchy,
     tile_candidates,
 )
+from repro.transform.search import clear_search_cache
 
 ANTIDIAG = parse_program(
     "for i = 1 to 6 { for j = 1 to 6 { A[i][j] = A[i - 1][j + 1] } }",
@@ -253,39 +254,133 @@ class TestJournalAndCounters:
         )
 
 
+def _store_hits(observer) -> int:
+    counters = observer.summary().get("counters", {})
+    return counters.get("store.mem.hits", 0) + counters.get("store.disk.hits", 0)
+
+
 class TestStore:
     def test_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
         program = matmult(6)
         hierarchy = _stack(40, 200)
         first = search_hierarchy(program, hierarchy, store=store)
-        second = search_hierarchy(program, hierarchy, store=store)
-        assert first.method == "cascade"
-        assert second.method == "store"
-        assert second.best == first.best
-        assert second.flat == first.flat
-        assert second.bound_words == first.bound_words
-        assert second.floor_energy_pj == first.floor_energy_pj
+        clear_search_cache()
+        observer = obs.enable()
+        try:
+            second = search_hierarchy(program, hierarchy, store=store)
+        finally:
+            obs.disable()
+        assert _store_hits(observer) == 1
+        assert "search.hierarchy.configs" not in observer.counters
+        assert second == first
 
     def test_key_discriminates_hierarchy_and_candidates(self, tmp_path):
         store = ResultStore(tmp_path)
         program = matmult(6)
         search_hierarchy(program, _stack(40, 200), store=store)
-        other = search_hierarchy(program, _stack(60, 200), store=store)
-        assert other.method == "cascade"  # different stack, fresh compute
-        narrowed = search_hierarchy(
-            program, _stack(40, 200), candidates=[None], store=store
-        )
-        assert narrowed.method == "cascade"
+        for other in (
+            {"hierarchy": _stack(60, 200)},
+            {"hierarchy": _stack(40, 200), "candidates": [None]},
+        ):
+            clear_search_cache()
+            observer = obs.enable()
+            try:
+                search_hierarchy(program, store=store, **other)
+            finally:
+                obs.disable()
+            assert _store_hits(observer) == 0
+            assert observer.counters["search.hierarchy.configs"] > 0
 
-    def test_corrupt_record_degrades_to_recompute(self, tmp_path):
-        from repro.transform.hierarchy_search import _store_key
+    def test_warm_default_search_lists_no_candidates(
+        self, tmp_path, monkeypatch
+    ):
+        """The default candidates are keyed as ``None``, so a warm
+        default search is one record lookup."""
+        import repro.transform.hierarchy_search as hierarchy_search
 
         store = ResultStore(tmp_path)
         program = matmult(6)
+        first = search_hierarchy(program, _stack(40, 200), store=store)
+        calls = []
+        monkeypatch.setattr(
+            hierarchy_search, "default_candidates",
+            lambda program: calls.append(program) or [None],
+        )
+        clear_search_cache()
+        store.drop_memory()
+        assert search_hierarchy(program, _stack(40, 200), store=store) == first
+        assert calls == []
+
+    def test_storeless_answer_is_persisted_by_a_later_stored_call(
+        self, tmp_path
+    ):
+        """A memo hit writes through to a store that lacks the record."""
+        program = matmult(6)
         hierarchy = _stack(40, 200)
-        key = _store_key(program, hierarchy, [None], 64)
-        store.put("hierarchy", key, {"program": "matmult", "best": "junk"})
+        first = search_hierarchy(program, hierarchy)
+        store = ResultStore(tmp_path)
+        assert search_hierarchy(program, hierarchy, store=store) == first
+        assert len(list((tmp_path / "v2" / "hierarchy").glob("*.json"))) == 1
+        clear_search_cache()
+        store.drop_memory()
+        observer = obs.enable()
+        try:
+            again = search_hierarchy(program, hierarchy, store=store)
+        finally:
+            obs.disable()
+        assert _store_hits(observer) == 1
+        assert again == first
+
+    def test_key_discriminates_prune(self, tmp_path):
+        """Regression: the key omitted ``prune``, so a ``prune=False``
+        search after a pruned one answered with the pruned counts."""
+        store = ResultStore(tmp_path)
+        program, tcm = sor(), preset("tcm")
+        search_hierarchy(program, tcm, store=store)
+        clear_search_cache()
+        full = search_hierarchy(program, tcm, prune=False, store=store)
+        clear_search_cache()
+        assert full == search_hierarchy(program, tcm, prune=False)
+        assert (full.configs, full.evaluated, full.pruned) == (24, 24, 0)
+        assert full.method == "exhaustive"
+
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo", "store"])
+    def test_hit_answers_with_the_callers_name(self, tmp_path, memo):
+        """Regression: a hit reported the storing program's name and
+        ``method="store"`` instead of the caller's name and the
+        algorithm that ran."""
+        store = ResultStore(tmp_path)
+        hierarchy = _stack(40, 200)
+        source = "for i = 1 to 6 { for j = 1 to 6 { A[i][j] = A[i - 1][j] } }"
+        search_hierarchy(parse_program(source, name="first"), hierarchy, store=store)
+        if not memo:
+            clear_search_cache()
+            store.drop_memory()
+        observer = obs.enable()
+        try:
+            second = search_hierarchy(
+                parse_program(source, name="second"), hierarchy, store=store
+            )
+        finally:
+            obs.disable()
+        counters = observer.summary().get("counters", {})
+        hits = counters.get("search.memo.hits", 0) if memo else _store_hits(observer)
+        assert hits == 1
+        assert second.program == "second"
+        assert second.method == "cascade"
+
+    def test_corrupt_record_degrades_to_recompute(self, tmp_path):
+        store = ResultStore(tmp_path)
+        program = matmult(6)
+        hierarchy = _stack(40, 200)
+        first = search_hierarchy(
+            program, hierarchy, candidates=[None], store=store
+        )
+        (record,) = (tmp_path / "v2" / "hierarchy").glob("*.json")
+        record.write_text(record.read_text()[:40])
+        clear_search_cache()
+        store.drop_memory()
         observer = obs.enable()
         try:
             result = search_hierarchy(
@@ -293,14 +388,48 @@ class TestStore:
             )
         finally:
             obs.disable()
-        assert result.method == "cascade"
         counters = observer.summary().get("counters", {})
         assert counters.get("store.corrupt", 0) == 1
-        healed = search_hierarchy(
-            program, hierarchy, candidates=[None], store=store
-        )
-        assert healed.method == "store"
-        assert healed.best == result.best
+        assert counters["search.hierarchy.configs"] == result.configs
+        assert result == first
+        clear_search_cache()
+        store.drop_memory()
+        observer = obs.enable()
+        try:
+            healed = search_hierarchy(
+                program, hierarchy, candidates=[None], store=store
+            )
+        finally:
+            obs.disable()
+        assert _store_hits(observer) == 1
+        assert healed == first
+
+    def test_undecodable_payload_degrades_to_recompute(self, tmp_path):
+        store = ResultStore(tmp_path)
+        program = matmult(6)
+        hierarchy = _stack(40, 200)
+        key = {
+            "sig": program.signature(),
+            "hier": hierarchy.spec(),
+            "cands": [None],
+            "max_tile": 64,
+            "prune": True,
+        }
+        store.put("hierarchy", key, {"best": "junk"})
+        clear_search_cache()
+        observer = obs.enable()
+        try:
+            result = search_hierarchy(
+                program, hierarchy, candidates=[None], store=store
+            )
+        finally:
+            obs.disable()
+        counters = observer.summary().get("counters", {})
+        assert counters.get("store.corrupt", 0) == 1
+        assert counters["search.hierarchy.configs"] == result.configs
+        clear_search_cache()
+        assert result == search_hierarchy(program, hierarchy, candidates=[None])
+        assert store.get("hierarchy", key)["best"] != "junk"  # healed
 
     def test_active_journal_bypasses_store(self, tmp_path):
         store = ResultStore(tmp_path)

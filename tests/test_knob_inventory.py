@@ -148,3 +148,22 @@ def test_allocate_window_takes_no_search_limit():
     assert list(inspect.signature(allocate_window).parameters) == [
         "program", "array", "transformation", "layout",
     ]
+
+
+def test_no_search_callable_takes_parametric(callables):
+    """Closed-form candidate scoring is gone from the searches: it gave
+    the same answers as simulation at many times the cold cost.  The
+    parametric engine itself (``repro param``) stays."""
+    with_parametric = {
+        name for name, obj in callables.items()
+        if name.startswith(("repro.transform.search.", "repro.core.optimizer."))
+        and "parametric" in _parameters(obj)
+    }
+    assert with_parametric == set()
+
+
+def test_cli_rejects_parametric_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["optimize", "f.loop", "--parametric"])
+    assert excinfo.value.code == 2
+    assert "--parametric" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from repro.estimation.symbolic import trip_symbols
 from repro.ir import parse_program
 from repro.kernels.suite import threestep_log
 from repro.store import ResultStore
-from repro.transform.search import clear_exact_cache, evaluate_exact
+from repro.transform.search import clear_exact_cache
 from repro.window import max_window_size
 
 EXAMPLE8 = parse_program(
@@ -223,46 +223,5 @@ class TestWarmPath:
             assert "param.derived" not in observer.counters
             for name in SIMULATOR_COUNTERS:
                 assert name not in observer.counters, name
-        finally:
-            obs.disable()
-
-    def test_evaluate_exact_parametric_serves_from_family(self, tmp_path):
-        from repro.transform.elementary import signed_permutations
-
-        candidates = [None] + list(signed_permutations(2))
-        truth = evaluate_exact(EXAMPLE8, candidates, array="X")
-        clear_exact_cache()
-        store = ResultStore(tmp_path)
-        served = evaluate_exact(
-            EXAMPLE8, candidates, array="X", store=store, parametric=True
-        )
-        assert served == truth
-        # The served values are also persisted as plain exact records,
-        # so non-parametric consumers of the store benefit too.
-        sig = EXAMPLE8.signature()
-        hits = sum(
-            1
-            for t in candidates
-            if store.get(
-                "exact",
-                {
-                    "sig": sig,
-                    "array": "X",
-                    "t": None if t is None else t.rows,
-                },
-            )
-            is not None
-        )
-        assert hits == len(candidates)
-
-    def test_evaluate_exact_parametric_counts_substitutions(self, tmp_path):
-        observer = obs.enable()
-        try:
-            evaluate_exact(
-                EXAMPLE8, [None], array="X",
-                store=ResultStore(tmp_path), parametric=True,
-            )
-            assert observer.counters["param.subs_hits"] == 1
-            assert observer.counters.get("search.cache.hits", 0) == 0
         finally:
             obs.disable()

@@ -27,10 +27,12 @@ from repro.store import (
     STORE_DIR_ENV,
     open_store,
 )
+from repro.transform import journal
 from repro.transform.search import (
     SearchResult,
     _decode_result,
     _encode_result,
+    cached_search,
     clear_exact_cache,
     evaluate_exact,
     search_mws_2d,
@@ -293,3 +295,129 @@ class TestSearchStoreWiring:
         search_mws_2d(program, "X")
         assert observer.counters["search.memo.hits"] >= 1
         assert observer.counters["search.memo.misses"] == misses
+
+
+class TestCachedSearch:
+    """The one whole-result cache behind every search."""
+
+    KEY = {"sig": "abc", "knob": 1}
+
+    @staticmethod
+    def _decode(value):
+        if not isinstance(value, int):
+            obs.counter("store.corrupt")
+            return None
+        return value
+
+    def _search(self, store, computed: list):
+        def compute():
+            computed.append(1)
+            return 42
+
+        return cached_search(
+            "test", self.KEY, store, compute, lambda v: v, self._decode
+        )
+
+    def test_memo_then_store_then_compute(self, tmp_path, observer):
+        store = ResultStore(tmp_path)
+        computed: list = []
+        clear_exact_cache()
+        assert self._search(store, computed) == 42
+        assert self._search(store, computed) == 42
+        assert observer.counters["search.memo.hits"] == 1
+        clear_exact_cache()
+        store.drop_memory()
+        assert self._search(store, computed) == 42
+        assert observer.counters["store.disk.hits"] == 1
+        assert len(computed) == 1
+
+    def test_undecodable_payload_is_a_counted_miss_and_heals(
+        self, tmp_path, observer
+    ):
+        store = ResultStore(tmp_path)
+        store.put("test", self.KEY, "junk")
+        computed: list = []
+        clear_exact_cache()
+        assert self._search(store, computed) == 42
+        assert observer.counters["store.corrupt"] == 1
+        assert store.get("test", self.KEY) == 42  # the recompute healed it
+        assert len(computed) == 1
+
+    def test_active_journal_skips_both_layers(self, tmp_path):
+        computed: list = []
+        clear_exact_cache()
+        self._search(ResultStore(tmp_path / "warm"), computed)
+        fresh = ResultStore(tmp_path / "fresh")
+        journal.enable()
+        try:
+            self._search(fresh, computed)  # the warm memo is not read
+            clear_exact_cache()
+            self._search(fresh, computed)  # nor is anything written
+        finally:
+            journal.disable()
+        assert fresh.record_count() == 0
+        self._search(fresh, computed)
+        assert len(computed) == 4
+
+
+class TestWarmOptimize:
+    def test_warm_store_answers_without_engine_or_cascade(
+        self, tmp_path, observer
+    ):
+        """A warm ``optimize`` reads one whole-result record: it lists
+        no candidates and runs no cascade or window engine."""
+        from repro.core.optimizer import optimize_program
+        from repro.kernels import kernel_by_name
+
+        program = kernel_by_name("sor").build()
+        clear_exact_cache()
+        cold = optimize_program(program, store=ResultStore(tmp_path))
+        clear_exact_cache()
+        observer.counters.clear()
+        warm = optimize_program(program, store=ResultStore(tmp_path))
+        assert warm == cold
+        assert observer.counters["store.disk.hits"] == 1
+        touched = [
+            name for name, value in observer.counters.items()
+            if value and (
+                name.startswith(("engine.", "search.cascade.", "optimize."))
+                or name == "batch.candidates"
+            )
+        ]
+        assert touched == []
+
+    def test_undecodable_record_is_a_counted_miss_and_heals(
+        self, tmp_path, observer
+    ):
+        from repro.core.optimizer import optimize_program
+
+        program = parse_program(EXAMPLE)
+        clear_exact_cache()
+        want = optimize_program(program)
+        store = ResultStore(tmp_path)
+        key = {"sig": program.signature()}
+        store.put("optimize", key, {"t": "junk"})
+        clear_exact_cache()
+        observer.counters.clear()
+        assert optimize_program(program, store=store) == want
+        assert observer.counters["store.corrupt"] == 1
+        assert observer.counters["optimize.candidates"] > 0  # recomputed
+        store.drop_memory()
+        assert store.get("optimize", key)["t"] == [
+            list(row) for row in want.transformation.rows
+        ]
+
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo", "store"])
+    def test_hit_answers_with_the_callers_name(self, tmp_path, memo):
+        from repro.core.optimizer import optimize_program
+
+        store = ResultStore(tmp_path)
+        clear_exact_cache()
+        first = optimize_program(parse_program(EXAMPLE, name="first"), store=store)
+        if not memo:
+            clear_exact_cache()
+            store.drop_memory()
+        second = optimize_program(parse_program(EXAMPLE, name="second"), store=store)
+        assert first.program == "first"
+        assert second.program == "second"
+        assert second.transformation == first.transformation

@@ -89,6 +89,31 @@ class TestLegality:
         prog = parse_program("for i = 1 to 9 { B[0] = A[i] + A[i-1] }")
         assert ordering_distances(prog, "A") == []
 
+    def test_program_set_unions_the_memoized_array_sets(self, monkeypatch):
+        """Each array's dependences are analysed once, whichever set is
+        asked for first (the optimizer asks for the program's, then its
+        searches for each array's)."""
+        import repro.dependence.analysis as analysis
+        from repro.transform.legality import clear_distance_cache
+
+        prog = parse_program(
+            "for i = 1 to 9 { for j = 1 to 9 { "
+            "A[i][j] = A[i - 1][j + 1] + B[i + j] } }"
+        )
+        calls = []
+        analyse = analysis.array_dependences
+
+        def counting(program, array, *args, **kwargs):
+            calls.append(array)
+            return analyse(program, array, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "array_dependences", counting)
+        clear_distance_cache()
+        union = ordering_distances(prog)
+        per_array = [d for a in prog.arrays for d in ordering_distances(prog, a)]
+        assert union == list(dict.fromkeys(per_array))
+        assert sorted(calls) == sorted(prog.arrays)
+
 
 class TestElementary:
     def test_interchange(self):
