@@ -1,20 +1,28 @@
-"""Dependence graph construction (networkx).
+"""Dependence graph construction.
 
-Nodes are statement labels; a directed edge carries the dependence kind,
-array and distance vector.  The paper (Section 3.1) observes that with
-``r`` uniformly generated references there are ``r(r-1)/2`` dependences
-and some statement is a sink of ``r - 1`` of them — that statement's
-incoming distances drive the reuse formula.
+Nodes are statement labels; a directed edge carries the dependence (its
+kind, array and distance vector).  The paper (Section 3.1) observes that
+with ``r`` uniformly generated references there are ``r(r-1)/2``
+dependences and some statement is a sink of ``r - 1`` of them — that
+statement's incoming distances drive the reuse formula.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import NamedTuple
 
-from repro.dependence.analysis import Dependence, DependenceKind
+from repro.dependence.analysis import Dependence, program_dependences
 from repro.ir.program import Program
 from repro.ir.reference import ArrayRef
-from repro.ir.statement import Statement
+
+
+class DependenceGraph(NamedTuple):
+    """Statement labels in statement order, and ``(source label, sink
+    label, dependence)`` edges grouped by source in node order, each
+    source's sinks in first-seen order."""
+
+    nodes: tuple[str, ...]
+    edges: tuple[tuple[str, str, Dependence], ...]
 
 
 def _owner_label(program: Program, ref: ArrayRef) -> str:
@@ -30,37 +38,34 @@ def _owner_label(program: Program, ref: ArrayRef) -> str:
     raise ValueError(f"reference {ref} not found in program")
 
 
-def dependence_graph(program: Program, include_input: bool = True) -> nx.MultiDiGraph:
-    """Build the statement-level dependence multigraph.
-
-    Edge attributes: ``array``, ``distance``, ``kind``, ``level``.
-    """
-    from repro.dependence.analysis import program_dependences
-
-    graph = nx.MultiDiGraph()
-    for stmt in program.statements:
-        graph.add_node(stmt.label, statement=stmt)
+def dependence_graph(program: Program, include_input: bool = True) -> DependenceGraph:
+    """Build the statement-level dependence multigraph."""
+    out: dict[str, dict[str, list[Dependence]]] = {
+        stmt.label: {} for stmt in program.statements
+    }
     for dep in program_dependences(program, include_input=include_input):
-        graph.add_edge(
-            _owner_label(program, dep.source),
-            _owner_label(program, dep.sink),
-            array=dep.array,
-            distance=dep.distance,
-            kind=dep.kind,
-            level=dep.level,
-        )
-    return graph
+        sinks = out[_owner_label(program, dep.source)]
+        sinks.setdefault(_owner_label(program, dep.sink), []).append(dep)
+    return DependenceGraph(
+        tuple(out),
+        tuple(
+            (src, dst, dep)
+            for src, sinks in out.items()
+            for dst, deps in sinks.items()
+            for dep in deps
+        ),
+    )
 
 
-def max_in_degree_sink(graph: nx.MultiDiGraph, array: str) -> str | None:
+def max_in_degree_sink(graph: DependenceGraph, array: str) -> str | None:
     """The statement that sinks the most dependences of ``array``.
 
     Section 3.1's "node which is a sink to the dependence vectors from
     each of the remaining r-1 nodes".
     """
     counts: dict[str, int] = {}
-    for _, dst, data in graph.edges(data=True):
-        if data["array"] == array:
+    for _, dst, dep in graph.edges:
+        if dep.array == array:
             counts[dst] = counts.get(dst, 0) + 1
     if not counts:
         return None

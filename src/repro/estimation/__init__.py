@@ -1,9 +1,12 @@
 """Section 3: estimating the number of distinct accesses in nested loops.
 
 Closed forms for uniformly generated references (exact), Sylvester-corrected
-bounds for non-uniformly generated references, an enumeration oracle, the
-program-level total-memory algorithm, and the parametric engine that
-derives those counts as verified closed forms in symbolic trip counts.
+bounds for non-uniformly generated references, an enumeration oracle and
+the program-level total-memory algorithm.  The parametric engine, which
+derives those counts as verified closed forms in symbolic trip counts, is
+imported from its own modules (:mod:`repro.estimation.parametric`,
+:mod:`repro.estimation.symbolic`), so that only the callers that derive a
+closed form load sympy.
 """
 
 from repro.estimation.distinct import (
@@ -31,17 +34,6 @@ from repro.estimation.memory import (
     ProgramMemoryReport,
     estimate_program_memory,
 )
-from repro.estimation.parametric import (
-    ParametricExpr,
-    parametric_signature,
-    parametric_value,
-    resolve_parametric,
-    with_trip_counts,
-)
-from repro.estimation.symbolic import (
-    derive_parametric_distinct,
-    derive_parametric_reuse,
-)
 
 __all__ = [
     "DistinctAccessEstimate",
@@ -59,11 +51,4 @@ __all__ = [
     "ArrayMemoryReport",
     "ProgramMemoryReport",
     "estimate_program_memory",
-    "ParametricExpr",
-    "parametric_signature",
-    "parametric_value",
-    "resolve_parametric",
-    "with_trip_counts",
-    "derive_parametric_distinct",
-    "derive_parametric_reuse",
 ]

@@ -17,14 +17,16 @@ topological order.
 
 from __future__ import annotations
 
-import networkx as nx
+import heapq
+from typing import Iterator
 
 from repro.ir.program import Program
 from repro.ir.sequence import ProgramSequence
 
 
-def statement_dependence_graph(program: Program) -> nx.DiGraph:
-    """Statement-level graph with loop-carried and loop-independent edges.
+def statement_dependence_graph(program: Program) -> dict[str, set[str]]:
+    """Statement-level graph with loop-carried and loop-independent edges,
+    as a map from each label (in statement order) to its successors.
 
     Edge ``S -> T`` means some instance of ``T`` depends on an earlier-or-
     equal instance of ``S`` (flow/anti/output; input reuse imposes
@@ -33,10 +35,8 @@ def statement_dependence_graph(program: Program) -> nx.DiGraph:
     """
     from repro.dependence.analysis import dependence_distance
 
-    graph = nx.DiGraph()
+    graph: dict[str, set[str]] = {stmt.label: set() for stmt in program.statements}
     order = {stmt.label: k for k, stmt in enumerate(program.statements)}
-    for stmt in program.statements:
-        graph.add_node(stmt.label)
     for src_stmt in program.statements:
         for dst_stmt in program.statements:
             for src in src_stmt.references:
@@ -47,15 +47,15 @@ def statement_dependence_graph(program: Program) -> nx.DiGraph:
                         continue
                     if not src.uniformly_generated_with(dst):
                         # Conservative: unknown distance, assume both ways.
-                        graph.add_edge(src_stmt.label, dst_stmt.label)
-                        graph.add_edge(dst_stmt.label, src_stmt.label)
+                        graph[src_stmt.label].add(dst_stmt.label)
+                        graph[dst_stmt.label].add(src_stmt.label)
                         continue
                     if src.offset == dst.offset:
                         # Same element, same iteration: textual order...
                         if order[src_stmt.label] < order[dst_stmt.label]:
-                            graph.add_edge(src_stmt.label, dst_stmt.label)
+                            graph[src_stmt.label].add(dst_stmt.label)
                         elif order[src_stmt.label] > order[dst_stmt.label]:
-                            graph.add_edge(dst_stmt.label, src_stmt.label)
+                            graph[dst_stmt.label].add(src_stmt.label)
                         # ...and, when the access matrix is singular, the
                         # same element is revisited at later iterations
                         # (kernel direction), carrying dependences both
@@ -63,12 +63,12 @@ def statement_dependence_graph(program: Program) -> nx.DiGraph:
                         from repro.dependence.analysis import self_reuse_distance
 
                         if self_reuse_distance(src) is not None:
-                            graph.add_edge(src_stmt.label, dst_stmt.label)
-                            graph.add_edge(dst_stmt.label, src_stmt.label)
+                            graph[src_stmt.label].add(dst_stmt.label)
+                            graph[dst_stmt.label].add(src_stmt.label)
                         continue
                     d = dependence_distance(src, dst)
                     if d is not None and any(v != 0 for v in d):
-                        graph.add_edge(src_stmt.label, dst_stmt.label)
+                        graph[src_stmt.label].add(dst_stmt.label)
     return graph
 
 
@@ -90,21 +90,16 @@ def distribute(program: Program) -> ProgramSequence:
     [1, 1]
     """
     graph = statement_dependence_graph(program)
-    condensed = nx.condensation(graph)
+    components = _strongly_connected_components(graph)
     order = {stmt.label: k for k, stmt in enumerate(program.statements)}
     # Topological order of components, tie-broken by textual position.
-    component_key = {
-        node: min(order[label] for label in data["members"])
-        for node, data in condensed.nodes(data=True)
-    }
-    topo = list(
-        nx.lexicographical_topological_sort(condensed, key=lambda n: component_key[n])
-    )
+    component_key = [min(order[label] for label in c) for c in components]
+    topo = _topological_order(graph, components, component_key)
 
     by_label = {stmt.label: stmt for stmt in program.statements}
     nests = []
-    for index, node in enumerate(topo):
-        members = sorted(condensed.nodes[node]["members"], key=order.get)
+    for index, c in enumerate(topo):
+        members = sorted(components[c], key=order.get)
         statements = [by_label[label] for label in members]
         decls = [
             decl
@@ -125,6 +120,79 @@ def distribute(program: Program) -> ProgramSequence:
 def is_distribution_legal(program: Program) -> bool:
     """Can the nest be split at all (more than one component)?"""
     graph = statement_dependence_graph(program)
-    return nx.number_strongly_connected_components(graph) > 1 or len(
+    return len(_strongly_connected_components(graph)) > 1 or len(
         program.statements
     ) == 1
+
+
+def _strongly_connected_components(graph: dict[str, set[str]]) -> list[set[str]]:
+    """Tarjan's algorithm, with an explicit stack instead of recursion."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[set[str]] = []
+    # The DFS path: each node with the iterator over its unvisited edges.
+    work: list[tuple[str, Iterator[str]]] = []
+
+    def enter(node: str) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(graph[node])))
+
+    for root in graph:
+        if root in index:
+            continue
+        enter(root)
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    enter(succ)
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
+def _topological_order(
+    graph: dict[str, set[str]], components: list[set[str]], key: list[int]
+) -> list[int]:
+    """Kahn's sort of the component graph, always emitting the ready
+    component of the smallest key (keys are distinct, so the order is
+    unique)."""
+    owner = {label: c for c, members in enumerate(components) for label in members}
+    succs: list[set[int]] = [set() for _ in components]
+    for label, targets in graph.items():
+        succs[owner[label]].update(owner[t] for t in targets)
+    indegree = [0] * len(components)
+    for c, targets in enumerate(succs):
+        targets.discard(c)
+        for t in targets:
+            indegree[t] += 1
+    ready = [(key[c], c) for c, d in enumerate(indegree) if d == 0]
+    heapq.heapify(ready)
+    out: list[int] = []
+    while ready:
+        _, c = heapq.heappop(ready)
+        out.append(c)
+        for t in succs[c]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                heapq.heappush(ready, (key[t], t))
+    return out

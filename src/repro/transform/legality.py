@@ -148,12 +148,13 @@ def _lex_positive(rows: np.ndarray) -> np.ndarray:
     return nonzero.any(axis=1) & (lead[:, 0] > 0)
 
 
-#: ``(signature, array, kind/flags)`` -> distance vectors.  Dependence
-#: analysis is pure in the program, and the search re-derives the same
-#: distance sets for every candidate batch (and in every pool worker the
-#: program is re-pickled into), so a content-hash memo pays for itself
-#: immediately.  Bounded: dropped wholesale past the cap.
-_DISTANCE_CACHE: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+#: ``(signature, array, kind/flags)`` -> distance vectors, and
+#: ``(signature, array, "dependences")`` -> one array's dependences.
+#: Dependence analysis is pure in the program, and the search re-derives
+#: the same distance sets for every candidate batch (and in every pool
+#: worker the program is re-pickled into), so a content-hash memo pays
+#: for itself immediately.  Bounded: dropped wholesale past the cap.
+_DISTANCE_CACHE: dict[tuple, tuple] = {}
 _DISTANCE_CACHE_LIMIT = 512
 
 
@@ -162,14 +163,36 @@ def clear_distance_cache() -> None:
     _DISTANCE_CACHE.clear()
 
 
-def _distance_memo(key: tuple, compute) -> list[tuple[int, ...]]:
+def _memo(key: tuple, compute) -> tuple:
     cached = _DISTANCE_CACHE.get(key)
     if cached is None:
         cached = tuple(compute())
         if len(_DISTANCE_CACHE) >= _DISTANCE_CACHE_LIMIT:
             _DISTANCE_CACHE.clear()
         _DISTANCE_CACHE[key] = cached
-    return list(cached)
+    return cached
+
+
+def _array_dependences(program: Program, array: str) -> tuple[Dependence, ...]:
+    """One array's dependences, input ones included: the one analysis
+    that both its ordering and its reuse distances are read from."""
+    from repro.dependence.analysis import array_dependences
+
+    return _memo(
+        (program.signature(), array, "dependences"),
+        lambda: array_dependences(program, array, include_input=True),
+    )
+
+
+def _uniform_union(program: Program, per_array) -> list[tuple[int, ...]]:
+    """The union, in first-seen order, of ``per_array(name)`` over the
+    uniformly generated arrays: each array's memoized set is reused,
+    whichever set the caller asks for first."""
+    seen: dict[tuple[int, ...], None] = {}
+    for name in program.arrays:
+        if program.is_uniformly_generated(name):
+            seen.update(dict.fromkeys(per_array(name)))
+    return list(seen)
 
 
 def ordering_distances(
@@ -186,48 +209,34 @@ def ordering_distances(
     is False.  ``array=None`` collects over all uniformly generated
     arrays.
     """
-    from repro.dependence.analysis import array_dependences
 
-    def compute() -> list[tuple[int, ...]]:
-        seen: dict[tuple[int, ...], None] = {}
+    def compute() -> Iterable[tuple[int, ...]]:
         if array is None:
-            # The union of the memoized per-array sets, so that each
-            # array's dependences are analysed once, whichever set the
-            # caller asks for first.
-            for name in program.arrays:
-                if program.is_uniformly_generated(name):
-                    seen.update(dict.fromkeys(
-                        ordering_distances(program, name, reductions_reorderable)
-                    ))
-            return list(seen)
+            return _uniform_union(
+                program,
+                lambda a: ordering_distances(program, a, reductions_reorderable),
+            )
         if not program.is_uniformly_generated(array):
             raise ValueError(f"{array}: non-uniform references")
-        for dep in array_dependences(program, array, include_input=True):
-            if not dep.kind.constrains_order:
-                continue
-            if reductions_reorderable and dep.reduction:
-                continue
-            seen.setdefault(dep.distance, None)
-        return list(seen)
+        return dict.fromkeys(
+            dep.distance
+            for dep in _array_dependences(program, array)
+            if dep.kind.constrains_order
+            and not (reductions_reorderable and dep.reduction)
+        )
 
     key = (program.signature(), array, reductions_reorderable, "ordering")
-    return _distance_memo(key, compute)
+    return list(_memo(key, compute))
 
 
 def reuse_distances(program: Program, array: str | None = None) -> list[tuple[int, ...]]:
     """All reuse distances (including input dependences) — what the window
     optimization must push to inner levels."""
-    from repro.dependence.analysis import array_distance_vectors
 
-    def compute() -> list[tuple[int, ...]]:
-        arrays = [array] if array is not None else [
-            a for a in program.arrays if program.is_uniformly_generated(a)
-        ]
-        seen: dict[tuple[int, ...], None] = {}
-        for name in arrays:
-            for d in array_distance_vectors(program, name, include_input=True):
-                seen.setdefault(d, None)
-        return list(seen)
+    def compute() -> Iterable[tuple[int, ...]]:
+        if array is None:
+            return _uniform_union(program, lambda a: reuse_distances(program, a))
+        return dict.fromkeys(dep.distance for dep in _array_dependences(program, array))
 
     key = (program.signature(), array, "reuse")
-    return _distance_memo(key, compute)
+    return list(_memo(key, compute))

@@ -68,7 +68,6 @@ import numpy as np
 
 from repro import obs
 from repro.estimation import bounds
-from repro.estimation.parametric import clear_param_cache
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.store.lru import LRUCache
@@ -140,7 +139,6 @@ def clear_exact_cache() -> None:
     """Drop all memoized exact-simulation results (tests, benchmarks)."""
     _EXACT_CACHE.clear()
     _SEARCH_CACHE.clear()
-    clear_param_cache()
 
 
 def clear_search_cache() -> None:

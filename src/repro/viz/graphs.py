@@ -33,10 +33,9 @@ def dependence_graph_dot(program: Program, include_input: bool = True) -> str:
     lines.append('  rankdir=LR;')
     for node in graph.nodes:
         lines.append(f'  "{node}" [shape=box];')
-    for src, dst, data in graph.edges(data=True):
-        kind = data["kind"].value
-        style = _KIND_STYLE.get(kind, "solid")
-        label = f'{data["array"]} {data["distance"]}'
+    for src, dst, dep in graph.edges:
+        style = _KIND_STYLE.get(dep.kind.value, "solid")
+        label = f"{dep.array} {dep.distance}"
         lines.append(
             f'  "{src}" -> "{dst}" [label="{label}", style={style}];'
         )

@@ -21,6 +21,7 @@ from repro.api import (
     build_request,
     evaluate_kind,
 )
+from repro.estimation.parametric import clear_param_cache
 from repro.kernels import kernel_by_name
 from repro.store import ResultStore
 from repro.transform.search import clear_exact_cache
@@ -38,8 +39,10 @@ def observer():
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_exact_cache()
+    clear_param_cache()
     yield
     clear_exact_cache()
+    clear_param_cache()
 
 
 LOOP = (

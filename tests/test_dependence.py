@@ -236,7 +236,46 @@ class TestReuse:
         assert sorted(distances) == [(0, 1), (1, 0), (1, 1)]
 
 
+THREE_STATEMENTS = """
+for i = 1 to 10 {
+  for j = 1 to 10 {
+    S1: A[i][j] = B[i-1][j] + C[i][j-1]
+    S2: B[i][j] = A[i][j-1] + C[i-1][j]
+    S3: C[i][j] = A[i-1][j-1] + B[i][j-1]
+  }
+}
+"""
+
+#: ``dependence_graph_dot`` of THREE_STATEMENTS: edges grouped by source
+#: in statement order, each source's sinks in first-seen order, which is
+#: not the order ``program_dependences`` lists the nine dependences in.
+THREE_STATEMENTS_DOT = """\
+digraph dependences {
+  rankdir=LR;
+  "S1" [shape=box];
+  "S2" [shape=box];
+  "S3" [shape=box];
+  "S1" -> "S2" [label="C (1, -1)", style=dotted];
+  "S1" -> "S2" [label="A (0, 1)", style=solid];
+  "S1" -> "S3" [label="A (1, 1)", style=solid];
+  "S2" -> "S1" [label="B (1, 0)", style=solid];
+  "S2" -> "S3" [label="B (0, 1)", style=solid];
+  "S2" -> "S3" [label="A (1, 0)", style=dotted];
+  "S3" -> "S1" [label="B (1, -1)", style=dotted];
+  "S3" -> "S1" [label="C (0, 1)", style=solid];
+  "S3" -> "S2" [label="C (1, 0)", style=solid];
+}"""
+
+
 class TestGraph:
+    def test_dot_golden_groups_edges_by_source(self):
+        from repro.viz import dependence_graph_dot
+
+        prog = parse_program(THREE_STATEMENTS)
+        assert dependence_graph_dot(prog) == THREE_STATEMENTS_DOT
+        graph = dependence_graph(prog)
+        assert len(graph.edges) == len(program_dependences(prog)) == 9
+
     def test_graph_structure(self):
         prog = parse_program(
             """
@@ -249,10 +288,8 @@ class TestGraph:
             """
         )
         graph = dependence_graph(prog)
-        assert set(graph.nodes) == {"S1", "S2"}
-        edges = [
-            (u, v, data["distance"]) for u, v, data in graph.edges(data=True)
-        ]
+        assert graph.nodes == ("S1", "S2")
+        edges = [(u, v, dep.distance) for u, v, dep in graph.edges]
         assert ("S1", "S2", (1, -2)) in edges
 
     def test_max_in_degree_sink(self):

@@ -32,22 +32,22 @@ class TestStatementGraph:
     def test_forward_edge(self):
         prog = parse_program(PAIR)
         graph = statement_dependence_graph(prog)
-        assert graph.has_edge("S1", "S2")
-        assert not graph.has_edge("S2", "S1")
+        assert "S2" in graph["S1"]
+        assert "S1" not in graph["S2"]
 
     def test_cycle_detected(self):
         prog = parse_program(CYCLE)
         graph = statement_dependence_graph(prog)
         # S1 -> S2 same iteration (flow on T); S2 -> S1 carried (flow on U).
-        assert graph.has_edge("S1", "S2")
-        assert graph.has_edge("S2", "S1")
+        assert "S2" in graph["S1"]
+        assert "S1" in graph["S2"]
 
     def test_independent_statements(self):
         prog = parse_program(
             "for i = 1 to 5 { S1: A[i] = 1\n S2: B[i] = 2 }"
         )
         graph = statement_dependence_graph(prog)
-        assert graph.number_of_edges() == 0
+        assert graph == {"S1": set(), "S2": set()}
 
 
 class TestDistribute:
@@ -100,6 +100,77 @@ class TestDistribute:
         assert len(seq.programs) == 3
         labels = [p.statements[0].label for p in seq.programs]
         assert labels == ["S1", "S2", "S3"]
+
+
+class TestGoldens:
+    """Partitions, nest order and legality as the graph library the
+    component sort replaced gave them."""
+
+    def test_dependence_cycle_of_three_stays_together(self):
+        prog = parse_program(
+            """
+            for i = 1 to 10 {
+              for j = 1 to 10 {
+                S1: A[i][j] = B[i-1][j] + C[i][j-1]
+                S2: B[i][j] = A[i][j-1] + C[i-1][j]
+                S3: C[i][j] = A[i-1][j-1] + B[i][j-1]
+              }
+            }
+            """,
+            name="three",
+        )
+        assert not is_distribution_legal(prog)
+        assert _parts(distribute(prog)) == [
+            ("three_part1", ["S1", "S2", "S3"], ["B", "C", "A"]),
+        ]
+
+    def test_two_cycle_and_an_independent_statement(self):
+        prog = parse_program(
+            """
+            for i = 1 to 9 {
+              S1: T[i] = U[i-1]
+              S2: D[i] = E[i]
+              S3: U[i] = T[i]
+            }
+            """,
+            name="mixed",
+        )
+        assert is_distribution_legal(prog)
+        assert _parts(distribute(prog)) == [
+            ("mixed_part1", ["S1", "S3"], ["U", "T"]),
+            ("mixed_part2", ["S2"], ["E", "D"]),
+        ]
+
+    def test_a_backward_dependence_orders_the_nests(self):
+        """S3 feeds S1 one iteration later, so S1 waits for S3; the ready
+        nest of the smallest textual position goes first."""
+        prog = parse_program(
+            """
+            for i = 1 to 9 {
+              S1: B[i] = T[i-1]
+              S2: D[i] = E[i]
+              S3: T[i] = A[i]
+            }
+            """,
+            name="back",
+        )
+        assert is_distribution_legal(prog)
+        assert _parts(distribute(prog)) == [
+            ("back_part1", ["S2"], ["E", "D"]),
+            ("back_part2", ["S3"], ["A", "T"]),
+            ("back_part3", ["S1"], ["T", "B"]),
+        ]
+
+
+def _parts(sequence):
+    return [
+        (
+            nest.name,
+            [stmt.label for stmt in nest.statements],
+            [decl.name for decl in nest.decls],
+        )
+        for nest in sequence.programs
+    ]
 
 
 class TestExport:

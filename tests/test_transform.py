@@ -31,7 +31,7 @@ from repro.transform import (
     transformed_distances,
 )
 from repro.transform.elementary import bounded_unimodular_matrices
-from repro.transform.legality import ordering_distances
+from repro.transform.legality import ordering_distances, reuse_distances
 from repro.window import max_window_size
 
 
@@ -92,7 +92,8 @@ class TestLegality:
     def test_program_set_unions_the_memoized_array_sets(self, monkeypatch):
         """Each array's dependences are analysed once, whichever set is
         asked for first (the optimizer asks for the program's, then its
-        searches for each array's)."""
+        searches for each array's), and the reuse distances are read
+        from the same analysis as the ordering ones."""
         import repro.dependence.analysis as analysis
         from repro.transform.legality import clear_distance_cache
 
@@ -112,6 +113,9 @@ class TestLegality:
         union = ordering_distances(prog)
         per_array = [d for a in prog.arrays for d in ordering_distances(prog, a)]
         assert union == list(dict.fromkeys(per_array))
+        reuse = reuse_distances(prog)
+        per_array = [d for a in prog.arrays for d in reuse_distances(prog, a)]
+        assert reuse == list(dict.fromkeys(per_array))
         assert sorted(calls) == sorted(prog.arrays)
 
 
