@@ -369,8 +369,12 @@ def _checked_timeout(value: Any) -> float:
     """``value`` as seconds, or ``ValueError`` unless finite and > 0.
 
     JSON bodies and ``float()`` both admit NaN and Infinity, which no
-    deadline arithmetic survives.
+    deadline arithmetic survives.  A bool, list or object is refused
+    with ``ValueError`` too (``float`` would take ``true`` as 1 s and
+    raise ``TypeError`` on the others).
     """
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"timeout must be a number of seconds, got {value!r}")
     timeout = float(value)
     if not (math.isfinite(timeout) and timeout > 0):
         raise ValueError(f"timeout must be > 0 and finite, got {timeout}")

@@ -436,23 +436,31 @@ class CascadeConformance(Oracle):
     kind = "cross"
     paper = (
         "Section 4's search only needs the arg-min; the cascade's tier-1 "
-        "certificates and tier-2 clipped lower bounds are admissible, so "
-        "its first-wins winner must match full simulation."
+        "certificates are admissible, so its exact values and first-wins "
+        "winner must match full simulation."
     )
     config = GeneratorConfig(depth=2, min_trip=2, max_trip=8)
-    #: Small enough that tier 2 fires on most generated nests.
-    clip_budget = 16
+
+    def generate(self, seed: int) -> Program:
+        # Tier 1 works at any depth; the Figure-2 cascades run at 3 and 4.
+        cfg = self.config
+        if seed % 2 == 1:
+            cfg = GeneratorConfig(depth=3, min_trip=2, max_trip=4, max_coeff=2)
+        return random_program(seed, cfg)
 
     def check(self, program: Program, seed: int = 0) -> Violation | None:
         from repro.transform.elementary import signed_permutations
-        from repro.transform.search import evaluate_cascade, evaluate_exact
+        from repro.transform.search import evaluate_cascade
+        from repro.window.batched import batched_mws
 
         candidates: list[IntMatrix | None] = [None]
         candidates.extend(signed_permutations(program.nest.depth))
-        outcomes = evaluate_cascade(
-            program, candidates, clip_budget=self.clip_budget
-        )
-        truths = evaluate_exact(program, candidates)
+        # The truths come first and from the batched engine, which reads
+        # no memo: the cascade fills the exact memo (a zero certificate
+        # writes 0 for every candidate), so a truth read back from it
+        # would repeat a wrong certificate instead of catching it.
+        truths = batched_mws(program, candidates)
+        outcomes = evaluate_cascade(program, candidates)
         for idx, (outcome, truth) in enumerate(zip(outcomes, truths)):
             if outcome.exact and outcome.value != truth:
                 return self.fail(

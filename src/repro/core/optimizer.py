@@ -121,10 +121,10 @@ def optimize_program(program: Program, store=None) -> OptimizationResult:
     candidate, so the result never regresses.  Candidates are scored in
     a deterministic order with strict-improvement tie-breaking.
 
-    Candidates run through the tiered evaluation cascade: the native
-    order (first, so its score is always exact) sets the incumbent, and
-    candidates whose certified/clipped lower bound cannot strictly beat
-    the running best are never simulated — the chosen transformation is
+    Candidates run through the evaluation cascade: the native order
+    (first, so its score is always exact) sets the incumbent, and
+    candidates whose certified reuse floor cannot strictly beat the
+    running best are never simulated — the chosen transformation is
     identical to scoring everything.  The whole result is cached by
     program signature (record kind ``optimize``, see
     :func:`repro.transform.search.cached_search`), so a repeat — or a

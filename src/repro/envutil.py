@@ -1,11 +1,10 @@
 """Validated environment-variable knobs.
 
-Every numeric tuning knob (``REPRO_DENSE_BUDGET``, ``REPRO_CLIP_BUDGET``,
-``REPRO_STORE_LRU``) is read through
-:func:`env_int`, so a typo'd value fails fast with the variable's name
-in the message instead of raising a bare ``ValueError`` from deep
-inside an engine — and a zero/negative value can never silently disable
-dense mode or tier-2 pruning.
+Every numeric tuning knob (``REPRO_DENSE_BUDGET``, ``REPRO_STORE_LRU``)
+is read through :func:`env_int`, so a typo'd value fails fast with the
+variable's name in the message instead of raising a bare ``ValueError``
+from deep inside an engine — and a zero/negative value can never
+silently disable dense mode or the store's memory front.
 """
 
 from __future__ import annotations

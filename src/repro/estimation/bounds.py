@@ -19,18 +19,17 @@ reference's dense region hands over to another's — can push the true
 count slightly below it.  The test suite bounds that slack by the total
 Sylvester gap mass of the references.
 
-The module also holds the search cascade's bounds and
-:func:`transfer_lower_bound`, which reads the simulators' one access
-trace (:func:`repro.memory.scratchpad.access_stream`).
+The module also holds the search cascade's certified reuse facts
+(:func:`certified_reuse`) and :func:`transfer_lower_bound`, which reads
+the simulators' one access trace
+(:func:`repro.memory.scratchpad.access_stream`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.envutil import env_int
 from repro.ir.program import Program
 from repro.ir.reference import ArrayRef
 from repro.linalg.frobenius import sylvester_count
@@ -173,22 +172,8 @@ def nonuniform_bounds(program: Program, array: str) -> NonUniformBounds:
 
 
 # ---------------------------------------------------------------------------
-# Cascade support: certified reuse facts (tier 1) and clipped-program
-# lower bounds (tier 2) for the search's tiered pruning.
+# Cascade support: certified reuse facts for the search's pruning tier.
 # ---------------------------------------------------------------------------
-
-#: Environment variable overriding the tier-2 clipping budget.
-CLIP_BUDGET_ENV = "REPRO_CLIP_BUDGET"
-
-#: Default iteration count of the clipped sub-box used for tier-2 lower
-#: bounds.  Small enough that a clipped exact evaluation is cheap next to
-#: a full simulation, large enough to retain pruning power.
-DEFAULT_CLIP_BUDGET = 4096
-
-
-def clip_budget() -> int:
-    """Iteration budget of the tier-2 clipped sub-program."""
-    return env_int(CLIP_BUDGET_ENV, DEFAULT_CLIP_BUDGET)
 
 
 def _family_fits_box(
@@ -309,13 +294,6 @@ def certified_reuse(program: Program, array: str) -> bool | None:
     return None if undecided else False
 
 
-def certified_zero_total(program: Program) -> bool:
-    """True iff every array's MWS is certified 0 under any ordering."""
-    return all(
-        certified_reuse(program, array) is False for array in program.arrays
-    )
-
-
 # ---------------------------------------------------------------------------
 # Off-chip transfer lower bound (Hong-Kung phases, Dinh-Demmel style).
 # ---------------------------------------------------------------------------
@@ -372,66 +350,3 @@ def transfer_lower_bound(
             phase = set()
     phase_bound += max(0, len(phase) - capacity)
     return max(len(distinct), phase_bound) + len(written)
-
-
-#: ``(program signature, budget)`` -> clipped program.  Bounded: cleared
-#: wholesale when it outgrows its cap.
-_CLIP_CACHE: dict[tuple[str, int], Program] = {}
-_CLIP_CACHE_LIMIT = 256
-
-
-def clear_clip_cache() -> None:
-    """Drop memoized clipped programs (tests)."""
-    _CLIP_CACHE.clear()
-
-
-def _clipped_trips(trips: Sequence[int], budget: int) -> list[int]:
-    """Shrink the largest axes (halving, keeping >= 4 iterations each)
-    until the box fits the budget or no axis can shrink further."""
-    clipped = list(trips)
-    while math.prod(clipped) > budget:
-        k = max(range(len(clipped)), key=lambda i: clipped[i])
-        if clipped[k] <= 4:
-            break
-        clipped[k] = max(4, clipped[k] // 2)
-    return clipped
-
-
-def clipped_program(program: Program, budget: int | None = None) -> Program:
-    """A sub-box restriction of the program for tier-2 lower bounds.
-
-    The clipped nest keeps every lower bound and shrinks upper bounds so
-    the box holds at most ``budget`` iterations (largest axes first).
-
-    **Admissibility.**  For any unimodular ``T``, the exact MWS of the
-    clipped program under ``T`` lower-bounds the full program's MWS
-    under ``T`` (per array and in total): restricting the lex order of
-    ``T @ i`` to a subset of iterations preserves relative order, so
-    every element live at clipped time ``tau`` is live at the embedded
-    full-program time ``phi(tau)`` — the clipped window is a subset of a
-    full window.  The bound holds whatever clipping heuristic is used;
-    the heuristic only affects how tight it is.
-    """
-    if budget is None:
-        budget = clip_budget()
-    key = (program.signature(), budget)
-    cached = _CLIP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    from repro.ir.loop import Loop, LoopNest
-
-    trips = _clipped_trips(program.nest.trip_counts, budget)
-    loops = [
-        Loop(loop.index, loop.lower, loop.lower + trip - 1)
-        for loop, trip in zip(program.nest.loops, trips)
-    ]
-    clipped = Program(
-        nest=LoopNest(loops),
-        statements=program.statements,
-        decls=program.decls,
-        name=f"{program.name}#clip",
-    )
-    if len(_CLIP_CACHE) >= _CLIP_CACHE_LIMIT:
-        _CLIP_CACHE.clear()
-    _CLIP_CACHE[key] = clipped
-    return clipped

@@ -3,10 +3,11 @@
 An always-on service leaves the content-addressed store running for
 weeks, so the damage one-shot runs could shrug off accumulates: records
 torn by a crashed writer (reads treat them as misses forever, burning a
-recompute per query until something rewrites them), ``*.tmp.<pid>``
-droppings from writers that died between write and rename, and ledger
-records from before a counter rename that make ``repro runs diff``
-noisy.  :func:`compact_store` is the one sweep that heals all of it:
+recompute per query until something rewrites them),
+``*.tmp.<pid>.<thread>`` droppings from writers that died between write
+and rename, and ledger records from before a counter rename that make
+``repro runs diff`` noisy.  :func:`compact_store` is the one sweep that
+heals all of it:
 
 * walks the sharded ``v<SCHEMA_VERSION>/<kind>/`` layout one record file
   at a time;

@@ -19,9 +19,10 @@ as one atomic record file per key under a versioned root::
 Properties:
 
 * **Atomic writes.**  Records are written to a same-directory temp file
-  and ``os.replace``d into place, so readers never observe a torn
-  record and concurrent writers of the same key are last-writer-wins
-  (both wrote the same pure value anyway).
+  named for the writing process and thread, and ``os.replace``d into
+  place, so readers never observe a torn record and concurrent writers
+  of the same key — processes or threads — are last-writer-wins (both
+  wrote the same pure value anyway).
 * **Schema-version stamping.**  Every record carries ``schema`` and
   echoes its ``kind`` and ``key``; the root is versioned (``v2``) so a
   layout change, or a fix that changes answers, never serves old
@@ -42,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -144,7 +146,11 @@ class ResultStore:
         run_id = obs.runctx.current_run_id()
         if run_id is not None:
             record["run"] = run_id
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+        # One temp file per writing thread: a shared name would let one
+        # writer's os.replace move another's file away mid-write.
+        tmp = path.with_name(
+            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+        )
         tmp.write_text(
             json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n",
             encoding="utf-8",

@@ -33,14 +33,10 @@ from repro.window.mws import mws_2d_estimate_batch
 
 @dataclass(frozen=True)
 class BBResult:
-    """Outcome of the branch-and-bound minimization.
+    """Outcome of the branch-and-bound minimization."""
 
-    ``row`` is ``None`` only when a seeded ``incumbent`` pruned every
-    region — no candidate in the box improves on the incumbent.
-    """
-
-    row: tuple[int, int] | None
-    objective: Fraction | None
+    row: tuple[int, int]
+    objective: Fraction
     nodes_explored: int
     candidates_evaluated: int
 
@@ -114,19 +110,12 @@ def branch_and_bound_mws_2d(
     n2: int,
     distances: Sequence[Sequence[int]],
     bound: int = 16,
-    incumbent: Fraction | int | None = None,
 ) -> BBResult:
     """Minimize eq. (2) over coprime tileable rows with |a|,|b| <= bound.
 
     Equivalent in result to exhaustive enumeration (tested) but prunes
-    with the window-step bound, exploring far fewer nodes at large
-    bounds.
-
-    ``incumbent`` seeds the pruning bound with a value already achieved
-    elsewhere (the evaluation cascade's running best): boxes whose
-    window-step lower bound cannot beat it are pruned immediately, with
-    ``search.bb.incumbent_pruned`` counting the extra prunes.  When the
-    incumbent prunes everything, ``row`` is ``None``.
+    with the window-step bound against the best value found so far,
+    exploring far fewer nodes at large bounds.
 
     >>> r = branch_and_bound_mws_2d(2, 5, 25, 10, [(3, -2), (2, 0), (5, -2)])
     >>> (r.row, r.objective)
@@ -134,13 +123,9 @@ def branch_and_bound_mws_2d(
     """
     best_value: Fraction | None = None
     best_row: tuple[int, int] | None = None
-    prune_bound: Fraction | None = (
-        None if incumbent is None else Fraction(incumbent)
-    )
     nodes = 0
     evaluated = 0
     pruned = 0
-    incumbent_pruned = 0
     jr = journal.active()
     # Rows and negated rows scan the same loop backwards; canonicalize to
     # a >= 0 as the search half-space.
@@ -161,15 +146,13 @@ def branch_and_bound_mws_2d(
             continue
         # Lower bound on the objective over this box: maxspan >= 1.
         step_bound = _window_step_lower_bound(alpha1, alpha2, box)
-        if step_bound > 0 and prune_bound is not None and Fraction(step_bound) >= prune_bound:
+        if step_bound > 0 and best_value is not None and step_bound >= best_value:
             pruned += 1
-            if best_value is None or Fraction(step_bound) < best_value:
-                incumbent_pruned += 1
             if jr is not None:
                 jr.record(
                     "prune", box, "pruned",
                     reason=f"bound: window-step lower bound {step_bound} "
-                           f">= incumbent {prune_bound}",
+                           f">= incumbent {best_value}",
                 )
             continue
         if (a_hi - a_lo) <= 1 and (b_hi - b_lo) <= 1:
@@ -195,10 +178,6 @@ def branch_and_bound_mws_2d(
                 if best_value is None or value < best_value:
                     best_value = value
                     best_row = (a, b)
-                if prune_bound is None or (
-                    best_value is not None and best_value < prune_bound
-                ):
-                    prune_bound = best_value
             continue
         # Branch on the longer axis.
         if (a_hi - a_lo) >= (b_hi - b_lo):
@@ -209,13 +188,11 @@ def branch_and_bound_mws_2d(
             mid = (b_lo + b_hi) // 2
             stack.append((a_lo, a_hi, b_lo, mid))
             stack.append((a_lo, a_hi, mid + 1, b_hi))
-    if best_row is None and incumbent is None:
+    if best_row is None:
         raise ValueError("no feasible coprime row in the search box")
     obs.counter("search.bb.nodes", nodes)
     obs.counter("search.bb.evaluated", evaluated)
     obs.counter("search.bb.pruned", pruned)
-    if incumbent_pruned:
-        obs.counter("search.bb.incumbent_pruned", incumbent_pruned)
     return BBResult(best_row, best_value, nodes, evaluated)
 
 

@@ -29,7 +29,7 @@ class CandidateRecord:
     for prunes, or ``None`` for the native order.
     """
 
-    stage: str  # "seed" | "enumerate" | "evaluate" | "prune" | "cascade" | "lower_bound" | "hierarchy"
+    stage: str  # "seed" | "enumerate" | "evaluate" | "bb" | "prune" | "cascade" | "hierarchy"
     candidate: Any
     status: str  # "candidate" | "rejected" | "cache_hit" | "computed" | "pruned"
     reason: str | None = None

@@ -31,16 +31,13 @@ items, on the worker pool of :class:`repro.api.AnalysisService`, not
 inside one search.  Everything is instrumented with :mod:`repro.obs`
 spans and counters.
 
-:func:`evaluate_cascade` layers two admissible pruning tiers in front of
+:func:`evaluate_cascade` puts one admissible pruning tier in front of
 simulation: tier 1 applies transformation-invariant certified facts
 (:func:`repro.estimation.bounds.certified_reuse` — exact zero or a >= 1
-floor under *any* ordering), tier 2 lower-bounds each candidate with the
-exact MWS of a clipped sub-box program
-(:func:`repro.estimation.bounds.clipped_program`).  A candidate is only
-simulated when its lower bound beats the running incumbent, and both
-tiers are provably safe: they never prune a candidate that could
-strictly improve on the incumbent, so the winner is identical to
-evaluating everything.
+floor under *any* ordering).  A candidate is only simulated when that
+floor beats the running incumbent; the tier never prunes a candidate
+that could strictly improve on the incumbent, so the winner is
+identical to evaluating everything.
 
 Every whole search result — the per-array searches here,
 :func:`repro.core.optimizer.optimize_program` and
@@ -247,7 +244,6 @@ def evaluate_exact(
     program: Program,
     candidates: Sequence[IntMatrix | None],
     array: str | None = None,
-    stage: str = "evaluate",
     store=None,
 ) -> list[int]:
     """Exact MWS for each candidate transformation, in candidate order.
@@ -255,13 +251,11 @@ def evaluate_exact(
     ``array=None`` scores the program-level total window (the Figure-2
     objective); a name scores that array alone.  Results are memoized in
     the module cache; only cache misses are computed, in one batch
-    through :func:`repro.window.batched.batched_mws`.
+    through :func:`repro.window.batched.batched_mws`.  Each candidate
+    gets one journal record at stage ``"evaluate"``.
 
-    ``stage`` names the journal stage for the per-candidate records (the
-    cascade's lower-bound batches record as ``"lower_bound"`` so they
-    stay out of the ranked candidate table).  ``store`` (a
-    :class:`repro.store.ResultStore`) persists each exact value, so a
-    later process skips the simulation entirely.
+    ``store`` (a :class:`repro.store.ResultStore`) persists each exact
+    value, so a later process skips the simulation entirely.
     """
     sig = program.signature()
     jr = journal.active()
@@ -279,7 +273,7 @@ def evaluate_exact(
         else:
             results[idx] = hit
             if jr is not None:
-                jr.record(stage, _t_key(t), "cache_hit", exact=hit)
+                jr.record("evaluate", _t_key(t), "cache_hit", exact=hit)
     obs.counter("search.cache.hits", len(candidates) - len(misses))
     obs.counter("search.cache.misses", len(misses))
     if misses:
@@ -301,7 +295,8 @@ def evaluate_exact(
                 )
             if jr is not None:
                 jr.record(
-                    stage, _t_key(candidates[idx]), "computed", exact=value
+                    "evaluate", _t_key(candidates[idx]), "computed",
+                    exact=value,
                 )
     return results  # type: ignore[return-value]
 
@@ -315,10 +310,10 @@ class CascadeOutcome:
     """Per-candidate verdict of :func:`evaluate_cascade`.
 
     ``exact`` — ``value`` is the true MWS (simulated, cached, or tier-1
-    certified zero).  Otherwise ``value`` is an admissible lower bound
-    and the candidate was pruned: its true MWS is >= ``value`` >= the
-    incumbent at its turn, so it cannot strictly beat the winner.
-    ``tier`` is ``"cache" | "tier1" | "tier2" | "simulated"``.
+    certified zero).  Otherwise ``value`` is the tier-1 floor and the
+    candidate was pruned: its true MWS is >= ``value`` >= the incumbent
+    at its turn, so it cannot strictly beat the winner.  ``tier`` is
+    ``"cache" | "tier1" | "simulated"``.
     """
 
     value: int
@@ -330,32 +325,29 @@ def evaluate_cascade(
     program: Program,
     candidates: Sequence[IntMatrix | None],
     array: str | None = None,
-    clip_budget: int | None = None,
     store=None,
 ) -> list[CascadeOutcome]:
-    """Tiered exact evaluation: certify, lower-bound, simulate survivors.
+    """Tiered exact evaluation: certify, then simulate survivors.
 
     Candidates are finalized strictly in input order; the incumbent is
     the minimum *exact* value among earlier candidates.  Tier 1 applies
-    transformation-invariant certified facts (exact zero under any
-    ordering, or a floor of 1); tier 2 lower-bounds every candidate in
-    one batch with the exact MWS of a clipped sub-box program (skipped
-    when the nest is small enough that simulating outright is cheaper).
-    A candidate whose lower bound reaches the incumbent is pruned
-    without simulation — admissible, so the strict-< first-wins winner
-    is identical to :func:`evaluate_exact` over all candidates.  The
-    first candidate is never pruned, so at least one outcome is exact.
-    Survivors are simulated in windows of
-    :data:`repro.window.batched.BATCH_SIZE` through the batched engine
-    (the first window is a single candidate, so the incumbent exists
-    before batching); a window sees the incumbent as of the last flush,
-    which can only *add* simulations relative to the sequential cascade,
-    never change a reported value or the winner.
+    transformation-invariant certified facts: exact zero under any
+    ordering answers every candidate without a simulation, and the floor
+    (1 when some array certainly has reuse, else 0) prunes every later
+    candidate once the incumbent reaches it.  The prune is admissible,
+    so the strict-< first-wins winner is identical to
+    :func:`evaluate_exact` over all candidates.  The first candidate
+    is never pruned, so at least one outcome is exact.  Survivors are
+    simulated in windows of :data:`repro.window.batched.BATCH_SIZE`
+    through the batched engine (the first window is a single candidate,
+    so the incumbent exists before batching); a window sees the
+    incumbent as of the last flush, which can only *add* simulations
+    relative to the sequential cascade, never change a reported value or
+    the winner.
 
-    Counters: ``search.cascade.{tier1,tier2_pruned,pruned,simulated,
-    lb_evals}`` (``pruned`` = ``tier1`` + ``tier2_pruned``); each prune
-    also writes a stage-``"cascade"`` journal record, so ``repro
-    explain`` reconciles them.
+    Counters: ``search.cascade.{pruned,simulated}``; each prune also
+    writes a stage-``"cascade"`` journal record, so ``repro explain``
+    reconciles them.
 
     ``store`` persists the per-candidate exact values (through
     :func:`evaluate_exact`); whole search results are cached by the
@@ -363,7 +355,6 @@ def evaluate_cascade(
     """
     sig = program.signature()
     jr = journal.active()
-    budget = bounds.clip_budget() if clip_budget is None else clip_budget
 
     # Tier 1: transformation-invariant certified facts.
     if array is None:
@@ -375,7 +366,6 @@ def evaluate_cascade(
         zero_certified = verdict is False
         tier1_floor = 1 if verdict is True else 0
     if zero_certified:
-        obs.counter("search.cascade.tier1", len(candidates))
         obs.counter("search.cascade.pruned", len(candidates))
         for t in candidates:
             _EXACT_CACHE.put((sig, array, _t_key(t)), 0)
@@ -388,28 +378,17 @@ def evaluate_cascade(
                 )
         return [CascadeOutcome(0, True, "tier1") for _ in candidates]
 
-    # Tier 2: one batched lower-bound evaluation on the clipped program.
-    # Worth it only when the full nest dwarfs the clipped one.
-    lower_bounds: list[int] | None = None
-    if program.nest.total_iterations > 2 * budget:
-        clipped = bounds.clipped_program(program, budget)
-        with obs.span("cascade.lower_bound", candidates=len(candidates)):
-            lower_bounds = evaluate_exact(
-                clipped, candidates, array=array,
-                stage="lower_bound", store=store,
-            )
-        obs.counter("search.cascade.lb_evals", len(candidates))
-
     # Survivors are simulated in *windows* through the batched engine.
     # The first window has size 1 — the first survivor always simulates
     # alone, establishing the incumbent before any batching — and later
-    # windows hold BATCH_SIZE survivors.  Pruning decisions inside a
-    # window see the incumbent as of the last flush (plus cache hits),
-    # so the windowed cascade simulates a superset of the sequential
-    # one; every reported exact value is the true MWS either way, and
-    # the strict-< first-wins winner is identical.
+    # windows hold BATCH_SIZE survivors, which bounds the (K, N) key
+    # matrix of one batch.  Pruning decisions inside a window see the
+    # incumbent as of the last flush (plus cache hits), so the windowed
+    # cascade simulates a superset of the sequential one; every reported
+    # exact value is the true MWS either way, and the strict-< first-wins
+    # winner is identical.
     incumbent: int | None = None
-    tier1_pruned = tier2_pruned = simulated = 0
+    pruned = simulated = 0
     outcomes: list[CascadeOutcome | None] = [None] * len(candidates)
     pending: list[int] = []
     window = 1
@@ -439,33 +418,23 @@ def evaluate_cascade(
             if incumbent is None or hit < incumbent:
                 incumbent = hit
             continue
-        lb, tier = tier1_floor, "tier1"
-        if lower_bounds is not None and lower_bounds[idx] > lb:
-            lb, tier = lower_bounds[idx], "tier2"
-        if incumbent is not None and lb >= incumbent:
-            if tier == "tier1":
-                tier1_pruned += 1
-                reason = (f"cascade: tier-1 certified reuse floor {lb} "
-                          f">= incumbent {incumbent}")
-            else:
-                tier2_pruned += 1
-                reason = (f"cascade: tier-2 clipped-program lower bound "
-                          f"{lb} >= incumbent {incumbent}")
+        if incumbent is not None and tier1_floor >= incumbent:
+            pruned += 1
             if jr is not None:
                 jr.record(
                     "cascade", _t_key(t), "pruned",
-                    reason=reason, estimate=lb,
+                    reason=(f"cascade: tier-1 certified reuse floor "
+                            f"{tier1_floor} >= incumbent {incumbent}"),
+                    estimate=tier1_floor,
                 )
-            outcomes[idx] = CascadeOutcome(lb, False, tier)
+            outcomes[idx] = CascadeOutcome(tier1_floor, False, "tier1")
             continue
         simulated += 1
         pending.append(idx)
         if len(pending) >= window:
             _flush()
     _flush()
-    obs.counter("search.cascade.tier1", tier1_pruned)
-    obs.counter("search.cascade.tier2_pruned", tier2_pruned)
-    obs.counter("search.cascade.pruned", tier1_pruned + tier2_pruned)
+    obs.counter("search.cascade.pruned", pruned)
     obs.counter("search.cascade.simulated", simulated)
     return outcomes
 
@@ -873,8 +842,8 @@ def search_general(
     The tractable space that still captures the paper's motion-estimation
     wins is the ``2^n * n!`` signed permutations (Eisenbeis et al.'s
     space) plus each reference's access-matrix embedding; candidates are
-    scored through :func:`evaluate_cascade`, which certifies or
-    lower-bounds most of them away before simulating.
+    scored through :func:`evaluate_cascade`, whose certified reuse
+    facts settle many of them without a simulation.
     """
     if not program.refs_to(array):
         raise KeyError(array)
@@ -950,7 +919,7 @@ def exhaustive_search(
     exponential — keep ``bound`` at 1 or 2 and the depth at 3 or less
     (:func:`search_general` covers deeper nests tractably).  Candidates
     run through :func:`evaluate_cascade`, so the "exhaustive" cost is
-    paid only by candidates the admissible bounds cannot exclude.
+    paid only by candidates the certified reuse floor cannot exclude.
     """
     n = program.nest.depth
     with obs.span("search.exhaustive", array=array, bound=bound):

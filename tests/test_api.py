@@ -86,6 +86,12 @@ class TestBuildRequest:
         with pytest.raises(ValueError):
             build_request({"kernel": "sor", "timeout": "soon"})
 
+    @pytest.mark.parametrize("value", [[1], {}, True, False])
+    def test_non_numeric_timeout_rejected(self, value):
+        # A list or object raised TypeError (an HTTP 500); true was 1 s.
+        with pytest.raises(ValueError, match="number of seconds"):
+            build_request({"kernel": "sor", "timeout": value})
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
     def test_non_finite_timeout_rejected(self, token):
         # Python's json parses all three (1e999 overflows to inf).

@@ -1,15 +1,14 @@
-"""Tiered pruning cascade: admissibility, winner identity, accounting.
+"""Evaluation cascade: admissibility, winner identity, accounting.
 
 :func:`repro.transform.search.evaluate_cascade` may only skip a
-candidate when an *admissible* lower bound (tier-1 certified fact or
-tier-2 clipped-program MWS) proves it cannot strictly beat the running
-incumbent — so its winner, and every exact value it reports, must be
-identical to exhaustively simulating with :func:`evaluate_exact`.
-These tests drive randomized differentials over both tiers, the
-certified-reuse facts behind tier 1, the clipped-program bound behind
-tier 2, the branch-and-bound incumbent seeding, the lazy 2-D
-enumeration against its eager oracle, and the journal/counter
-reconciliation for cascade prunes.
+candidate when a tier-1 certified fact proves it cannot strictly beat
+the running incumbent — so its winner, and every exact value it
+reports, must be identical to exhaustively simulating with
+:func:`evaluate_exact`.  These tests drive randomized differentials
+over the cascade, the certified-reuse facts behind tier 1, the
+branch-and-bound minimizer's unseeded answer, the lazy 2-D enumeration
+against its eager oracle, and the journal/counter reconciliation for
+cascade prunes.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from fractions import Fraction
 import pytest
 
 from repro import obs
-from repro.estimation.bounds import (
-    certified_reuse,
-    certified_zero_total,
-    clear_clip_cache,
-    clipped_program,
-)
+from repro.estimation.bounds import certified_reuse
 from repro.ir import parse_program
 from repro.ir.generate import GeneratorConfig, random_program
 from repro.transform import journal
@@ -35,6 +29,7 @@ from repro.transform.elementary import (
 )
 from repro.transform.legality import is_legal, ordering_distances
 from repro.transform.search import (
+    CascadeOutcome,
     clear_exact_cache,
     evaluate_cascade,
     evaluate_exact,
@@ -65,10 +60,8 @@ _CFG = GeneratorConfig(depth=2, min_trip=2, max_trip=6, max_coeff=3)
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_exact_cache()
-    clear_clip_cache()
     yield
     clear_exact_cache()
-    clear_clip_cache()
 
 
 def _candidates(program, array):
@@ -97,9 +90,7 @@ class TestAdmissibility:
             pytest.skip("no legal candidate")
         truth = evaluate_exact(program, candidates, array=array)
         clear_exact_cache()
-        outcomes = evaluate_cascade(
-            program, candidates, array=array, clip_budget=8,
-        )
+        outcomes = evaluate_cascade(program, candidates, array=array)
         for outcome, exact in zip(outcomes, truth):
             if outcome.exact:
                 assert outcome.value == exact
@@ -121,31 +112,9 @@ class TestAdmissibility:
     def test_first_candidate_is_always_exact(self):
         program = parse_program(EXAMPLE_8)
         outcomes = evaluate_cascade(
-            program, _candidates(program, "X"), array="X", clip_budget=16,
+            program, _candidates(program, "X"), array="X"
         )
         assert outcomes[0].exact
-
-    def test_tier2_prunes_with_good_incumbent(self):
-        """With the search winner first, the clipped bound must pay off —
-        and still return the identical best value."""
-        program = parse_program("""
-for i = 1 to 300 {
-  for j = 1 to 300 {
-    X[2*i + 5*j + 1] = X[2*i + 5*j + 5]
-  }
-}
-""")
-        winner = search_mws_2d(program, "X").transformation
-        candidates = [winner] + _candidates(program, "X")
-        truth = evaluate_exact(program, candidates, array="X")
-        clear_exact_cache()
-        observer = obs.enable()
-        try:
-            outcomes = evaluate_cascade(program, candidates, array="X")
-        finally:
-            obs.disable()
-        assert observer.counters["search.cascade.tier2_pruned"] > 0
-        assert min(o.value for o in outcomes if o.exact) == min(truth)
 
 
 class TestTier1:
@@ -156,7 +125,6 @@ class TestTier1:
     def test_certified_zero_on_single_touch_program(self):
         program = parse_program(NO_REUSE)
         assert certified_reuse(program, "X") is False
-        assert certified_zero_total(program)
         # The certificate claims MWS 0 under ANY ordering — verify.
         for t in signed_permutations(2):
             assert max_window_size_fast(program, "X", t) == 0
@@ -170,7 +138,7 @@ class TestTier1:
         finally:
             obs.disable()
         assert all(o.exact and o.value == 0 for o in outcomes)
-        assert observer.counters["search.cascade.tier1"] == len(candidates)
+        assert observer.counters["search.cascade.pruned"] == len(candidates)
         assert "fast.simulate.calls" not in observer.counters
         # The certified zeros are cached as ordinary exact results.
         assert evaluate_exact(program, candidates, array="X") == [0] * len(candidates)
@@ -189,30 +157,6 @@ class TestTier1:
                     assert exact >= 1
                 else:
                     assert exact == 0
-
-
-class TestTier2Bound:
-    @pytest.mark.parametrize("seed", range(25))
-    def test_clipped_mws_lower_bounds_full(self, seed):
-        cfg = GeneratorConfig(depth=2, min_trip=4, max_trip=9, max_coeff=3)
-        program = random_program(seed, cfg)
-        clipped = clipped_program(program, budget=12)
-        assert clipped.nest.total_iterations <= max(
-            12, 16
-        )  # min-keep of 4 per axis can overshoot tiny budgets
-        for array in program.arrays:
-            for t in [None] + list(signed_permutations(2)):
-                lb = max_window_size_fast(clipped, array, t)
-                full = max_window_size_fast(program, array, t)
-                assert lb <= full
-
-    def test_clip_keeps_lower_bounds_and_caches(self):
-        program = parse_program(EXAMPLE_8)
-        clipped = clipped_program(program, budget=50)
-        assert [loop.lower for loop in clipped.nest.loops] == \
-            [loop.lower for loop in program.nest.loops]
-        assert clipped.nest.total_iterations <= 50
-        assert clipped_program(program, budget=50) is clipped
 
 
 class TestAccounting:
@@ -238,10 +182,6 @@ for i = 1 to 200 {
         counts = jr.counts()
         # Every prune wrote exactly one stage-"cascade" journal record.
         assert counts["cascade_pruned"] == counters["search.cascade.pruned"]
-        assert counters["search.cascade.pruned"] == (
-            counters["search.cascade.tier1"]
-            + counters["search.cascade.tier2_pruned"]
-        )
         pruned = sum(1 for o in outcomes if not o.exact)
         simulated = sum(1 for o in outcomes if o.tier == "simulated")
         cached = sum(1 for o in outcomes if o.tier == "cache")
@@ -253,28 +193,34 @@ for i = 1 to 200 {
         _, ok = render_reconciliation(jr, counters)
         assert ok
 
-    def test_lower_bound_stage_stays_out_of_ranked(self):
+    def test_floor_prunes_reconcile_with_journal(self):
+        """The native order reaches the certified floor of 1, so tier 1
+        prunes every later candidate, one journal record each."""
         program = parse_program("""
-for i = 1 to 200 {
-  for j = 1 to 200 {
-    X[2*i + 5*j + 1] = X[2*i + 5*j + 5]
+for i = 1 to 20 {
+  for j = 1 to 30 {
+    X[i] = X[i]
   }
 }
 """)
-        candidates = _candidates(program, "X")
+        candidates = [None] + _candidates(program, "X")
+        observer = obs.enable()
         jr = journal.enable()
         try:
-            evaluate_cascade(program, candidates, array="X")
+            outcomes = evaluate_cascade(program, candidates, array="X")
         finally:
             journal.disable()
-        assert jr.by_stage("lower_bound"), "tier-2 batch should have run"
-        ranked_candidates = {r.candidate for r in jr.ranked()}
-        # Ranked rows come from full-program evaluation only; the clipped
-        # lower bounds never leak into the candidate table.
-        for record in jr.by_stage("lower_bound"):
-            assert record.stage != "evaluate"
-        assert all(r.exact is not None for r in jr.ranked())
-        assert len(ranked_candidates) <= len(candidates)
+            obs.disable()
+        assert outcomes[0] == CascadeOutcome(1, True, "simulated")
+        assert outcomes[1:] == [CascadeOutcome(1, False, "tier1")] * (
+            len(candidates) - 1
+        )
+        assert observer.counters["search.cascade.pruned"] == len(candidates) - 1
+        assert jr.counts()["cascade_pruned"] == len(candidates) - 1
+        from repro.reporting.journal import render_reconciliation
+
+        _, ok = render_reconciliation(jr, observer.counters)
+        assert ok
 
 
 class TestBranchBoundIncumbent:
@@ -284,33 +230,6 @@ class TestBranchBoundIncumbent:
         result = branch_and_bound_mws_2d(2, 5, 25, 10, self.DISTANCES)
         assert result.row == (2, 3)
         assert result.objective == Fraction(22, 1)
-
-    def test_seeded_explores_fewer_nodes_same_result(self):
-        plain = branch_and_bound_mws_2d(2, 5, 25, 10, self.DISTANCES)
-        seeded = branch_and_bound_mws_2d(
-            2, 5, 25, 10, self.DISTANCES, incumbent=Fraction(22, 1)
-        )
-        assert seeded.row == plain.row
-        assert seeded.objective == plain.objective
-        assert seeded.nodes_explored <= plain.nodes_explored
-        assert seeded.candidates_evaluated < plain.candidates_evaluated
-
-    def test_loose_incumbent_is_a_no_op(self):
-        plain = branch_and_bound_mws_2d(2, 5, 25, 10, self.DISTANCES)
-        seeded = branch_and_bound_mws_2d(
-            2, 5, 25, 10, self.DISTANCES, incumbent=10_000
-        )
-        assert (seeded.row, seeded.objective) == (plain.row, plain.objective)
-
-    def test_incumbent_prune_counter(self):
-        observer = obs.enable()
-        try:
-            branch_and_bound_mws_2d(
-                2, 5, 25, 10, self.DISTANCES, incumbent=Fraction(5, 1)
-            )
-        finally:
-            obs.disable()
-        assert observer.counters.get("search.bb.incumbent_pruned", 0) > 0
 
 
 class TestLazyEnumeration:

@@ -1,9 +1,9 @@
 """Validation of the numeric environment knobs and the workers count.
 
-``dense_budget()`` and ``clip_budget()`` read their env var through the
-shared :func:`repro.envutil.env_int` helper, so a typo'd value fails fast with
+``dense_budget()`` reads its env var through the shared
+:func:`repro.envutil.env_int` helper, so a typo'd value fails fast with
 the variable's name in the message, and zero/negative budgets — which
-used to silently disable dense mode or tier-2 pruning — are rejected.
+used to silently disable dense mode — are rejected.
 Negative ``workers`` counts are rejected when an
 :class:`repro.api.AnalysisService` is built, instead of surfacing as an
 opaque pool error on the first request.
@@ -14,12 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.envutil import env_int
-from repro.estimation.bounds import CLIP_BUDGET_ENV, DEFAULT_CLIP_BUDGET, clip_budget
 from repro.window.fast import DEFAULT_DENSE_BUDGET, DENSE_BUDGET_ENV, dense_budget
 
 KNOBS = [
     (DENSE_BUDGET_ENV, dense_budget, DEFAULT_DENSE_BUDGET),
-    (CLIP_BUDGET_ENV, clip_budget, DEFAULT_CLIP_BUDGET),
 ]
 
 

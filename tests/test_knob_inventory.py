@@ -9,6 +9,9 @@ field or environment variable, re-exposes the choice.  The streaming
 engine's block size is a constant too: no ``chunk`` parameter, no
 ``REPRO_STREAM_CHUNK`` and no ``repro bench`` command to sweep it.  The
 modulo allocation scans to a valid modulus with no ``search_limit``.
+The evaluation cascade has one pruning tier, certified reuse facts, so
+no clipping budget, lower-bound stage or branch-and-bound incumbent
+seed is settable.
 """
 
 from __future__ import annotations
@@ -126,16 +129,42 @@ def test_cli_rejects_bench_command(capsys):
     assert "'bench'" in capsys.readouterr().err
 
 
-def test_no_module_reads_the_stream_chunk_variable():
+def _modules_naming(text: str) -> list[str]:
     from pathlib import Path
 
     src = Path(repro.__file__).parent
-    naming = [
+    return [
         str(path.relative_to(src))
         for path in sorted(src.rglob("*.py"))
-        if "REPRO_STREAM_CHUNK" in path.read_text(encoding="utf-8")
+        if text in path.read_text(encoding="utf-8")
     ]
-    assert naming == []
+
+
+def test_no_module_reads_the_stream_chunk_variable():
+    assert _modules_naming("REPRO_STREAM_CHUNK") == []
+
+
+def test_no_module_reads_the_clip_budget_variable():
+    assert _modules_naming("REPRO_CLIP_BUDGET") == []
+
+
+@pytest.mark.parametrize("parameter", ["clip_budget", "incumbent"])
+def test_no_callable_takes_a_removed_pruning_knob(callables, parameter):
+    """The cascade's clipped sub-box bound (413 clipped simulations for
+    10 prunes on the Figure-2 table) and the branch-and-bound incumbent
+    seed (no caller passed one) are gone."""
+    assert {
+        name for name, obj in callables.items()
+        if parameter in _parameters(obj)
+    } == set()
+
+
+def test_evaluate_exact_takes_no_stage():
+    from repro.transform.search import evaluate_exact
+
+    assert list(inspect.signature(evaluate_exact).parameters) == [
+        "program", "candidates", "array", "store",
+    ]
 
 
 def test_allocate_window_takes_no_search_limit():

@@ -270,6 +270,19 @@ class TestRouting:
         assert code == 400
         assert "finite" in body["error"]
 
+    @pytest.mark.parametrize("timeout", [[1], {}, True])
+    def test_non_numeric_timeout_400(self, observer, timeout):
+        # A list or object used to escape as TypeError: a 500 that
+        # bumped server.errors.
+        with _serve() as (url, _, _):
+            code, body = _call(
+                f"{url}/analyze", method="POST",
+                payload={"kind": "mws", "kernel": "sor", "timeout": timeout},
+            )
+        assert code == 400
+        assert "number of seconds" in body["error"]
+        assert observer.counters.get("server.errors", 0) == 0
+
     def test_metrics_exposition(self, observer):
         with _serve() as (url, _, _):
             _call(f"{url}/analyze", method="POST",

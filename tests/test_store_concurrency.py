@@ -1,15 +1,16 @@
 """Concurrent access to the result store (ISSUE 10, satellite S4).
 
 The store's crash-safety story is ``os.replace`` atomicity plus
-corrupt-reads-are-misses.  These tests pin the three racy shapes the
-service now exercises daily: two processes writing the same key, a
-reader racing the compaction sweep, and the LRU front never
-resurrecting a record compaction removed.
+corrupt-reads-are-misses.  These tests pin the racy shapes the service
+exercises daily: two processes writing the same key, threads of one
+process writing the same key, a reader racing the compaction sweep, and
+the LRU front never resurrecting a record compaction removed.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -81,6 +82,48 @@ class TestTwoProcessSameKey:
             store.record_path(KIND, KEY).read_text(encoding="utf-8")
         )
         assert record["value"] == value
+
+
+class TestThreadsSameKey:
+    def test_threads_of_one_process_never_share_a_temp_file(
+        self, tmp_path, observer
+    ):
+        """``repro serve --workers 0`` writes from its executor threads;
+        a per-process temp name let one thread's ``os.replace`` move
+        another's file away (``FileNotFoundError``)."""
+        store = ResultStore(tmp_path)
+        failures: list[BaseException] = []
+        start = threading.Barrier(4)
+
+        def writer(tag: int) -> None:
+            try:
+                start.wait(timeout=30)
+                for i in range(300):
+                    store.put(KIND, KEY, {"tag": tag, "i": i})
+            except BaseException as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(tag,))
+                for tag in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        store.drop_memory()
+        value = store.get(KIND, KEY)
+        assert value == {"tag": value["tag"], "i": 299}
+        assert store.record_count() == 1
+        assert not list(store.base.glob("*/*.tmp.*"))
+        assert observer.counters.get("store.corrupt", 0) == 0
 
 
 class TestReaderVsCompaction:
