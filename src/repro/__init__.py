@@ -31,70 +31,41 @@ and baselines), ``memory`` (scratchpad/energy substrate), ``kernels``
 (the Figure-2 suite), ``reporting`` (tables).
 """
 
-from repro.core import (
-    AnalysisReport,
-    OptimizationResult,
-    analyze_program,
-    full_report,
-    optimize_program,
-)
-from repro.estimation import (
-    estimate_distinct_accesses,
-    estimate_program_memory,
-    exact_distinct_accesses,
-    nonuniform_bounds,
-)
-from repro.ir import (
-    ArrayDecl,
-    ArrayRef,
-    Loop,
-    LoopNest,
-    NestBuilder,
-    Program,
-    Statement,
-    generate_source,
-    generate_transformed_source,
-    parse_program,
-)
-from repro.linalg import IntMatrix
-from repro.memory import simulate_scratchpad, size_memory_for_program
-from repro.transform import (
-    eisenbeis_search,
-    li_pingali_transformation,
-    search_best_transformation,
-)
-from repro.window import max_total_window, max_window_size, window_profile
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "AnalysisReport",
-    "OptimizationResult",
-    "analyze_program",
-    "optimize_program",
-    "full_report",
-    "estimate_distinct_accesses",
-    "exact_distinct_accesses",
-    "estimate_program_memory",
-    "nonuniform_bounds",
-    "ArrayDecl",
-    "ArrayRef",
-    "Loop",
-    "LoopNest",
-    "NestBuilder",
-    "Program",
-    "Statement",
-    "parse_program",
-    "generate_source",
-    "generate_transformed_source",
-    "IntMatrix",
-    "simulate_scratchpad",
-    "size_memory_for_program",
-    "max_window_size",
-    "max_total_window",
-    "window_profile",
-    "eisenbeis_search",
-    "li_pingali_transformation",
-    "search_best_transformation",
-]
+#: Re-exported name -> the subpackage defining it.  Each resolves on
+#: first use (PEP 562), so ``import repro`` loads none of them.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.core": "AnalysisReport OptimizationResult analyze_program "
+                      "optimize_program full_report",
+        "repro.estimation": "estimate_distinct_accesses exact_distinct_accesses "
+                            "estimate_program_memory nonuniform_bounds",
+        "repro.ir": "ArrayDecl ArrayRef Loop LoopNest NestBuilder Program "
+                    "Statement parse_program generate_source "
+                    "generate_transformed_source",
+        "repro.linalg": "IntMatrix",
+        "repro.memory": "simulate_scratchpad size_memory_for_program",
+        "repro.window": "max_window_size max_total_window window_profile",
+        "repro.transform": "eisenbeis_search li_pingali_transformation "
+                           "search_best_transformation",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

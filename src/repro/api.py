@@ -21,20 +21,25 @@ Request ``kind`` is one of :data:`KINDS`: ``optimize``, ``search``,
 exactly one of ``kernel`` (a Figure-2 kernel name), ``file`` (a
 loop-nest source path), or ``source`` (inline loop-nest text).  All
 results are JSON-ready dicts, pure functions of the program signature
-and knobs, so with a store attached a warm request is served without a
-single engine simulation.
+and knobs.  With a store attached each whole answer is one record of
+kind ``answer`` (:func:`answer_key`), and the service reads it in the
+calling process before an item runs inline or crosses the pool, so a
+warm request is one record read: no engine work and nothing pickled.
 
 Two front ends run their items through the service: the HTTP server
 (:mod:`repro.server`, a thin asyncio shell) and ``repro batch``
 (:func:`repro.store.batch.run_batch`, a loop over one service).  The
-single-program CLI subcommands call the engines directly, but load
-their programs with the same :func:`load_program`.
+single-program CLI subcommands that keep answers in the store
+(``analyze``, ``optimize``, ``size --optimized``, ``figure2``) answer
+through :func:`evaluate_kind`, and every subcommand loads its program
+with the same :func:`load_program`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import json
 import math
 import os
 import threading
@@ -60,6 +65,42 @@ LATENCY_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100
 # kind dispatch — the one place "what does this analysis return" lives
 # ----------------------------------------------------------------------
 
+def answer_key(
+    kind: str, program: Program, array: str | None = None, preset: str = "tcm"
+) -> dict[str, Any]:
+    """Store key of one answer: the kind, the program signature, and only
+    the knobs that kind reads (``array`` for ``search``, ``mws`` and
+    ``param``; ``preset`` for ``hierarchy``)."""
+    key: dict[str, Any] = {"kind": kind, "sig": program.signature()}
+    if kind in ("search", "mws", "param"):
+        key["array"] = array
+    elif kind == "hierarchy":
+        key["preset"] = preset
+    return key
+
+
+def _decode_answer(value: Any) -> dict[str, Any] | None:
+    """An answer record's value — the answer as JSON text, so that its
+    field order survives the store's sorted-key records — parsed, or
+    ``None`` (a counted ``store.corrupt`` miss) when it is not one."""
+    try:
+        answer = json.loads(value)
+    except (TypeError, ValueError):
+        answer = None
+    if isinstance(answer, dict):
+        return answer
+    obs.counter("store.corrupt")
+    return None
+
+
+def _named(answer: dict[str, Any], program: Program) -> dict[str, Any]:
+    """``answer`` for ``program``: the signature leaves names out, so an
+    ``analyze`` answer takes the caller's."""
+    if "program" in answer:
+        answer["program"] = program.name
+    return answer
+
+
 def evaluate_kind(
     kind: str,
     program: Program,
@@ -69,16 +110,39 @@ def evaluate_kind(
 ) -> dict[str, Any]:
     """Run one analysis ``kind`` on ``program``; JSON-ready result dict.
 
-    Every result is a pure function of ``program.signature()`` and the
-    knobs, served through the store when one is attached.  This is the
-    dispatch every :class:`AnalysisService` item runs — ``repro batch``
-    and ``repro serve`` — and the default evaluator of both; its
-    positional arguments are the ones the item task passes.
+    Every result is a pure function of the :func:`answer_key`, so the
+    whole answer is cached through
+    :func:`repro.transform.search.cached_search`: the in-process memo,
+    then ``store``'s ``answer`` record, then the computation, which
+    passes no store below it (``param`` excepted: its ``parametric``
+    records answer every resize of the program family).  A cold answer
+    comes back in its stored JSON form (``t`` as lists), so cold and
+    warm answers are equal.  This is the dispatch every
+    :class:`AnalysisService` item runs — ``repro batch`` and ``repro
+    serve`` — and the default evaluator of both; its positional
+    arguments are the ones the item task passes.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
+    from repro.transform.search import cached_search
+
+    text = cached_search(
+        "answer", answer_key(kind, program, array, preset), store,
+        lambda: json.dumps(_compute(kind, program, array, store, preset)),
+        lambda text: text,
+        lambda value: None if _decode_answer(value) is None else value,
+    )
+    return _named(json.loads(text), program)
+
+
+def _compute(
+    kind: str, program: Program, array: str | None, store, preset: str
+) -> dict[str, Any]:
+    """One kind's answer, computed (the cache is :func:`evaluate_kind`'s)."""
     if kind == "optimize":
         from repro.core.optimizer import optimize_program
 
-        result = optimize_program(program, store=store)
+        result = optimize_program(program)
         return {
             "mws_before": result.mws_before,
             "mws_after": result.mws_after,
@@ -88,7 +152,7 @@ def evaluate_kind(
         from repro.transform.search import search_best_transformation
 
         name = array or program.arrays[0]
-        result = search_best_transformation(program, name, store=store)
+        result = search_best_transformation(program, name)
         return {
             "array": name,
             "exact": result.exact_mws,
@@ -98,12 +162,12 @@ def evaluate_kind(
     if kind == "mws":
         from repro.transform.search import evaluate_exact
 
-        value = evaluate_exact(program, [None], array=array, store=store)[0]
+        value = evaluate_exact(program, [None], array=array)[0]
         return {"array": array, "mws": value}
     if kind == "analyze":
         from repro.core.pipeline import analyze_program
 
-        report = analyze_program(program, store=store)
+        report = analyze_program(program)
         return {
             "program": report.program,
             "default_memory": report.default_memory,
@@ -117,22 +181,20 @@ def evaluate_kind(
         from repro.transform.search import evaluate_exact
 
         stack = hierarchy_preset(preset)
-        mws = evaluate_exact(program, [None], store=store)[0]
+        mws = evaluate_exact(program, [None])[0]
         return {
             "preset": preset,
             "mws_words": mws,
             "tiers_needed": tiers_needed(stack, mws),
         }
-    if kind == "param":
-        from repro.estimation.parametric import resolve_parametric
+    from repro.estimation.parametric import resolve_parametric
 
-        name = array or program.arrays[0]
-        out: dict[str, Any] = {"array": name}
-        for param_kind in ("mws", "distinct"):
-            pe = resolve_parametric(program, param_kind, array=name, store=store)
-            out[f"{param_kind}_expr"] = None if pe is None else str(pe.expr)
-        return out
-    raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
+    name = array or program.arrays[0]
+    out: dict[str, Any] = {"array": name}
+    for param_kind in ("mws", "distinct"):
+        pe = resolve_parametric(program, param_kind, array=name, store=store)
+        out[f"{param_kind}_expr"] = None if pe is None else str(pe.expr)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -219,32 +281,11 @@ def _recover_timeout_delta(item_label: str) -> dict[str, int]:
     return recovered
 
 
-def _observe_latency(wall_s: float, delta: Mapping[str, int]) -> bool:
-    """File the item's wall time under the warm or cold histogram, and
-    return whether the item was warm.
-
-    *Warm* means cached answers served the whole item: no ``store.misses``,
-    no window-engine work (every ``engine.*.calls`` and
-    ``batch.candidates`` zero), and at least one hit in the store or in
-    the in-process memos (``search.cache``, ``search.memo``,
-    ``param.cache``), which answer repeats without touching the store.
-    Anything else is cold.
-    """
-    hits = sum(
-        delta.get(f"{cache}.hits", 0)
-        for cache in (
-            "store.mem", "store.disk", "search.cache", "search.memo",
-            "param.cache",
-        )
-    )
-    engine_work = delta.get("batch.candidates", 0) + sum(
-        value for name, value in delta.items()
-        if name.startswith("engine.") and name.endswith(".calls")
-    )
-    warm = hits > 0 and engine_work == 0 and delta.get("store.misses", 0) == 0
+def _observe_latency(wall_s: float, warm: bool) -> None:
+    """File the item's wall time under the warm histogram (its answer
+    record was read) or the cold one."""
     name = "batch.latency.warm_s" if warm else "batch.latency.cold_s"
     obs_metrics.observe(name, wall_s, buckets=LATENCY_BUCKETS)
-    return warm
 
 
 def record_item_timeout(
@@ -478,12 +519,23 @@ class AnalysisService:
             request.kernel, request.file, request.source, request.name
         )
 
-    def _payload(
-        self, request: AnalysisRequest, evaluator, program: Program | None
-    ) -> tuple:
-        """Resolve the request (unless its ``program`` is given) into the
-        item task's payload."""
+    def _prepare(
+        self,
+        request: AnalysisRequest,
+        evaluator,
+        program: Program | None,
+        started: float,
+    ) -> tuple[tuple | None, AnalysisResponse | None]:
+        """Resolve the request (unless its ``program`` is given), then
+        read its answer record: ``(None, warm response)`` on a hit, else
+        ``(the item task's payload, None)``.  An injected ``evaluator``
+        skips the read."""
+        if program is None:
+            program = self.resolve_program(request)
         if evaluator is None:
+            served = self._stored(request, program, started)
+            if served is not None:
+                return None, served
             # functools.partial of a module-level callable pickles to
             # pool workers; the default path ships the bare function.
             evaluator = evaluate_kind
@@ -491,12 +543,40 @@ class AnalysisService:
                 evaluator = functools.partial(
                     evaluate_kind, preset=request.preset
                 )
-        if program is None:
-            program = self.resolve_program(request)
         return (
             evaluator, f"{request.kind} {request.target}",
             program.signature(), request.kind, program, request.array,
             self.store,
+        ), None
+
+    def _stored(
+        self, request: AnalysisRequest, program: Program, started: float
+    ) -> AnalysisResponse | None:
+        """The warm response of a request whose answer record the store
+        holds, or ``None``.  The item's heartbeats are emitted as for a
+        computed one."""
+        if self.store is None:
+            return None
+        value = self.store.get("answer", answer_key(
+            request.kind, program, request.array, request.preset
+        ))
+        result = None if value is None else _decode_answer(value)
+        if result is None:
+            return None
+        result = _named(result, program)
+        label, sig = f"{request.kind} {request.target}", program.signature()
+        flight.heartbeat("item_start", item=label, sig=sig)
+        wall = time.perf_counter() - started
+        flight.heartbeat(
+            "item_done", item=label, sig=sig, elapsed_s=round(wall, 3),
+            counters={},
+        )
+        with self._lock:
+            obs.counter("batch.items.ok")
+            _observe_latency(wall, warm=True)
+        return AnalysisResponse(
+            request.kind, request.target, request.array, "ok",
+            result=result, wall_s=wall, warm=True,
         )
 
     def evaluate(
@@ -508,24 +588,28 @@ class AnalysisService:
         """Evaluate inline (no pool, no preemption); never raises on the
         *item's* behalf — failures come back as ``status="error"``.
 
-        ``evaluator`` (tests only) replaces :func:`evaluate_kind`;
-        ``program`` is the request's program when the caller has
-        already resolved it (``repro batch`` does, to deduplicate).
+        A stored answer is the response (``warm=True``).  ``evaluator``
+        (tests only) replaces :func:`evaluate_kind` and skips that read;
+        ``program`` is the request's program when the caller has already
+        resolved it (``repro batch`` does, to deduplicate).
         """
         started = time.perf_counter()
         try:
-            result, delta = _run_item(
-                self._payload(request, evaluator, program), drain=False
+            payload, served = self._prepare(
+                request, evaluator, program, started
             )
+            if served is not None:
+                return served
+            result, _ = _run_item(payload, drain=False)
         except Exception as exc:
             obs.counter("batch.items.error")
             return _failed(request, exc, time.perf_counter() - started)
         wall = time.perf_counter() - started
         obs.counter("batch.items.ok")
-        warm = _observe_latency(wall, delta)
+        _observe_latency(wall, warm=False)
         return AnalysisResponse(
             request.kind, request.target, request.array, "ok",
-            result=result, wall_s=wall, warm=warm,
+            result=result, wall_s=wall, warm=False,
         )
 
     def submit(
@@ -537,9 +621,11 @@ class AnalysisService:
     ) -> AnalysisResponse:
         """Evaluate on the worker pool with the item timeout path.
 
-        ``timeout`` (falling back to the request's, then the service's)
-        bounds the request's execution; on expiry the worker is killed
-        and respawned (``batch.worker.reclaimed``) and the response is
+        A stored answer is read first, in this process, and is the
+        response: it never crosses the pool.  ``timeout`` (falling back
+        to the request's, then the service's) bounds the request's
+        execution; on expiry the worker is killed and respawned
+        (``batch.worker.reclaimed``) and the response is
         ``status="timeout"``.  With ``workers=0`` this degrades to
         :meth:`evaluate`.  ``evaluator`` (tests only; module-level so it
         pickles) replaces :func:`evaluate_kind`; ``program`` is as in
@@ -552,10 +638,14 @@ class AnalysisService:
         if self.workers < 1:
             return self.evaluate(request, evaluator, program)
         try:
-            payload = self._payload(request, evaluator, program)
+            payload, served = self._prepare(
+                request, evaluator, program, time.perf_counter()
+            )
         except Exception as exc:
             obs.counter("batch.items.error")
             return _failed(request, exc)
+        if served is not None:
+            return served
         slot = self._ensure_pool().run_one(_batch_task, payload, timeout)
         if slot.status == "timeout":
             label, sig = payload[1:3]
@@ -576,10 +666,10 @@ class AnalysisService:
             for name, amount in delta.items():
                 obs.counter(name, amount)
             obs.counter("batch.items.ok")
-            warm = _observe_latency(slot.wall_s, delta)
+            _observe_latency(slot.wall_s, warm=False)
         return AnalysisResponse(
             request.kind, request.target, request.array, "ok",
-            result=result, wall_s=slot.wall_s, warm=warm,
+            result=result, wall_s=slot.wall_s, warm=False,
         )
 
     # ------------------------------------------------------------------

@@ -2173,8 +2173,8 @@ class CandidateScreenReference(Oracle):
 # the search cache
 # ----------------------------------------------------------------------
 
-#: Record kinds holding a whole search answer (one record per answer).
-_WHOLE_ANSWER_KINDS = ("search", "optimize", "hierarchy")
+#: Record kinds holding a whole answer (one record per answer).
+_WHOLE_ANSWER_KINDS = ("answer", "hierarchy")
 
 
 def _logging_store(root):
@@ -2207,17 +2207,19 @@ def search_cache_answers(
     program: Program, store, cold: bool = False
 ) -> list[tuple[str, object]]:
     """Every whole answer the search cache serves for ``program``, in a
-    fixed order: the per-array search of each uniform array,
-    ``optimize_program``, ``search_hierarchy`` with ``prune`` on and off
-    (depth <= 3, on :func:`_small_tcm`), and the five non-``param`` api
-    kinds as ``(field, value)`` lists, so field order counts.  The
-    caller's own name reads ``"<caller>"``, so any other name shows; an
-    error is an answer too.  ``cold`` empties the memos before each
-    answer, so that none is served from another's cache entry."""
+    fixed order: the per-array search of each uniform array and
+    ``optimize_program`` (memoized only), ``search_hierarchy`` with
+    ``prune`` on and off (depth <= 3, on :func:`_small_tcm`), and every
+    api kind as ``(field, value)`` lists, so field order counts —
+    ``search`` and ``mws`` once per array (``mws`` for the total too),
+    so a key that drops the array shows, and ``param`` on 2-deep nests.  The caller's own name reads
+    ``"<caller>"``, so any other name shows; an error is an answer too.
+    ``cold`` empties the memos before each answer, so that none is
+    served from another's cache entry."""
     from repro.api import evaluate_kind
     from repro.core.optimizer import optimize_program
     from repro.transform.hierarchy_search import search_hierarchy
-    from repro.transform.search import clear_exact_cache, search_best_transformation
+    from repro.transform.search import search_best_transformation
 
     def named(value):
         if getattr(value, "program", None) == program.name:
@@ -2231,10 +2233,10 @@ def search_cache_answers(
 
     calls = [
         (f"search {array}",
-         functools.partial(search_best_transformation, program, array, store=store))
+         functools.partial(search_best_transformation, program, array))
         for array in program.arrays if program.is_uniformly_generated(array)
     ]
-    calls.append(("optimize", functools.partial(optimize_program, program, store=store)))
+    calls.append(("optimize", functools.partial(optimize_program, program)))
     if program.nest.depth <= 3:
         calls += [
             (f"hierarchy prune={prune}",
@@ -2243,14 +2245,23 @@ def search_cache_answers(
              ))
             for prune in (True, False)
         ]
+    kinds = [
+        ("optimize", None), ("analyze", None), ("hierarchy", None),
+        ("mws", None),
+        *((kind, array) for kind in ("search", "mws") for array in program.arrays),
+    ]
+    if program.nest.depth == 2:
+        # Deeper generated nests can take 10-20 s to derive a closed form.
+        kinds.append(("param", None))
     calls += [
-        (f"kind {kind}", functools.partial(evaluate_kind, kind, program, store=store))
-        for kind in ("optimize", "search", "mws", "analyze", "hierarchy")
+        (f"kind {kind} {array or ''}".rstrip(),
+         functools.partial(evaluate_kind, kind, program, array, store))
+        for kind, array in kinds
     ]
     answers: list[tuple[str, object]] = []
     for label, call in calls:
         if cold:
-            clear_exact_cache()
+            _clear_memos()
         try:
             answers.append((label, named(call())))
         except (ValueError, KeyError) as exc:
@@ -2259,15 +2270,25 @@ def search_cache_answers(
     return answers
 
 
+def _clear_memos() -> None:
+    """Empty the whole-result, window and parametric memos."""
+    from repro.estimation.parametric import clear_param_cache
+    from repro.transform.search import clear_exact_cache
+
+    clear_exact_cache()
+    clear_param_cache()
+
+
 @register
 class SearchCacheRoundtrip(Oracle):
     name = "search-cache-roundtrip"
     kind = "cross"
     paper = (
-        "Section 4's search result is a pure function of the loop nest "
-        "and the search knobs, so serving it from the in-process memo or "
-        "the store, under any program name, or recomputing it past a "
-        "corrupt record must give exactly the storeless answer."
+        "Section 4's search result, and every api answer built on it, is "
+        "a pure function of the loop nest and the knobs it reads, so "
+        "serving it from the in-process memo or the store, under any "
+        "program name, or recomputing it past a corrupt record must give "
+        "exactly the storeless answer."
     )
     config = GeneratorConfig(min_trip=2, max_trip=5)
 
@@ -2288,8 +2309,6 @@ class SearchCacheRoundtrip(Oracle):
         import json
         import tempfile
 
-        from repro.transform.search import clear_exact_cache
-
         renamed = _rebuild(program, name=f"{program.name}-renamed")
         want = search_cache_answers(renamed, None, cold=True)
         with tempfile.TemporaryDirectory() as root:
@@ -2299,7 +2318,7 @@ class SearchCacheRoundtrip(Oracle):
                 ("warm store, memos cleared", renamed),
                 ("one record truncated", renamed),
             ):
-                clear_exact_cache()
+                _clear_memos()
                 store.drop_memory()
                 if label == "one record truncated":
                     # A record the warm pass read, so this pass reads it.

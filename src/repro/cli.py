@@ -27,8 +27,10 @@ Global flags (before the subcommand):
                        this process and ignore it)
     --trace out.jsonl  record an observability trace; prints a span
                        summary on exit (see docs/observability.md)
-    --store DIR        persist/reuse exact windows and search results in
-                       a content-addressed store (default: the
+    --store DIR        keep and reuse whole answers (`analyze`,
+                       `optimize`, `size --optimized`, `figure2`,
+                       `batch`, `serve`), hierarchy plans and closed
+                       forms in a content-addressed store (default: the
                        REPRO_STORE_DIR environment variable, if set)
 
 The input format is the small C-like syntax of :mod:`repro.ir.parser`
@@ -42,11 +44,8 @@ import sys
 from pathlib import Path
 
 from repro import obs
-from repro.api import load_program
-from repro.core import analyze_program, optimize_program
-from repro.ir import generate_transformed_source
+from repro.api import evaluate_kind, load_program
 from repro.ir.parser import ParseError
-from repro.memory import size_memory_for_program
 
 
 def _load_target(target: str):
@@ -57,8 +56,12 @@ def _load_target(target: str):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.core.pipeline import format_analysis
+
     program = load_program(file=args.file)
-    print(analyze_program(program, store=args.store_obj))
+    print(format_analysis(
+        evaluate_kind("analyze", program, store=args.store_obj)
+    ))
     return 0
 
 
@@ -80,13 +83,18 @@ def _cmd_dependences(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from repro.linalg import IntMatrix
+
     program = load_program(file=args.file)
-    result = optimize_program(program, store=args.store_obj)
-    print(f"MWS before : {result.mws_before}")
-    print(f"MWS after  : {result.mws_after}")
-    print(f"reduction  : {100 * result.reduction:.1f}%")
+    answer = evaluate_kind("optimize", program, store=args.store_obj)
+    before, after = answer["mws_before"], answer["mws_after"]
+    reduction = 1.0 - after / before if before else 0.0
+    transformation = IntMatrix(answer["t"])
+    print(f"MWS before : {before}")
+    print(f"MWS after  : {after}")
+    print(f"reduction  : {100 * reduction:.1f}%")
     print("T =")
-    print(result.transformation.pretty())
+    print(transformation.pretty())
     if args.hierarchy:
         from repro.memory.hierarchy import preset
         from repro.transform.hierarchy_search import search_hierarchy
@@ -95,7 +103,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         search = search_hierarchy(
             program,
             hierarchy,
-            candidates=[None, result.transformation],
+            candidates=[None, transformation],
             store=args.store_obj,
         )
         print()
@@ -105,8 +113,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         print(f"  saving: {search.savings_pct:.1f}% "
               f"(certified floor {search.floor_energy_pj:.0f} pJ)")
     if args.codegen:
+        from repro.ir import generate_transformed_source
+
         print()
-        print(generate_transformed_source(program, result.transformation))
+        print(generate_transformed_source(program, transformation))
     return 0
 
 
@@ -147,12 +157,15 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 
 
 def _cmd_size(args: argparse.Namespace) -> int:
+    from repro.linalg import IntMatrix
+    from repro.memory import size_memory_for_program
+
     program = load_program(file=args.file)
     transformation = None
     if args.optimized:
-        transformation = optimize_program(
-            program, store=args.store_obj
-        ).transformation
+        transformation = IntMatrix(
+            evaluate_kind("optimize", program, store=args.store_obj)["t"]
+        )
     report = size_memory_for_program(program, transformation)
     print(f"declared            : {report.declared_words} words")
     print(f"maximum window size : {report.mws_words} words")
@@ -176,13 +189,9 @@ def _cmd_buffer(args: argparse.Namespace) -> int:
     if args.optimized:
         depth = program.nest.depth
         if depth == 2:
-            transformation = search_mws_2d(
-                program, array, store=args.store_obj
-            ).transformation
+            transformation = search_mws_2d(program, array).transformation
         elif depth == 3:
-            transformation = search_mws_3d(
-                program, array, store=args.store_obj
-            ).transformation
+            transformation = search_mws_3d(program, array).transformation
     alloc = allocate_window(program, array, transformation)
     print(f"array {array}: declared={alloc.declared} MWS={alloc.mws} "
           f"modulus={alloc.modulus} (overhead {100 * alloc.overhead:.0f}%)")
@@ -242,9 +251,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         observer = obs.enable()
     jr = journal.enable()
     try:
-        result = search_best_transformation(
-            program, array, bound=args.bound, store=args.store_obj
-        )
+        result = search_best_transformation(program, array, bound=args.bound)
     finally:
         journal.disable()
         if own_observer:

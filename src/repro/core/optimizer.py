@@ -48,7 +48,7 @@ class OptimizationResult:
         return 1.0 - self.mws_after / self.mws_before
 
 
-def candidate_transformations(program: Program, store=None) -> list[IntMatrix]:
+def candidate_transformations(program: Program) -> list[IntMatrix]:
     """Legal candidate transformations for program-level optimization.
 
     Five sources: the identity; all signed permutations (interchange and
@@ -75,7 +75,7 @@ def candidate_transformations(program: Program, store=None) -> list[IntMatrix]:
             if not program.is_uniformly_generated(array):
                 continue
             try:
-                result = search(program, array, store=store)
+                result = search(program, array)
             except (ValueError, KeyError):
                 continue
             if is_legal(result.transformation, distances):
@@ -114,7 +114,7 @@ def _access_embeddings(
     return out
 
 
-def optimize_program(program: Program, store=None) -> OptimizationResult:
+def optimize_program(program: Program) -> OptimizationResult:
     """Choose the legal transformation minimizing total MWS.
 
     Exact scoring via the window simulator; the identity is always a
@@ -125,28 +125,26 @@ def optimize_program(program: Program, store=None) -> OptimizationResult:
     (first, so its score is always exact) sets the incumbent, and
     candidates whose certified reuse floor cannot strictly beat the
     running best are never simulated — the chosen transformation is
-    identical to scoring everything.  The whole result is cached by
-    program signature (record kind ``optimize``, see
-    :func:`repro.transform.search.cached_search`), so a repeat — or a
-    warm process with ``store`` (a :class:`repro.store.ResultStore`) —
-    answers without listing candidates.
+    identical to scoring everything.  The whole result is memoized by
+    program signature (:func:`repro.transform.search.cached_search`), so
+    a repeat in this process answers without listing candidates; the
+    api's ``optimize`` answer (:func:`repro.api.evaluate_kind`) is what
+    a store keeps across processes.
     """
     with obs.span("optimize", program=program.name):
         result = cached_search(
-            "optimize", {"sig": program.signature()}, store,
-            lambda: _optimize(program, store), _encode, _decode,
+            "optimize", {"sig": program.signature()}, None,
+            lambda: _optimize(program),
         )
     # The signature leaves names out, so a hit answers with the caller's.
     return replace(result, program=program.name)
 
 
-def _optimize(program: Program, store) -> OptimizationResult:
+def _optimize(program: Program) -> OptimizationResult:
     with obs.span("candidates"):
-        candidates = candidate_transformations(program, store=store)
+        candidates = candidate_transformations(program)
     obs.counter("optimize.candidates", len(candidates))
-    outcomes, (after, best) = cascade_winner(
-        program, [None, *candidates], store=store
-    )
+    outcomes, (after, best) = cascade_winner(program, [None, *candidates])
     return OptimizationResult(
         program=program.name,
         transformation=(
@@ -156,28 +154,3 @@ def _optimize(program: Program, store) -> OptimizationResult:
         mws_after=after,
         candidates_tried=len(candidates),
     )
-
-
-def _encode(result: OptimizationResult) -> dict:
-    return {
-        "t": result.transformation.rows,
-        "before": result.mws_before,
-        "after": result.mws_after,
-        "tried": result.candidates_tried,
-    }
-
-
-def _decode(value) -> OptimizationResult | None:
-    """Stored payload -> result (named by the caller); ``None`` (a
-    counted ``store.corrupt`` miss) when it does not decode."""
-    try:
-        return OptimizationResult(
-            program="",
-            transformation=IntMatrix(value["t"]),
-            mws_before=int(value["before"]),
-            mws_after=int(value["after"]),
-            candidates_tried=int(value["tried"]),
-        )
-    except (KeyError, TypeError, ValueError, IndexError):
-        obs.counter("store.corrupt")
-        return None

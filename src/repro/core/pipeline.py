@@ -22,25 +22,37 @@ class AnalysisReport:
     mws_total: int
 
     def __str__(self) -> str:
-        lines = [
-            f"== {self.program} ==",
-            f"declared (default) memory : {self.default_memory}",
-            f"distinct-access footprint : {self.footprint.footprint_total}",
-            f"max window size (total)   : {self.mws_total}",
-        ]
-        for array, mws in self.mws_per_array.items():
-            lines.append(f"  window[{array}] = {mws}")
-        return "\n".join(lines)
+        return format_analysis({
+            "program": self.program,
+            "default_memory": self.default_memory,
+            "footprint": self.footprint.footprint_total,
+            "mws": self.mws_per_array,
+            "mws_total": self.mws_total,
+        })
 
 
-def analyze_program(program: Program, store=None) -> AnalysisReport:
+def format_analysis(answer) -> str:
+    """The ``repro analyze`` report of an api ``analyze`` answer."""
+    lines = [
+        f"== {answer['program']} ==",
+        f"declared (default) memory : {answer['default_memory']}",
+        f"distinct-access footprint : {answer['footprint']}",
+        f"max window size (total)   : {answer['mws_total']}",
+    ]
+    for array, mws in answer["mws"].items():
+        lines.append(f"  window[{array}] = {mws}")
+    return "\n".join(lines)
+
+
+def analyze_program(program: Program) -> AnalysisReport:
     """Estimate footprints and measure exact windows for every array.
 
     Windows are scored through
-    :func:`repro.transform.search.evaluate_exact` (memoized, and
-    persisted in ``store`` when one is given): the dense engine while
-    the nest fits ``REPRO_DENSE_BUDGET``, streamed block by block past
-    it.
+    :func:`repro.transform.search.evaluate_exact` (memoized in this
+    process): the dense engine while the nest fits
+    ``REPRO_DENSE_BUDGET``, streamed block by block past it.  The api's
+    ``analyze`` answer (:func:`repro.api.evaluate_kind`) is what a store
+    keeps across processes.
     """
     from repro.transform.search import evaluate_exact
 
@@ -48,7 +60,7 @@ def analyze_program(program: Program, store=None) -> AnalysisReport:
     with obs.span("pipeline.analyze", program=program.name):
         footprint = estimate_program_memory(program)
         per_array = {
-            array: evaluate_exact(program, [None], array=array, store=store)[0]
+            array: evaluate_exact(program, [None], array=array)[0]
             for array in program.arrays
         }
         return AnalysisReport(
@@ -56,7 +68,7 @@ def analyze_program(program: Program, store=None) -> AnalysisReport:
             default_memory=program.default_memory,
             footprint=footprint,
             mws_per_array=per_array,
-            mws_total=evaluate_exact(program, [None], store=store)[0],
+            mws_total=evaluate_exact(program, [None])[0],
         )
 
 

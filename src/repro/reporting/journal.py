@@ -7,9 +7,10 @@ that the journal really saw everything the search counted.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.transform.journal import SearchJournal
+if TYPE_CHECKING:
+    from repro.transform.journal import SearchJournal
 
 #: (display label, SearchJournal.counts() key, obs counter name).  Every
 #: row must agree for the journal to be a faithful record of the search.

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.optimizer import optimize_program
 from repro.kernels.suite import KernelSpec
 
 
@@ -36,14 +35,17 @@ class Figure2Row:
 
 
 def figure2_row(spec: KernelSpec, store=None) -> Figure2Row:
-    """Run the pipeline on one kernel and produce its table row."""
+    """One kernel's table row, from the api's ``optimize`` answer (read
+    from ``store`` when it holds the record)."""
+    from repro.api import evaluate_kind
+
     program = spec.build()
-    result = optimize_program(program, store=store)
+    answer = evaluate_kind("optimize", program, store=store)
     return Figure2Row(
         name=spec.name,
         default=program.default_memory,
-        mws_unopt=result.mws_before,
-        mws_opt=result.mws_after,
+        mws_unopt=answer["mws_before"],
+        mws_opt=answer["mws_after"],
         paper_unopt_reduction=spec.paper_unopt_reduction,
         paper_opt_reduction=spec.paper_opt_reduction,
     )

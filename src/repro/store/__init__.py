@@ -2,9 +2,9 @@
 
 * :mod:`repro.store.lru` — the bounded LRU cache primitive (also the
   in-memory memo layer of :mod:`repro.transform.search`);
-* :mod:`repro.store.store` — content-addressed on-disk records keyed by
-  ``(program signature, kind, array, knobs)``, atomic and
-  corruption-tolerant;
+* :mod:`repro.store.store` — content-addressed on-disk records (one
+  per whole api answer, hierarchy plan, closed form or sealed run),
+  atomic and corruption-tolerant;
 * :mod:`repro.store.pool` — the reclaimable worker pool that
   :class:`repro.api.AnalysisService` runs its items on (the package's
   only process pool);

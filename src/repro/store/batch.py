@@ -30,8 +30,8 @@ defaults to ``optimize`` here::
 The target is exactly one of ``kernel`` (a Figure-2 kernel name),
 ``file`` (a loop-nest source file) or ``source`` (inline loop-nest
 text).  With a :class:`repro.store.ResultStore` attached, every item's
-results are persisted, so a warm re-run of the same manifest is served
-from the store; item latencies are recorded in the
+whole answer is one record, so a warm re-run of the same manifest is a
+few record reads; item latencies are recorded in the
 ``batch.latency.warm_s`` / ``batch.latency.cold_s`` histograms, and the
 summary table is byte-identical between cold and warm runs.
 """
@@ -124,9 +124,10 @@ def run_batch(
     bad *item*.
 
     Malformed entries (unknown kind, missing target, unknown kernel)
-    become ``error`` outcomes.  Identical work — same kind, program
-    signature, array and preset — is evaluated once and aliased
-    (``duplicate_of``).  ``workers=0`` runs the unique items inline
+    become ``error`` outcomes.  Identical work — the same
+    :func:`repro.api.answer_key`: kind, program signature and the knobs
+    that kind reads — is evaluated once and aliased (``duplicate_of``).
+    ``workers=0`` runs the unique items inline
     through :meth:`~repro.api.AnalysisService.evaluate`; ``workers >= 1``
     submits them from ``workers`` driver threads to the service's
     reclaimable pool, where an item outliving ``timeout`` seconds is
@@ -139,7 +140,7 @@ def run_batch(
     """
     # Lazy: repro.api imports the worker pool from this package, whose
     # __init__ imports this module.
-    from repro.api import AnalysisService, build_request
+    from repro.api import AnalysisService, answer_key, build_request
 
     with AnalysisService(
         store=store, workers=workers, timeout=timeout
@@ -165,15 +166,17 @@ def run_batch(
             items.append(item)
         failed = len(results)
 
-        # Dedup on every field that changes the answer.
+        # Dedup on the answer's own key: every field that changes it.
         primaries: dict[tuple, int] = {}
         aliases: dict[int, int] = {}
         unique: list[BatchItem] = []
         for item in items:
             if item.program is None:
                 continue
-            key = (item.kind, item.program.signature(), item.array,
-                   item.request.preset)
+            request = item.request
+            key = tuple(answer_key(
+                request.kind, item.program, request.array, request.preset
+            ).items())
             if key in primaries:
                 aliases[item.index] = primaries[key]
             else:

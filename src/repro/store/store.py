@@ -1,16 +1,18 @@
 """Persistent, content-addressed result store.
 
-Exact windows and whole search answers are pure functions of
-``Program.signature()`` and the search knobs, so — like the reuse
-profiles AutoLALA and the static estimators treat as cacheable
-artifacts keyed by the loop nest — they can be persisted once and
-served to every later process.  The record kinds are ``exact`` (one
-window), ``search``, ``optimize`` and ``hierarchy`` (whole search
-answers, read and written only by
-:func:`repro.transform.search.cached_search`), ``parametric`` (a
-derived closed form) and ``ledger`` (a sealed run).  The store maps
+Every api answer is a pure function of ``Program.signature()`` and the
+knobs its kind reads, so — like the reuse profiles AutoLALA and the
+static estimators treat as cacheable artifacts keyed by the loop nest —
+it can be persisted once and served to every later process.  The
+record kinds are ``answer`` (one whole api response, keyed by
+:func:`repro.api.answer_key`, written only by
+:func:`repro.transform.search.cached_search` and read there and by
+:class:`repro.api.AnalysisService` before its pool), ``hierarchy`` (a
+joint hierarchy plan, read and written only by ``cached_search``),
+``parametric`` (a derived closed form of a program family) and
+``ledger`` (a sealed run).  The store maps
 
-    (program signature, kind, array, knob key)  ->  JSON value
+    (record kind, key)  ->  JSON value
 
 as one atomic record file per key under a versioned root::
 

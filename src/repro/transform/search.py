@@ -39,17 +39,17 @@ floor beats the running incumbent; the tier never prunes a candidate
 that could strictly improve on the incumbent, so the winner is
 identical to evaluating everything.
 
-Every whole search result — the per-array searches here,
-:func:`repro.core.optimizer.optimize_program` and
-:func:`repro.transform.hierarchy_search.search_hierarchy` — goes through
-one cache, :func:`cached_search`: the content-hash keyed
-``_SEARCH_CACHE`` memo, then the store, then the computation, all
+Every whole result — the per-array searches here,
+:func:`repro.core.optimizer.optimize_program`,
+:func:`repro.transform.hierarchy_search.search_hierarchy` and each api
+answer (:func:`repro.api.evaluate_kind`) — goes through one cache,
+:func:`cached_search`: the content-hash keyed ``_SEARCH_CACHE`` memo,
+then a store when the caller passes one, then the computation, all
 bypassed while a journal records so ``repro explain`` always sees a full
 trace.  Both memos are bounded :class:`~repro.store.lru.LRUCache`
-instances with eviction counters; passing ``store=`` (a
-:class:`repro.store.ResultStore`) additionally persists exact values
-(record kind ``exact``) and whole results (``search``, ``optimize``,
-``hierarchy``) across processes — see :mod:`repro.store`.
+instances with eviction counters.  Nothing in this module persists: the
+store holds whole api answers (record kind ``answer``) and hierarchy
+plans (``hierarchy``) — see :mod:`repro.store`.
 """
 
 from __future__ import annotations
@@ -156,17 +156,18 @@ def cached_search(
     key: dict,
     store,
     compute: Callable[[], _R],
-    encode: Callable[[_R], Any],
-    decode: Callable[[Any], "_R | None"],
+    encode: Callable[[_R], Any] | None = None,
+    decode: Callable[[Any], "_R | None"] | None = None,
 ) -> _R:
-    """One search's whole result: memo, then store, then ``compute()``.
+    """One whole result: memo, then store, then ``compute()``.
 
     The in-process ``_SEARCH_CACHE`` answers first (``search.memo.*``
-    counters), then ``store`` under ``(record_kind, key)``; only a miss
-    in both computes, and the result fills both.  A memo hit still
-    writes through to a ``store`` that lacks the record (an answer
-    first computed without a store is persisted by the first call that
-    passes one).  ``decode`` maps a stored payload back to a result, or
+    counters), then ``store`` (if not ``None``) under ``(record_kind,
+    key)``; only a miss in both computes, and the result fills both.  A
+    memo hit still writes through to a ``store`` that lacks the record
+    (an answer first computed without a store is persisted by the first
+    call that passes one).  ``encode`` and ``decode`` are needed only
+    with a store: ``decode`` maps a stored payload back to a result, or
     to ``None`` (counting ``store.corrupt``) when it does not decode — a
     miss, which the recompute's write heals.  While a journal records
     both layers are skipped, so ``repro explain`` always sees the full
@@ -197,54 +198,10 @@ def _t_key(transformation: IntMatrix | None) -> tuple | None:
     return None if transformation is None else transformation.rows
 
 
-# ----------------------------------------------------------------------
-# persistent-store codecs (see repro.store for the on-disk layout)
-# ----------------------------------------------------------------------
-
-def _exact_store_key(sig: str, array: str | None, t_key: tuple | None):
-    return {"sig": sig, "array": array, "t": t_key}
-
-
-def _encode_result(result: "SearchResult") -> dict:
-    est = result.estimated_mws
-    if isinstance(est, Fraction):
-        est = {"n": est.numerator, "d": est.denominator}
-    return {
-        "array": result.array,
-        "t": result.transformation.rows,
-        "est": est,
-        "exact": result.exact_mws,
-        "examined": result.candidates_examined,
-        "method": result.method,
-    }
-
-
-def _decode_result(value) -> "SearchResult | None":
-    """Stored-record payload -> :class:`SearchResult`; ``None`` (a miss)
-    when the payload does not decode — never an exception."""
-    try:
-        est = value["est"]
-        if isinstance(est, dict):
-            est = Fraction(est["n"], est["d"])
-        rows = tuple(tuple(int(v) for v in row) for row in value["t"])
-        return SearchResult(
-            value["array"],
-            IntMatrix(rows),
-            est,
-            value["exact"],
-            int(value["examined"]),
-            value["method"],
-        )
-    except (KeyError, TypeError, ValueError, IndexError):
-        obs.counter("store.corrupt")
-        return None
-
-
 def evaluate_exact(
     program: Program,
     candidates: Sequence[IntMatrix | None],
     array: str | None = None,
-    store=None,
 ) -> list[int]:
     """Exact MWS for each candidate transformation, in candidate order.
 
@@ -253,9 +210,6 @@ def evaluate_exact(
     the module cache; only cache misses are computed, in one batch
     through :func:`repro.window.batched.batched_mws`.  Each candidate
     gets one journal record at stage ``"evaluate"``.
-
-    ``store`` (a :class:`repro.store.ResultStore`) persists each exact
-    value, so a later process skips the simulation entirely.
     """
     sig = program.signature()
     jr = journal.active()
@@ -263,11 +217,6 @@ def evaluate_exact(
     misses: list[int] = []
     for idx, t in enumerate(candidates):
         hit = _EXACT_CACHE.get((sig, array, _t_key(t)))
-        if hit is None and store is not None:
-            persisted = store.get("exact", _exact_store_key(sig, array, _t_key(t)))
-            if isinstance(persisted, int) and not isinstance(persisted, bool):
-                hit = persisted
-                _EXACT_CACHE.put((sig, array, _t_key(t)), hit)
         if hit is None:
             misses.append(idx)
         else:
@@ -287,12 +236,6 @@ def evaluate_exact(
         for idx, value in zip(misses, values):
             results[idx] = value
             _EXACT_CACHE.put((sig, array, _t_key(candidates[idx])), value)
-            if store is not None:
-                store.put(
-                    "exact",
-                    _exact_store_key(sig, array, _t_key(candidates[idx])),
-                    value,
-                )
             if jr is not None:
                 jr.record(
                     "evaluate", _t_key(candidates[idx]), "computed",
@@ -325,7 +268,6 @@ def evaluate_cascade(
     program: Program,
     candidates: Sequence[IntMatrix | None],
     array: str | None = None,
-    store=None,
 ) -> list[CascadeOutcome]:
     """Tiered exact evaluation: certify, then simulate survivors.
 
@@ -347,11 +289,8 @@ def evaluate_cascade(
 
     Counters: ``search.cascade.{pruned,simulated}``; each prune also
     writes a stage-``"cascade"`` journal record, so ``repro explain``
-    reconciles them.
-
-    ``store`` persists the per-candidate exact values (through
-    :func:`evaluate_exact`); whole search results are cached by the
-    searches themselves (:func:`cached_search`).
+    reconciles them.  Whole search results are cached by the searches
+    themselves (:func:`cached_search`).
     """
     sig = program.signature()
     jr = journal.active()
@@ -398,8 +337,7 @@ def evaluate_cascade(
         if not pending:
             return
         values = evaluate_exact(
-            program, [candidates[i] for i in pending], array=array,
-            store=store,
+            program, [candidates[i] for i in pending], array=array
         )
         for i, value in zip(pending, values):
             outcomes[i] = CascadeOutcome(value, True, "simulated")
@@ -450,12 +388,11 @@ def cascade_winner(
     program: Program,
     candidates: Sequence[_T],
     array: str | None = None,
-    store=None,
 ) -> tuple[list[CascadeOutcome], tuple[int, _T]]:
     """Run :func:`evaluate_cascade` and pick the first strict minimum
     among its exact outcomes (pruned candidates cannot win); returns
     the outcomes and ``(value, winner)``."""
-    outcomes = evaluate_cascade(program, candidates, array=array, store=store)
+    outcomes = evaluate_cascade(program, candidates, array=array)
     return outcomes, _first_min(
         (outcome.value, t)
         for t, outcome in zip(candidates, outcomes)
@@ -601,14 +538,12 @@ def search_mws_2d_eager(
 
 
 def _cached_result(
-    kind: str, program: Program, array: str, store, compute, **knobs
+    kind: str, program: Program, array: str, compute, **knobs
 ) -> SearchResult:
-    """A per-array search through :func:`cached_search` (record kind
-    ``search``, keyed by the search kind, program, array and knobs)."""
+    """A per-array search through the :func:`cached_search` memo, keyed
+    by the search kind, program, array and knobs."""
     key = {"kind": kind, "sig": program.signature(), "array": array, **knobs}
-    return cached_search(
-        "search", key, store, compute, _encode_result, _decode_result
-    )
+    return cached_search("search", key, None, compute)
 
 
 def search_mws_2d(
@@ -616,7 +551,6 @@ def search_mws_2d(
     array: str,
     bound: int = 8,
     verify_top: int = 6,
-    store=None,
 ) -> SearchResult:
     """Find a tileable unimodular transformation minimizing the array's MWS.
 
@@ -638,14 +572,14 @@ def search_mws_2d(
     if not program.refs_to(array):
         raise KeyError(array)
     return _cached_result(
-        "2d", program, array, store,
-        lambda: _search_2d(program, array, bound, verify_top, store),
+        "2d", program, array,
+        lambda: _search_2d(program, array, bound, verify_top),
         bound=bound, verify_top=verify_top,
     )
 
 
 def _search_2d(
-    program: Program, array: str, bound: int, verify_top: int, store
+    program: Program, array: str, bound: int, verify_top: int
 ) -> SearchResult:
     refs = program.refs_to(array)
     with obs.span("search.2d", array=array, bound=bound):
@@ -723,9 +657,7 @@ def _search_2d(
         with obs.span("rank", scored=len(collected)):
             collected.sort(key=lambda item: (item[0], _entry_weight(item[1])))
         leaders = collected[:verify_top]
-        exacts = evaluate_exact(
-            program, [t for _, t in leaders], array=array, store=store
-        )
+        exacts = evaluate_exact(program, [t for _, t in leaders], array=array)
         exact, (estimate, t) = _first_min(zip(exacts, leaders))
         return SearchResult(array, t, estimate, exact, examined, "2d-enumeration")
 
@@ -739,7 +671,6 @@ def search_mws_3d(
     array: str,
     bound: int = 1,
     verify_top: int = 4,
-    store=None,
 ) -> SearchResult:
     """Section 4.3 search for 3-deep nests.
 
@@ -755,14 +686,14 @@ def search_mws_3d(
     if not program.refs_to(array):
         raise KeyError(array)
     return _cached_result(
-        "3d", program, array, store,
-        lambda: _search_3d(program, array, bound, verify_top, store),
+        "3d", program, array,
+        lambda: _search_3d(program, array, bound, verify_top),
         bound=bound, verify_top=verify_top,
     )
 
 
 def _search_3d(
-    program: Program, array: str, bound: int, verify_top: int, store
+    program: Program, array: str, bound: int, verify_top: int
 ) -> SearchResult:
     refs = program.refs_to(array)
     with obs.span("search.3d", array=array, bound=bound):
@@ -795,7 +726,7 @@ def _search_3d(
             leaders = _level_leaders(
                 seed, stack, survivors, verdict, window_dists, verify_top
             )
-        exacts = evaluate_exact(program, leaders, array=array, store=store)
+        exacts = evaluate_exact(program, leaders, array=array)
         exact, t = _first_min(zip(exacts, leaders))
         return SearchResult(array, t, exact, exact, examined, "3d-level-search")
 
@@ -830,11 +761,7 @@ def _level_leaders(
     ]
 
 
-def search_general(
-    program: Program,
-    array: str,
-    store=None,
-) -> SearchResult:
+def search_general(program: Program, array: str) -> SearchResult:
     """Depth-agnostic search: signed permutations + access embeddings.
 
     For nests deeper than 3 the paper gives no closed form, and bounded
@@ -848,12 +775,11 @@ def search_general(
     if not program.refs_to(array):
         raise KeyError(array)
     return _cached_result(
-        "general", program, array, store,
-        lambda: _search_general(program, array, store),
+        "general", program, array, lambda: _search_general(program, array)
     )
 
 
-def _search_general(program: Program, array: str, store) -> SearchResult:
+def _search_general(program: Program, array: str) -> SearchResult:
     refs = program.refs_to(array)
     with obs.span("search.general", array=array, depth=program.nest.depth):
         n = program.nest.depth
@@ -878,9 +804,7 @@ def _search_general(program: Program, array: str, store) -> SearchResult:
         for t in as_matrices(stack[legal]):
             candidates.setdefault(t, None)
         obs.counter("search.candidates.examined", examined)
-        _, (exact, t) = cascade_winner(
-            program, list(candidates), array=array, store=store
-        )
+        _, (exact, t) = cascade_winner(program, list(candidates), array=array)
         return SearchResult(
             array, t, exact, exact, examined, "permutation-search"
         )
@@ -890,7 +814,6 @@ def search_best_transformation(
     program: Program,
     array: str,
     bound: int = 6,
-    store=None,
 ) -> SearchResult:
     """Per-array search by nest depth: the 2-D row search, the 3-D
     level search (bound capped at 2), or :func:`search_general`.
@@ -900,10 +823,10 @@ def search_best_transformation(
     """
     depth = program.nest.depth
     if depth == 2:
-        return search_mws_2d(program, array, bound=bound, store=store)
+        return search_mws_2d(program, array, bound=bound)
     if depth == 3:
-        return search_mws_3d(program, array, bound=min(bound, 2), store=store)
-    return search_general(program, array, store=store)
+        return search_mws_3d(program, array, bound=min(bound, 2))
+    return search_general(program, array)
 
 
 def exhaustive_search(
@@ -911,7 +834,6 @@ def exhaustive_search(
     array: str,
     bound: int = 1,
     tileable_only: bool = True,
-    store=None,
 ) -> SearchResult:
     """Brute-force over all bounded unimodular matrices, exact scoring.
 
@@ -936,5 +858,5 @@ def exhaustive_search(
         obs.counter("search.candidates.examined", examined)
         if not legal:
             raise ValueError(f"no legal transformation found for {array}")
-        _, (exact, t) = cascade_winner(program, legal, array=array, store=store)
+        _, (exact, t) = cascade_winner(program, legal, array=array)
         return SearchResult(array, t, exact, exact, examined, "exhaustive")

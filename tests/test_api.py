@@ -302,6 +302,27 @@ class TestWarmFlag:
         assert warm.ok and warm.warm
         assert warm.result == cold.result
 
+    @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "pooled"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_repeat_is_warm_without_an_observer(self, kind, workers, tmp_path):
+        """Regression: ``warm`` was inferred from counter deltas, which
+        are empty with no observer installed, so a repeat read False.
+        It now means the answer record was read.  Every answer, from a
+        cold store, a warm one or none, is the same text, field order
+        included."""
+        assert obs.get_observer() is None
+        request = build_request({"kind": kind, "source": LOOP})
+        with AnalysisService(store=tmp_path, workers=workers) as svc:
+            cold = svc.submit(request)
+            warm = svc.submit(request)
+        clear_exact_cache()
+        clear_param_cache()
+        with AnalysisService(workers=workers) as svc:
+            storeless = svc.submit(request)
+        assert (cold.warm, warm.warm, storeless.warm) == (False, True, False)
+        assert json.dumps(cold.result) == json.dumps(warm.result) \
+            == json.dumps(storeless.result)
+
 
 # ----------------------------------------------------------------------
 # the service: pooled evaluation + the shared timeout path

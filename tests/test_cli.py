@@ -83,6 +83,21 @@ class TestCli:
     def test_unknown_kernel(self, capsys):
         assert main(["figure2", "--kernel", "nope"]) == 1
 
+    def test_explain_is_the_same_with_a_store(self, tmp_path, capsys):
+        """Regression: ``explain`` read the per-candidate window records
+        an earlier run had stored, so a second run against one store
+        listed ``cache_hit`` where the storeless one says ``computed``."""
+        from repro.transform.search import clear_exact_cache
+
+        def explain(*store):
+            clear_exact_cache()
+            assert main([*store, "explain", "sor"]) == 0
+            return capsys.readouterr().out
+
+        want = explain()
+        store = ("--store", str(tmp_path / "store"))
+        assert [explain(*store), explain(*store)] == [want, want]
+
 
 class TestCliExtensions:
     def test_buffer(self, tmp_path, capsys):

@@ -11,7 +11,8 @@ engine's block size is a constant too: no ``chunk`` parameter, no
 modulo allocation scans to a valid modulus with no ``search_limit``.
 The evaluation cascade has one pruning tier, certified reuse facts, so
 no clipping budget, lower-bound stage or branch-and-bound incumbent
-seed is settable.
+seed is settable.  The store keeps whole api answers, so no search,
+cascade or window scorer below the api takes ``store``.
 """
 
 from __future__ import annotations
@@ -163,8 +164,32 @@ def test_evaluate_exact_takes_no_stage():
     from repro.transform.search import evaluate_exact
 
     assert list(inspect.signature(evaluate_exact).parameters) == [
-        "program", "candidates", "array", "store",
+        "program", "candidates", "array",
     ]
+
+
+#: Callables below the api that once took ``store=``: each persisted a
+#: part of an answer (a candidate's window, one array's search, the
+#: program's optimization) that the api's ``answer`` record now holds.
+STORELESS = (
+    "repro.transform.search.evaluate_exact",
+    "repro.transform.search.evaluate_cascade",
+    "repro.transform.search.cascade_winner",
+    "repro.transform.search.search_mws_2d",
+    "repro.transform.search.search_mws_3d",
+    "repro.transform.search.search_general",
+    "repro.transform.search.search_best_transformation",
+    "repro.transform.search.exhaustive_search",
+    "repro.core.optimizer.candidate_transformations",
+    "repro.core.optimizer.optimize_program",
+    "repro.core.pipeline.analyze_program",
+)
+
+
+def test_no_callable_below_the_api_takes_store(callables):
+    assert {
+        name for name in STORELESS if "store" in _parameters(callables[name])
+    } == set()
 
 
 def test_allocate_window_takes_no_search_limit():

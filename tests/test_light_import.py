@@ -1,5 +1,5 @@
 """The entry paths load neither sympy nor networkx; sympy loads only
-where a closed form is derived.
+where a closed form is derived; a warm ``repro batch`` loads no numpy.
 
 Each check runs in a fresh interpreter, since this test session itself
 has long since imported sympy through the parametric tests.
@@ -75,3 +75,52 @@ def test_entry_paths_import_no_sympy_or_networkx_until_a_closed_form():
     assert api["answer"] == ["ok", "2*N2"]
     assert {"sympy", "mpmath"} <= set(api["after"])
     assert "networkx" not in cli["after"] + api["after"]
+
+
+WARM_BATCH = """
+import sys
+import repro.cli
+
+status = repro.cli.main(
+    ["--store", STORE, "batch", "benchmarks/manifests/figure2.json"]
+)
+print(json.dumps({"status": status, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_warm_batch_is_record_reads_without_numpy(tmp_path):
+    """A warm figure2 batch is answered by the store's answer records:
+    the analysis stack, numpy with it, never loads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    script = f"import json\nSTORE = {str(tmp_path)!r}\n" + WARM_BATCH
+
+    def run() -> tuple[dict, list[str]]:
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        kinds = sorted(path.parent.name for path in tmp_path.glob("v*/*/*.json"))
+        return json.loads(proc.stdout.splitlines()[-1]), kinds
+
+    # The cold run writes one answer per unique item and its run record.
+    assert run() == ({"status": 0, "numpy": True}, ["answer"] * 8 + ["ledger"])
+    assert run() == (
+        {"status": 0, "numpy": False}, ["answer"] * 8 + ["ledger"] * 2
+    )
+
+
+def test_reexports_resolve_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro\n"
+         "assert 'repro.core' not in sys.modules\n"
+         "from repro import optimize_program, parse_program\n"
+         "print(optimize_program(parse_program("
+         "'for i = 1 to 9 { for j = 1 to 9 { X[i + j] } }')).mws_after)"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

@@ -1,23 +1,21 @@
 """The bounded LRU, the persistent result store, and its search wiring.
 
-Covers the ISSUE 5 tentpole guarantees: LRU eviction order + bounded
-size under key churn (with the eviction counter), record roundtrips,
-memory-vs-disk hit accounting, corruption tolerance (a truncated,
-garbage, or wrong-schema record is a counted miss, never a crash), the
-SearchResult codec (including Fraction estimates), and warm re-runs of
-``evaluate_exact`` / ``search_mws_2d`` being served from the store with
-identical results.
+Covers LRU eviction order + bounded size under key churn (with the
+eviction counter), record roundtrips, memory-vs-disk hit accounting,
+corruption tolerance (a truncated, garbage, or wrong-schema record is a
+counted miss, never a crash), the one whole-result cache, and a warm
+``optimize`` answer being one record read with identical results.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-from fractions import Fraction
 
 import pytest
 
 from repro import obs
+from repro.api import answer_key, evaluate_kind
 from repro.ir import parse_program
 from repro.store import (
     DEFAULT_LRU_CAPACITY,
@@ -29,15 +27,10 @@ from repro.store import (
 )
 from repro.transform import journal
 from repro.transform.search import (
-    SearchResult,
-    _decode_result,
-    _encode_result,
     cached_search,
     clear_exact_cache,
-    evaluate_exact,
     search_mws_2d,
 )
-from repro.linalg.matrix import IntMatrix
 
 EXAMPLE = """
 for i = 1 to 10 {
@@ -233,53 +226,7 @@ class TestResultStore:
             ResultStore(tmp_path)
 
 
-class TestSearchResultCodec:
-    def test_roundtrip_with_fraction_estimate(self):
-        result = SearchResult(
-            "X", IntMatrix(((0, 1), (1, 0))), Fraction(7, 3), 11, 8, "2d-bound"
-        )
-        decoded = _decode_result(_encode_result(result))
-        assert decoded == result
-        assert isinstance(decoded.estimated_mws, Fraction)
-
-    def test_roundtrip_through_store_json(self, tmp_path):
-        result = SearchResult(
-            "A", IntMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1))), 5, None, 48, "3d"
-        )
-        store = ResultStore(tmp_path)
-        store.put("search", {"k": 1}, _encode_result(result))
-        store.drop_memory()
-        assert _decode_result(store.get("search", {"k": 1})) == result
-
-    def test_undecodable_payload_is_counted_miss(self, observer):
-        assert _decode_result({"array": "X"}) is None
-        assert _decode_result(None) is None
-        assert observer.counters["store.corrupt"] == 2
-
-
 class TestSearchStoreWiring:
-    def test_evaluate_exact_warm_run_hits_store(self, tmp_path, observer):
-        program = parse_program(EXAMPLE)
-        clear_exact_cache()
-        cold = evaluate_exact(program, [None], array="X",
-                              store=ResultStore(tmp_path))
-        assert "store.writes" in observer.counters
-        clear_exact_cache()  # drop in-process memo; only disk remains
-        warm = evaluate_exact(program, [None], array="X",
-                              store=ResultStore(tmp_path))
-        assert warm == cold
-        assert observer.counters["store.disk.hits"] >= 1
-
-    def test_search_warm_run_matches_cold(self, tmp_path, observer):
-        program = parse_program(EXAMPLE)
-        store = ResultStore(tmp_path)
-        clear_exact_cache()
-        cold = search_mws_2d(program, "X", store=store)
-        clear_exact_cache()
-        warm = search_mws_2d(program, "X", store=ResultStore(tmp_path))
-        assert warm == cold
-        assert observer.counters["store.disk.hits"] >= 1
-
     def test_store_is_optional(self):
         program = parse_program(EXAMPLE)
         clear_exact_cache()
@@ -364,17 +311,16 @@ class TestWarmOptimize:
     def test_warm_store_answers_without_engine_or_cascade(
         self, tmp_path, observer
     ):
-        """A warm ``optimize`` reads one whole-result record: it lists
+        """A warm ``optimize`` reads one whole-answer record: it lists
         no candidates and runs no cascade or window engine."""
-        from repro.core.optimizer import optimize_program
         from repro.kernels import kernel_by_name
 
         program = kernel_by_name("sor").build()
         clear_exact_cache()
-        cold = optimize_program(program, store=ResultStore(tmp_path))
+        cold = evaluate_kind("optimize", program, store=ResultStore(tmp_path))
         clear_exact_cache()
         observer.counters.clear()
-        warm = optimize_program(program, store=ResultStore(tmp_path))
+        warm = evaluate_kind("optimize", program, store=ResultStore(tmp_path))
         assert warm == cold
         assert observer.counters["store.disk.hits"] == 1
         touched = [
@@ -389,35 +335,33 @@ class TestWarmOptimize:
     def test_undecodable_record_is_a_counted_miss_and_heals(
         self, tmp_path, observer
     ):
-        from repro.core.optimizer import optimize_program
-
         program = parse_program(EXAMPLE)
         clear_exact_cache()
-        want = optimize_program(program)
+        want = evaluate_kind("optimize", program)
         store = ResultStore(tmp_path)
-        key = {"sig": program.signature()}
-        store.put("optimize", key, {"t": "junk"})
+        key = answer_key("optimize", program)
+        store.put("answer", key, {"t": "junk"})
         clear_exact_cache()
         observer.counters.clear()
-        assert optimize_program(program, store=store) == want
+        assert evaluate_kind("optimize", program, store=store) == want
         assert observer.counters["store.corrupt"] == 1
         assert observer.counters["optimize.candidates"] > 0  # recomputed
         store.drop_memory()
-        assert store.get("optimize", key)["t"] == [
-            list(row) for row in want.transformation.rows
-        ]
+        assert json.loads(store.get("answer", key)) == want
 
     @pytest.mark.parametrize("memo", [True, False], ids=["memo", "store"])
     def test_hit_answers_with_the_callers_name(self, tmp_path, memo):
-        from repro.core.optimizer import optimize_program
-
         store = ResultStore(tmp_path)
         clear_exact_cache()
-        first = optimize_program(parse_program(EXAMPLE, name="first"), store=store)
+        first = parse_program(EXAMPLE, name="first")
+        second = parse_program(EXAMPLE, name="second")
+        answers = [evaluate_kind("optimize", first, store=store),
+                   evaluate_kind("analyze", first, store=store)]
         if not memo:
             clear_exact_cache()
             store.drop_memory()
-        second = optimize_program(parse_program(EXAMPLE, name="second"), store=store)
-        assert first.program == "first"
-        assert second.program == "second"
-        assert second.transformation == first.transformation
+        again = [evaluate_kind("optimize", second, store=store),
+                 evaluate_kind("analyze", second, store=store)]
+        assert answers[1]["program"] == "first"
+        assert again[1]["program"] == "second"
+        assert again == [answers[0], {**answers[1], "program": "second"}]
