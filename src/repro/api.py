@@ -25,6 +25,8 @@ and knobs.  With a store attached each whole answer is one record of
 kind ``answer`` (:func:`answer_key`), and the service reads it in the
 calling process before an item runs inline or crosses the pool, so a
 warm request is one record read: no engine work and nothing pickled.
+The item itself (:func:`compute_answer`) only computes and writes the
+record, so a cold request reads it once.
 
 Two front ends run their items through the service: the HTTP server
 (:mod:`repro.server`, a thin asyncio shell) and ``repro batch``
@@ -111,34 +113,65 @@ def evaluate_kind(
     """Run one analysis ``kind`` on ``program``; JSON-ready result dict.
 
     Every result is a pure function of the :func:`answer_key`, so the
-    whole answer is cached through
-    :func:`repro.transform.search.cached_search`: the in-process memo,
-    then ``store``'s ``answer`` record, then the computation, which
-    passes no store below it (``param`` excepted: its ``parametric``
-    records answer every resize of the program family).  A cold answer
-    comes back in its stored JSON form (``t`` as lists), so cold and
-    warm answers are equal.  This is the dispatch every
-    :class:`AnalysisService` item runs — ``repro batch`` and ``repro
-    serve`` — and the default evaluator of both; its positional
-    arguments are the ones the item task passes.
+    whole answer is one ``answer`` record of ``store``: read first, and
+    on a miss computed by :func:`compute_answer`, which writes it.  A
+    cold answer comes back in its stored JSON form (``t`` as lists), so
+    cold and warm answers are equal.  The single-program CLI subcommands
+    answer through here; an :class:`AnalysisService` item reads the
+    record before the item runs and then runs :func:`compute_answer`
+    (the default evaluator of ``repro batch`` and ``repro serve``), so a
+    cold request reads its record once.
+    """
+    answer = _stored_answer(store, kind, program, array, preset)
+    if answer is not None:
+        return answer
+    return compute_answer(kind, program, array, store, preset)
+
+
+def _stored_answer(
+    store, kind: str, program: Program, array: str | None, preset: str
+) -> dict[str, Any] | None:
+    """``store``'s answer record for the request, decoded and named for
+    ``program``, or ``None`` (no store, no record, or a corrupt one)."""
+    if store is None:
+        return None
+    value = store.get("answer", answer_key(kind, program, array, preset))
+    answer = None if value is None else _decode_answer(value)
+    return None if answer is None else _named(answer, program)
+
+
+def compute_answer(
+    kind: str,
+    program: Program,
+    array: str | None = None,
+    store=None,
+    preset: str = "tcm",
+) -> dict[str, Any]:
+    """``kind``'s answer through the in-process memo
+    (:func:`repro.transform.search.cached_search`), written to ``store``
+    as its ``answer`` record; the caller has read ``store`` already.
+    Nothing below passes a store on (``param`` excepted: its
+    ``parametric`` records answer every resize of the program family).
+    Its positional arguments are the ones the item task passes.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")
     from repro.transform.search import cached_search
 
+    key = answer_key(kind, program, array, preset)
     text = cached_search(
-        "answer", answer_key(kind, program, array, preset), store,
+        "answer", key, None,
         lambda: json.dumps(_compute(kind, program, array, store, preset)),
-        lambda text: text,
-        lambda value: None if _decode_answer(value) is None else value,
     )
+    if store is not None:
+        store.put("answer", key, text)
     return _named(json.loads(text), program)
 
 
 def _compute(
     kind: str, program: Program, array: str | None, store, preset: str
 ) -> dict[str, Any]:
-    """One kind's answer, computed (the cache is :func:`evaluate_kind`'s)."""
+    """One kind's answer, computed (the cache is :func:`compute_answer`'s)."""
     if kind == "optimize":
         from repro.core.optimizer import optimize_program
 
@@ -538,10 +571,10 @@ class AnalysisService:
                 return None, served
             # functools.partial of a module-level callable pickles to
             # pool workers; the default path ships the bare function.
-            evaluator = evaluate_kind
+            evaluator = compute_answer
             if request.preset != "tcm":
                 evaluator = functools.partial(
-                    evaluate_kind, preset=request.preset
+                    compute_answer, preset=request.preset
                 )
         return (
             evaluator, f"{request.kind} {request.target}",
@@ -555,15 +588,11 @@ class AnalysisService:
         """The warm response of a request whose answer record the store
         holds, or ``None``.  The item's heartbeats are emitted as for a
         computed one."""
-        if self.store is None:
-            return None
-        value = self.store.get("answer", answer_key(
-            request.kind, program, request.array, request.preset
-        ))
-        result = None if value is None else _decode_answer(value)
+        result = _stored_answer(
+            self.store, request.kind, program, request.array, request.preset
+        )
         if result is None:
             return None
-        result = _named(result, program)
         label, sig = f"{request.kind} {request.target}", program.signature()
         flight.heartbeat("item_start", item=label, sig=sig)
         wall = time.perf_counter() - started
@@ -589,7 +618,7 @@ class AnalysisService:
         *item's* behalf — failures come back as ``status="error"``.
 
         A stored answer is the response (``warm=True``).  ``evaluator``
-        (tests only) replaces :func:`evaluate_kind` and skips that read;
+        (tests only) replaces :func:`compute_answer` and skips that read;
         ``program`` is the request's program when the caller has already
         resolved it (``repro batch`` does, to deduplicate).
         """
@@ -628,7 +657,7 @@ class AnalysisService:
         (``batch.worker.reclaimed``) and the response is
         ``status="timeout"``.  With ``workers=0`` this degrades to
         :meth:`evaluate`.  ``evaluator`` (tests only; module-level so it
-        pickles) replaces :func:`evaluate_kind`; ``program`` is as in
+        pickles) replaces :func:`compute_answer`; ``program`` is as in
         :meth:`evaluate`.  Thread-safe.
         """
         if timeout is None:

@@ -702,6 +702,17 @@ class PermutationPreservesSemantics(Oracle):
     )
     config = GeneratorConfig(depth=2, min_trip=2, max_trip=5, uniform_only=True)
 
+    def generate(self, seed: int) -> Program:
+        """Depth 3 (trips 2-4) on odd seeds, where a kernel can have
+        dimension 2, and non-uniform references on every third seed."""
+        depth = 3 if seed % 2 else 2
+        return random_program(seed, replace(
+            self.config,
+            depth=depth,
+            max_trip=4 if depth == 3 else 5,
+            uniform_only=seed % 3 != 0,
+        ))
+
     def check(self, program: Program, seed: int = 0) -> Violation | None:
         import itertools
 
@@ -726,6 +737,87 @@ class PermutationPreservesSemantics(Oracle):
                     f"(distances {distances})",
                     program,
                 )
+        return None
+
+
+def ordering_truth(
+    program: Program, array: str | None = None
+) -> set[tuple[int, ...]]:
+    """Every lex-positive ``J - I`` of an iteration pair that touches one
+    element of ``array`` (``None``: of any array) through two references,
+    at least one a write, enumerated point by point
+    (:func:`repro.dependence.analysis.iteration_pairs_sharing_element`).
+    Pairs of scalar-in-nest references are reductions and left out, as
+    ``ordering_distances`` leaves them out by default."""
+    from repro.dependence.analysis import iteration_pairs_sharing_element
+
+    out: set[tuple[int, ...]] = set()
+    for name in program.arrays if array is None else (array,):
+        refs = program.refs_to(name)
+        for src, dst in itertools.product(refs, repeat=2):
+            if not (src.is_write or dst.is_write) or (
+                src.access.is_zero() and dst.access.is_zero()
+            ):
+                continue
+            for earlier, later in iteration_pairs_sharing_element(
+                program.nest, src, dst
+            ):
+                out.add(tuple(b - a for a, b in zip(earlier, later)))
+    return out
+
+
+@register
+class LegalityExact(Oracle):
+    name = "legality-exact"
+    kind = "cross"
+    paper = (
+        "An order is legal when every dependence distance stays "
+        "lexicographically positive (Section 4, Example 8): every "
+        "transformation optimize_program, the per-array search and the "
+        "hierarchy search return must keep each in-bounds flow, anti and "
+        "output distance, enumerated pair by pair, lex-positive."
+    )
+
+    def generate(self, seed: int) -> Program:
+        """Depth 1-4 by ``seed % 4``, uniform references on even
+        ``seed // 4`` and non-uniform ones on odd, trips 2-5."""
+        return random_program(seed, GeneratorConfig(
+            depth=1 + seed % 4,
+            min_trip=2,
+            max_trip=5,
+            uniform_only=(seed // 4) % 2 == 0,
+        ))
+
+    def check(self, program: Program, seed: int = 0) -> Violation | None:
+        from repro.core.optimizer import optimize_program
+        from repro.dependence.distance import is_lex_positive
+        from repro.transform.hierarchy_search import search_hierarchy
+        from repro.transform.search import search_best_transformation
+
+        answers = [("optimize_program", None,
+                    optimize_program(program).transformation)]
+        for array in program.arrays:
+            try:
+                result = search_best_transformation(program, array)
+            except (ValueError, KeyError):
+                continue
+            answers.append((f"search {array}", array, result.transformation))
+        try:
+            plan = search_hierarchy(program, _small_tcm()).best
+        except ValueError:  # no plan fits the shrunk tiers
+            plan = None
+        if plan is not None:
+            answers.append(("search_hierarchy", None, plan.transformation))
+        for label, array, t in answers:
+            if t is None:
+                continue
+            for d in sorted(ordering_truth(program, array)):
+                if not is_lex_positive(t.apply(d)):
+                    return self.fail(
+                        f"{label} returns T={t.rows}, which maps the "
+                        f"in-bounds distance {d} to {t.apply(d)}",
+                        program,
+                    )
         return None
 
 

@@ -1,17 +1,30 @@
 """Dependence distance computation for affine references.
 
 For uniformly generated references ``A @ I + b1`` and ``A @ J + b2`` the
-same element is touched when ``A @ (J - I) = b1 - b2``; the solution set is
-``particular + kernel(A)`` and the paper takes the *smallest
-lexicographically positive* solution as the dependence vector
-(Section 4.2).  Non-uniform pairs generally have no constant distance; the
-:func:`gcd_test` provides the classic existence filter and
-:func:`iteration_pairs_sharing_element` the exact (enumerative) answer.
+same element is touched when ``A @ (J - I) = b1 - b2``.  The solutions
+form a *family* ``particular + span_Z(kernel(A))``, and the distances two
+iterations of the nest really have are the members inside the difference
+box ``|d_k| <= trip_k - 1``.  :func:`family_in_box` is the one function
+that decides which members exist there.  The paper's dependence vector
+(Section 4.2) is the smallest lexicographically positive one
+(:func:`array_dependences`); legality reads the extreme ones
+(:func:`ordering_vectors`), and so does the search cascade's reuse
+certificate (:func:`repro.estimation.bounds.certified_reuse`).
+
+Non-uniform pairs generally have no constant distance: their ordering
+vectors are the distinct differences of iteration pairs that share an
+element (:func:`sharing_differences`, array code over the dense engine;
+:func:`iteration_pairs_sharing_element` is the per-point reference), and
+:func:`gcd_test` is the classic existence filter.
+:func:`dependence_distance` and :func:`self_reuse_distance` keep the
+box-free smallest member for the paper's estimators, whose box is absent
+or symbolic.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +36,7 @@ from repro.dependence.distance import is_lex_positive, lex_level
 from repro.ir.loop import LoopNest
 from repro.ir.program import Program
 from repro.ir.reference import ArrayRef
-from repro.linalg import IntMatrix, integer_nullspace, solve_linear_diophantine
+from repro.linalg import IntMatrix, integer_nullspace, smith_normal_form
 from repro.linalg.gcd import ceil_div, gcd_list
 
 
@@ -189,18 +202,35 @@ def dependence_distance(
     particular = _particular_solution(a, rhs)
     if particular is None:
         return None
-    kernel = integer_nullspace(a)
-    return _smallest_lex_positive_in_family(particular, kernel)
+    return _smallest_lex_positive_in_family(particular, _kernel(a))
 
 
 def self_reuse_distance(ref: ArrayRef) -> tuple[int, ...] | None:
     """Smallest lex-positive ``d`` with ``A @ d = 0`` — the reuse vector of
     a single reference (paper Example 4), or None for injective accesses."""
-    kernel = integer_nullspace(ref.access)
+    kernel = _kernel(ref.access)
     if not kernel:
         return None
     zero = tuple(0 for _ in range(ref.nest_depth))
     return _smallest_lex_positive_in_family(zero, kernel)
+
+
+#: Access matrix -> its Smith form: every pair of an array's references
+#: shares it.
+_smith = functools.lru_cache(maxsize=256)(smith_normal_form)
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel(access: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """A basis of the integer kernel of ``access`` (cached per matrix)."""
+    return tuple(integer_nullspace(access))
+
+
+def clear_family_cache() -> None:
+    """Drop the memoized Smith forms, kernels and family members."""
+    _smith.cache_clear()
+    _kernel.cache_clear()
+    _members_in_box.cache_clear()
 
 
 def _particular_solution(
@@ -211,9 +241,7 @@ def _particular_solution(
     Via Smith normal form: ``S = U A V`` gives ``x = V y`` with
     ``S y = U rhs`` solved diagonally.
     """
-    from repro.linalg import smith_normal_form
-
-    s, u, v = smith_normal_form(a)
+    s, u, v = _smith(a)
     transformed = u.apply(rhs)
     y = []
     for k in range(a.n_cols):
@@ -273,6 +301,227 @@ def iteration_pairs_sharing_element(
                 yield earlier, point
 
 
+#: Grid points :func:`family_in_box` enumerates per block.
+_ENUM_BLOCK = 1 << 16
+
+#: Entries below this stay int64 in the enumeration; past it, exact ints.
+_INT64_SAFE = 2**62
+
+
+def family_in_box(
+    access: IntMatrix, delta: Sequence[int], spans: Sequence[int]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The *members* of a dependence family that decide it: of the
+    lex-positive ``d`` with ``access @ d == delta`` and
+    ``|d_k| <= spans[k]``, the extreme ones, in lex order; or ``None``
+    when finding them would enumerate more than ``REPRO_DENSE_BUDGET``
+    points.
+
+    Every returned vector is a member, the first is the lex-smallest
+    member, and every member is a nonnegative combination of returned
+    ones.  So a check that sums and positive multiples preserve (``T d``
+    lex-positive, ``T d >= 0``, ``row . d >= 0``) holds for the whole
+    family once it holds on the result.  By the kernel dimension ``K``
+    of ``access``:
+
+    * ``K = 0``: the particular solution, if it is a member;
+    * ``K = 1``: both ends of the interval of ``t`` that interval
+      arithmetic gives for ``particular + t * v`` (no enumeration, so a
+      huge trip count costs nothing);
+    * ``K = 2``: the vertices of the members' convex hull;
+    * ``3 <= K < n``: every member that ends its line along one
+      enumerated coordinate (the members between are convex
+      combinations of the ends);
+    * ``K = n`` (a zero access matrix, so every ``d`` is a member):
+      :func:`lex_positive_cone`.
+
+    ``K >= 2`` below ``n`` enumerates the ``K`` coordinates with the
+    smallest box (and a nonsingular kernel minor) and solves exactly for
+    the others through the minor's adjugate.  Paper Example 8's flow
+    family:
+
+    >>> family_in_box(IntMatrix([[2, 5]]), (-4,), (24, 9))
+    ((3, -2), (18, -8))
+    """
+    delta = tuple(delta)
+    particular = _particular_solution(access, delta)
+    if particular is None:
+        return ()
+    from repro.window.fast import dense_budget
+
+    return _members_in_box(
+        tuple(particular), _kernel(access), tuple(spans), dense_budget()
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _members_in_box(
+    p: tuple[int, ...],
+    kernel: tuple[tuple[int, ...], ...],
+    spans: tuple[int, ...],
+    budget: int,
+) -> tuple[tuple[int, ...], ...] | None:
+    if not kernel:
+        fits = all(abs(x) <= s for x, s in zip(p, spans))
+        return (p,) if fits and is_lex_positive(p) else ()
+    if len(kernel) == 1:
+        return _members_on_line(p, kernel[0], spans)
+    if len(kernel) == len(p):
+        # A zero access matrix: the family is all of Z^n.
+        return tuple(lex_positive_cone(spans))
+    return _members_enumerated(p, kernel, spans, budget)
+
+
+def _members_on_line(
+    p: tuple[int, ...], v: tuple[int, ...], spans: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Both ends of the lex-positive in-box stretch of ``p + t * v``."""
+    lo, hi = _first_lex_positive(p, v), math.inf
+    for pk, vk, s in zip(p, v, spans):
+        if vk == 0:
+            if abs(pk) > s:
+                return ()
+            continue
+        # |pk + t * vk| <= s  <=>  t * vk in [-s - pk, s - pk]
+        bottom, top = (-s - pk, s - pk) if vk > 0 else (s - pk, -s - pk)
+        lo = max(lo, ceil_div(bottom, vk))
+        hi = min(hi, top // vk)
+    if lo > hi:
+        return ()
+    return tuple(
+        tuple(pk + t * vk for pk, vk in zip(p, v)) for t in sorted({lo, hi})
+    )
+
+
+def _first_lex_positive(p: tuple[int, ...], v: tuple[int, ...]) -> float:
+    """The smallest ``t`` with ``p + t * v`` lex-positive (``-inf`` when
+    every ``t`` is, ``inf`` when none is).  ``v`` is lex-positive (the
+    nullspace normalization), so ``p + t * v`` grows lexicographically
+    with ``t`` and the lex-positive ``t`` are those from this one on."""
+    lead = next(k for k, x in enumerate(v) if x != 0)
+    for x in p[:lead]:
+        if x != 0:
+            return -math.inf if x > 0 else math.inf
+    t = ceil_div(-p[lead], v[lead])
+    point = tuple(pk + t * vk for pk, vk in zip(p, v))
+    return t if is_lex_positive(point) else t + 1
+
+
+def _members_enumerated(
+    p: tuple[int, ...],
+    kernel: tuple[tuple[int, ...], ...],
+    spans: tuple[int, ...],
+    budget: int,
+) -> tuple[tuple[int, ...], ...] | None:
+    """:func:`family_in_box` for ``K >= 2``: ``d_S = p_S + N_S t`` on the
+    chosen coordinates ``S`` gives ``t = adj(N_S) (d_S - p_S) / det``.
+
+    The grid is walked in blocks of whole lines along its last
+    coordinate, and of each line's members only the two ends are kept:
+    the members between are convex combinations of them.
+    """
+    k = len(kernel)
+    size, coords, minor = min(
+        (math.prod(2 * spans[c] + 1 for c in coords), coords, minor)
+        for coords in itertools.combinations(range(len(p)), k)
+        for minor in [IntMatrix([[v[c] for v in kernel] for c in coords])]
+        if minor.det() != 0
+    )
+    if size > budget:
+        return None
+    det = minor.det()
+    adj = minor.adjugate()
+    # |d_S - p_S| <= reach, so |t| <= reach * (row sum of |adj|), and
+    # every |d_c| <= |p_c| + K * max|kernel| * that.
+    reach = max(spans[c] + abs(p[c]) for c in coords)
+    t_reach = reach * max(sum(map(abs, row)) for row in adj.rows)
+    d_reach = max(map(abs, p)) + k * max(abs(x) for v in kernel for x in v) * t_reach
+    dtype = np.int64 if max(t_reach, d_reach) < _INT64_SAFE else object
+    kmat = np.array(kernel, dtype=dtype)
+    pvec = np.array(p, dtype=dtype)
+    p_s = np.array([p[c] for c in coords], dtype=dtype)
+    adj_t = np.array(adj.rows, dtype=dtype).T
+    limit = np.array([min(s, _INT64_SAFE) for s in spans], dtype=dtype)
+    radix = [2 * spans[c] + 1 for c in coords]
+    step = radix[-1] * max(1, _ENUM_BLOCK // radix[-1])
+    found, grid = [], []
+    for start in range(0, size, step):
+        flat = np.arange(start, min(size, start + step), dtype=np.int64)
+        line = flat // radix[-1]
+        d_s = np.empty((flat.shape[0], k), dtype=np.int64)
+        for col in range(k - 1, -1, -1):
+            d_s[:, col] = flat % radix[col] - spans[coords[col]]
+            flat //= radix[col]
+        num = (d_s.astype(dtype) - p_s) @ adj_t
+        whole = (num % det == 0).all(axis=1)
+        d = pvec + (num[whole] // det) @ kmat
+        keep = (np.abs(d) <= limit).all(axis=1) & _lex_positive(d)
+        ends = _run_ends(line[whole][keep])
+        found.append(d[keep][ends])
+        grid.append(d_s[whole][keep][ends])
+    members = np.concatenate(found)
+    if k == 2:
+        members = members[_hull_vertices(np.concatenate(grid))]
+    return tuple(sorted(map(tuple, members.tolist())))
+
+
+def _run_ends(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first and the last entry of each run of equal keys."""
+    if not len(keys):
+        return np.zeros(0, dtype=bool)
+    change = keys[1:] != keys[:-1]
+    return np.concatenate(([True], change)) | np.concatenate((change, [True]))
+
+
+def _hull_vertices(points: np.ndarray) -> list[int]:
+    """Indices of the convex hull's vertices among distinct 2-D integer
+    points sorted by x, then y (Andrew's monotone chain)."""
+    if len(points) <= 2:
+        return list(range(len(points)))
+    pts = points.tolist()
+
+    def chain(indices) -> list[int]:
+        out: list[int] = []
+        for i in indices:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay), (bx, by) = pts[out[-2]], pts[out[-1]], pts[i]
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    return sorted(chain(range(len(pts))) + chain(reversed(range(len(pts)))))
+
+
+def _lex_positive(rows: np.ndarray) -> np.ndarray:
+    """Per row: the first nonzero entry is positive (the zero row is not)."""
+    nonzero = rows != 0
+    lead = np.take_along_axis(rows, nonzero.argmax(axis=1)[:, None], axis=1)
+    return nonzero.any(axis=1) & (lead[:, 0] > 0)
+
+
+def lex_positive_cone(spans: Sequence[int]) -> list[tuple[int, ...]]:
+    """Generators of the cone of every lex-positive difference in the box
+    ``|d_k| <= spans[k]``: per loop level ``k`` with a nonzero span, the
+    vectors with ``d_1..d_{k-1} = 0``, ``d_k = 1`` and each later
+    component at plus or minus its span.
+
+    An order that keeps these lex-positive keeps every in-box difference
+    lex-positive, so this is the sound stand-in for an array whose exact
+    set is past the dense budget.
+
+    >>> lex_positive_cone((3, 2))
+    [(0, 1), (1, -2), (1, 2)]
+    """
+    out = []
+    for k, span in enumerate(spans):
+        if span:
+            tails = itertools.product(*[sorted({-s, s}) for s in spans[k + 1:]])
+            out.extend((0,) * k + (1,) + tail for tail in tails)
+    return sorted(out)
+
+
 def array_distance_vectors(
     program: Program, array: str, include_input: bool = True
 ) -> list[tuple[int, ...]]:
@@ -290,56 +539,26 @@ def array_distance_vectors(
     return list(seen)
 
 
-def _endpoint_representatives(
-    minimal: tuple[int, ...],
-    kernel_vector: tuple[int, ...],
-    spans: tuple[int, ...],
-) -> tuple[tuple[int, ...], ...]:
-    """Extreme in-bounds members of ``minimal + t * v``, both directions.
+def _spans(program: Program) -> tuple[int, ...]:
+    return tuple(loop.span for loop in program.nest.loops)
 
-    Legality must hold for *every* lex-positive in-bounds member of a
-    dependence family, not only the canonical one.  ``T (p + t v)`` is
-    lex-monotone in ``t``, so checking the two in-bounds endpoints is
-    sound — and both directions matter: the canonical representative
-    pins the kernel component to its smallest non-negative residue, so
-    when an earlier component is already positive the family extends to
-    *negative* ``t`` while staying lex-positive (e.g. ``(1, t)`` with
-    ``t in [-span, span]``).
-    """
-    t_lo: int | None = None
-    t_hi: int | None = None
-    for p, v, span in zip(minimal, kernel_vector, spans):
-        if v == 0:
-            if abs(p) > span:
-                return ()
-            continue
-        # |p + t v| <= span  =>  t*v in [-span - p, span - p]
-        lo_num, hi_num = -span - p, span - p
-        if v > 0:
-            lo, hi = -((-lo_num) // v), hi_num // v
-        else:
-            lo, hi = -((-hi_num) // v), lo_num // v
-        t_lo = lo if t_lo is None else max(t_lo, lo)
-        t_hi = hi if t_hi is None else min(t_hi, hi)
-    if t_lo is None or t_hi is None or t_lo > t_hi:
-        return ()
-    return tuple(
-        tuple(p + t * v for p, v in zip(minimal, kernel_vector))
-        for t in {t_lo, t_hi}
-        if t != 0
-    )
+
+def _delta(src: ArrayRef, dst: ArrayRef) -> tuple[int, ...]:
+    """``dst`` at ``I + d`` touches what ``src`` touches at ``I`` iff
+    ``access @ d == _delta(src, dst)``."""
+    return tuple(bs - bd for bs, bd in zip(src.offset, dst.offset))
 
 
 def array_dependences(
     program: Program, array: str, include_input: bool = True
 ) -> list[Dependence]:
-    """All constant-distance dependences for one array (uniform refs only).
+    """The paper's dependences for one array (uniform refs only): per
+    pair of references (a reference with itself included), the
+    lex-smallest lex-positive distance two iterations of the nest have,
+    from :func:`family_in_box`, or none.
 
-    For dependence families with a kernel direction, the canonical
-    representative plus the extreme in-bounds members in *both* family
-    directions are emitted, so transformation-legality checks over the
-    returned set are sound (lex order along the family line is
-    monotone).
+    A family past the dense budget contributes nothing here; legality
+    reads :func:`ordering_vectors`, which stays sound there.
     """
     refs = program.refs_to(array)
     if not refs:
@@ -349,42 +568,148 @@ def array_dependences(
             f"array {array} has non-uniformly generated references; "
             "constant distance vectors do not exist"
         )
-    spans = tuple(loop.span for loop in program.nest.loops)
+    spans = _spans(program)
     out: list[Dependence] = []
     seen: set[tuple] = set()
 
-    def emit(src: ArrayRef, dst: ArrayRef, distance: tuple[int, ...]) -> None:
+    def emit(src: ArrayRef, dst: ArrayRef) -> None:
         kind = DependenceKind.of(src.is_write, dst.is_write)
         if not include_input and kind is DependenceKind.INPUT:
             return
-        key = (distance, kind)
+        members = family_in_box(src.access, _delta(src, dst), spans)
+        if not members:
+            return
+        key = (members[0], kind)
         if key in seen:
             return
         seen.add(key)
         reduction = src.access.is_zero() and dst.access.is_zero()
-        out.append(Dependence(array, distance, kind, src, dst, reduction))
-
-    def emit_family(src: ArrayRef, dst: ArrayRef, minimal: tuple[int, ...]) -> None:
-        emit(src, dst, minimal)
-        kernel = integer_nullspace(src.access)
-        if len(kernel) == 1:
-            for member in _endpoint_representatives(minimal, kernel[0], spans):
-                if member != minimal and is_lex_positive(member):
-                    emit(src, dst, member)
+        out.append(Dependence(array, members[0], kind, src, dst, reduction))
 
     for ref in refs:
-        d = self_reuse_distance(ref)
-        if d is not None:
-            emit_family(ref, ref, d)
+        emit(ref, ref)
     for src, dst in itertools.permutations(refs, 2):
-        if src.offset == dst.offset and src is not dst:
-            # Same element in the same iteration: loop-independent; the
-            # kernel direction (if any) is already covered above.
-            continue
-        d = dependence_distance(src, dst)
-        if d is not None and any(v != 0 for v in d):
-            emit_family(src, dst, d)
+        # Equal offsets give the self family, already covered above.
+        if src.offset != dst.offset:
+            emit(src, dst)
     return out
+
+
+def ordering_vectors(
+    program: Program, array: str, reductions_reorderable: bool = True
+) -> list[tuple[int, ...]]:
+    """Vectors that decide legality for one array, uniform or not: a
+    transformation keeps every in-box flow, anti and output distance of
+    the array lex-positive iff it keeps these lex-positive (likewise for
+    ``T d >= 0`` and ``row . d >= 0``).
+
+    Pairs of scalar-in-nest references (all-zero access matrices) are
+    reduction updates and are left out while ``reductions_reorderable``.
+    A uniform array contributes the extreme members of each family
+    involving a write (:func:`family_in_box`); a non-uniform one the
+    distinct differences of the iteration pairs that share an element
+    (:func:`sharing_differences`).  Past the dense budget the array is
+    taken to carry every lex-positive in-box difference
+    (:func:`lex_positive_cone`).
+    """
+    refs = program.refs_to(array)
+    if not any(ref.is_write for ref in refs):
+        return []
+    spans = _spans(program)
+    if not program.is_uniformly_generated(array):
+        found = sharing_differences(program, array, reductions_reorderable)
+        return lex_positive_cone(spans) if found is None else found
+    if reductions_reorderable and refs[0].access.is_zero():
+        return []
+    deltas = dict.fromkeys(
+        _delta(src, dst)
+        for src in refs
+        for dst in refs
+        if src.is_write or dst.is_write
+    )
+    out: dict[tuple[int, ...], None] = {}
+    for delta in deltas:
+        members = family_in_box(refs[0].access, delta, spans)
+        if members is None:
+            return lex_positive_cone(spans)
+        out.update(dict.fromkeys(members))
+    return list(out)
+
+
+def sharing_differences(
+    program: Program, array: str, reductions_reorderable: bool = True
+) -> list[tuple[int, ...]] | None:
+    """The distinct lex-positive ``J - I`` over iteration pairs that touch
+    one element of ``array`` through references at least one of which
+    writes, in lex order; ``None`` past the dense budget (the nest's, or
+    more sharing pairs than ``REPRO_DENSE_BUDGET``).
+
+    Array code over the dense engine's cached points and per-reference
+    element ids: differences are packed in a balanced mixed radix (digit
+    ``k`` in ``[-span_k, span_k]``), whose integer order is the lex
+    order, so lex-positive means positive.  Pairs of scalar-in-nest
+    references are reductions, left out while ``reductions_reorderable``.
+    """
+    from repro.window import fast
+
+    refs = program.refs_to(array)
+    try:
+        points = fast._iter_state(program).points
+        ids = np.concatenate(fast._element_state(program, array).ids)
+    except ValueError:
+        return None
+    spans = _spans(program)
+    radix = [2 * s + 1 for s in spans]
+    if not fast.spans_fit_int64(radix):
+        return None
+    weights = np.array(
+        [math.prod(radix[k + 1:]) for k in range(len(radix))], dtype=np.int64
+    )
+    count = points.shape[0]
+    # Accesses in element order: each run of equal ids shares an element.
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    run_start = np.searchsorted(ranked, ranked, side="left")
+    run_end = np.searchsorted(ranked, ranked, side="right")
+    code = ((points - np.array(program.nest.lowers)) @ weights)[order % count]
+    writes = np.array([ref.is_write for ref in refs])[order // count]
+    scalar = np.array([ref.access.is_zero() for ref in refs])[order // count]
+    # Every write access pairs with every access of its run.
+    sources = np.flatnonzero(writes)
+    partners = run_end[sources] - run_start[sources]
+    ends = np.cumsum(partners)
+    if int(ends[-1] if len(ends) else 0) > fast.dense_budget():
+        return None
+    found = [np.empty(0, dtype=np.int64)]
+    lo = 0
+    while lo < len(sources):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _ENUM_BLOCK, "right")))
+        width = partners[lo:hi]
+        src = np.repeat(sources[lo:hi], width)
+        dst = np.repeat(run_start[sources[lo:hi]] - (ends[lo:hi] - width - done), width)
+        dst += np.arange(src.shape[0])
+        diff = code[dst] - code[src]
+        if reductions_reorderable:
+            diff = diff[~(scalar[src] & scalar[dst])]
+        found.append(np.unique(np.abs(diff[diff != 0])))
+        lo = hi
+    return _decode_balanced(np.unique(np.concatenate(found)), spans)
+
+
+def _decode_balanced(
+    codes: np.ndarray, spans: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Vectors of balanced mixed-radix codes (digit ``k`` in
+    ``[-spans[k], spans[k]]``, radix ``2 * spans[k] + 1``)."""
+    digits = []
+    for s in reversed(spans):
+        digit = (codes + s) % (2 * s + 1) - s
+        digits.append(digit)
+        codes = (codes - digit) // (2 * s + 1)
+    if not digits:
+        return []
+    return list(map(tuple, np.stack(digits[::-1], axis=1).tolist()))
 
 
 def program_dependences(

@@ -28,7 +28,6 @@ the simulators' one access trace
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.ir.program import Program
 from repro.ir.reference import ArrayRef
@@ -176,70 +175,6 @@ def nonuniform_bounds(program: Program, array: str) -> NonUniformBounds:
 # ---------------------------------------------------------------------------
 
 
-def _family_fits_box(
-    particular: Sequence[int],
-    kernel: Sequence[Sequence[int]],
-    spans: Sequence[int],
-) -> bool | None:
-    """Does ``{particular + sum t_i * kernel_i}`` contain a **nonzero**
-    vector ``d`` with ``|d_k| <= spans[k]`` for every ``k``?
-
-    Such a ``d`` is a difference of two in-box iterations (the iteration
-    space is a full rectangular box, so ``d`` is realizable iff each
-    component fits its axis span).  Exact for kernel dimension <= 1;
-    for dimension >= 2 the answer is ``True`` when an obvious member
-    fits and ``None`` (undecided) otherwise — never a certified ``False``.
-    """
-    n = len(spans)
-
-    def fits(d: Sequence[int]) -> bool:
-        return any(d) and all(abs(d[k]) <= spans[k] for k in range(n))
-
-    if fits(particular):
-        return True
-    if not kernel:
-        # Unique solution; it either fits (handled above) or nothing does.
-        return False
-    if len(kernel) >= 2:
-        # Cheap sweep of neighbouring lattice members before giving up.
-        for v in kernel:
-            for sign in (1, -1):
-                if fits([p + sign * c for p, c in zip(particular, v)]):
-                    return True
-        return None
-    (v,) = kernel
-    # One free parameter: d = particular + t*v.  Intersect the per-axis
-    # constraints |p_k + t v_k| <= span_k into one integer interval.
-    lo, hi = None, None
-    for k in range(n):
-        p, c, s = particular[k], v[k], spans[k]
-        if c == 0:
-            if abs(p) > s:
-                return False
-            continue
-        # -s <= p + t*c <= s
-        left = -s - p
-        right = s - p
-        if c > 0:
-            t_lo = -(-left // c)  # ceil(left / c)
-            t_hi = right // c
-        else:
-            t_lo = -(-right // c)
-            t_hi = left // c
-        lo = t_lo if lo is None else max(lo, t_lo)
-        hi = t_hi if hi is None else min(hi, t_hi)
-    if lo is None:
-        # v == 0 cannot happen (kernel basis vectors are nonzero), but
-        # guard: the family degenerates to the particular solution.
-        return False
-    if lo > hi:
-        return False
-    if hi > lo:
-        # At least two members fit; at most one of them is the zero vector.
-        return True
-    return any(p + lo * c for p, c in zip(particular, v))
-
-
 def certified_reuse(program: Program, array: str) -> bool | None:
     """Transformation-invariant reuse fact for one array, or ``None``.
 
@@ -252,45 +187,32 @@ def certified_reuse(program: Program, array: str) -> bool | None:
     only at one time never enters the window).  This lets the search
     finalize all candidates for the array without simulating any.
 
-    ``None``  — undecided (non-uniform references, or a solution family
-    with >= 2 free parameters that the exact interval argument cannot
-    settle).  Undecided never prunes.
+    ``None``  — undecided (non-uniform references, or a family past the
+    dense budget).  Undecided never prunes.
+
+    Two distinct in-box iterations touch one element iff the family of
+    some ordered pair of offsets has a lex-positive member in the
+    difference box, which :func:`repro.dependence.analysis.family_in_box`
+    decides exactly for every kernel dimension.
     """
     if not program.is_uniformly_generated(array):
         return None
     refs = list(program.refs_to(array))
     if not refs:
         raise KeyError(array)
-    from repro.dependence.analysis import _particular_solution
-    from repro.linalg import integer_nullspace
+    from repro.dependence.analysis import family_in_box
 
-    access = refs[0].access
-    kernel = integer_nullspace(access)
-    spans = [upper - lower for lower, upper
-             in zip(program.nest.lowers, program.nest.uppers)]
+    spans = [loop.span for loop in program.nest.loops]
+    offsets = dict.fromkeys(ref.offset for ref in refs)
     undecided = False
-    seen: set[tuple[int, ...]] = set()
-    deltas: list[tuple[int, ...]] = []
-    offsets = [tuple(ref.offset) for ref in refs]
-    # Self-reuse (same offset, nonzero kernel member) plus every pair of
-    # distinct offsets; A d = c_a - c_b with d a nonzero in-box difference.
-    zero = tuple([0] * len(offsets[0]))
-    candidates = {zero}
-    for i, ca in enumerate(offsets):
-        for cb in offsets[i + 1:]:
-            candidates.add(tuple(a - b for a, b in zip(ca, cb)))
-    for delta in candidates:
-        if delta in seen:
-            continue
-        seen.add(delta)
-        particular = _particular_solution(access, list(delta))
-        if particular is None:
-            continue
-        verdict = _family_fits_box(particular, kernel, spans)
-        if verdict is True:
-            return True
-        if verdict is None:
-            undecided = True
+    for ca in offsets:
+        for cb in offsets:
+            members = family_in_box(
+                refs[0].access, [a - b for a, b in zip(ca, cb)], spans
+            )
+            if members:
+                return True
+            undecided |= members is None
     return None if undecided else False
 
 

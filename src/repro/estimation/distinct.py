@@ -160,9 +160,13 @@ def estimate_distinct_accesses(
 ) -> DistinctAccessEstimate:
     """Dispatch to the right Section 3 formula for one array.
 
-    Uniformly generated cases get exact closed forms; non-uniform cases
-    fall back to the Section 3.2 bounds (see
-    :func:`repro.estimation.bounds.nonuniform_bounds`).  The mixed case —
+    Uniformly generated cases get exact closed forms; non-uniform 1-D
+    cases fall back to the Section 3.2 bounds (see
+    :func:`repro.estimation.bounds.nonuniform_bounds`), and non-uniform
+    multi-dimensional ones, which those bounds do not cover, get the
+    exact count of the dense engine's element ids (one row each in
+    :func:`repro.window.fast.lifetime_table`; past
+    ``REPRO_DENSE_BUDGET`` a ``ValueError``).  The mixed case —
     multiple references *and* a non-trivial kernel — is not given a closed
     form in the paper; we combine group and self reuse and flag the result
     as not guaranteed exact.
@@ -171,6 +175,19 @@ def estimate_distinct_accesses(
     if not refs:
         raise KeyError(array)
     if not program.is_uniformly_generated(array):
+        if any(ref.rank != 1 for ref in refs):
+            from repro.window.fast import lifetime_table
+
+            try:
+                count = len(lifetime_table(program, array).first)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{array}: non-uniform {refs[0].rank}-D references are "
+                    f"counted exactly on the dense engine: {exc}"
+                ) from None
+            return DistinctAccessEstimate(
+                array, count, count, "non-uniform exact (dense)", True, None
+            )
         from repro.estimation.bounds import nonuniform_bounds
 
         b = nonuniform_bounds(program, array)

@@ -228,13 +228,20 @@ class IntMatrix:
         d = self.det()
         if d not in (1, -1):
             raise ValueError(f"matrix is not unimodular (det={d})")
+        return self.adjugate().scale(d)  # dividing by det == multiplying, since det is +-1
+
+    def adjugate(self) -> "IntMatrix":
+        """The transposed cofactor matrix: ``A @ adj(A) == det(A) * I``.
+
+        >>> IntMatrix([[2, 1], [1, 3]]).adjugate()
+        IntMatrix([[3, -1], [-1, 2]])
+        """
         n = self.n_rows
         cof = [
             [((-1) ** (i + j)) * self._minor(i, j).det() if n > 1 else 1 for j in range(n)]
             for i in range(n)
         ]
-        adj = IntMatrix(cof).transpose()
-        return adj.scale(d)  # dividing by det == multiplying, since det is +-1
+        return IntMatrix(cof).transpose()
 
     def _minor(self, drop_row: int, drop_col: int) -> "IntMatrix":
         return IntMatrix(

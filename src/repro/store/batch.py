@@ -136,7 +136,7 @@ def run_batch(
     a full-strength pool.  An inline item cannot be preempted, so a
     ``timeout`` with ``workers=0`` raises ``ValueError``.
     ``evaluator`` (tests only) replaces
-    :func:`repro.api.evaluate_kind` and must be module-level to pickle.
+    :func:`repro.api.compute_answer` and must be module-level to pickle.
     """
     # Lazy: repro.api imports the worker pool from this package, whose
     # __init__ imports this module.

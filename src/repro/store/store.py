@@ -56,8 +56,11 @@ from repro.store.lru import LRUCache
 #: Record/layout schema version; bump on any incompatible change, and
 #: on any fix that changes an answer, so that stale records are never
 #: served.  2: element ids past int64 raise instead of wrapping (a
-#: ``v1`` store may hold windows computed from wrapped ids).
-SCHEMA_VERSION = 2
+#: ``v1`` store may hold windows computed from wrapped ids).  3: legality
+#: reads the exact in-bounds dependence set (a ``v2`` store may hold
+#: ``optimize``, ``search`` and ``hierarchy`` answers whose order
+#: reverses a dependence).
+SCHEMA_VERSION = 3
 
 #: Environment variable naming the store root directory.
 STORE_DIR_ENV = "REPRO_STORE_DIR"

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.dependence.analysis import Dependence
+from repro.dependence.analysis import array_distance_vectors, ordering_vectors
 from repro.dependence.distance import is_lex_positive
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
@@ -62,8 +62,10 @@ def is_tileable(
     return True
 
 
-#: Stack rows screened per block: temporaries stay O(block * rows).
-SCREEN_BLOCK = 8192
+#: (matrix, distance) pairs screened per block: a block of
+#: ``SCREEN_PAIRS // distances`` matrices keeps its temporaries
+#: ``O(SCREEN_PAIRS)``.
+SCREEN_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -92,11 +94,11 @@ def screen_stack(
     """Tileability, legality and reuse levels of every matrix of a
     ``(K, m, n)`` integer stack.
 
-    Works through the stack in blocks of :data:`SCREEN_BLOCK` matrices,
-    one distance at a time.  Products are int64 while
+    Each block of :data:`SCREEN_PAIRS` (matrix, distance) pairs meets
+    every distance at once, one row of ``T`` at a time: ``m`` products
+    ``(block, n) @ (n, distances)``.  Products are int64 while
     ``max|T| * n * max|d| < 2**62`` bounds every ``T @ d``; beyond that
-    the same code runs on exact Python ints, since distances are not
-    bounded by trip counts.
+    the same code runs on exact Python ints.
 
     >>> s = screen_stack(np.array([[[2, 3], [1, 1]], [[1, 0], [0, 1]]]),
     ...                  [(3, -2), (2, 0)], [(3, -2)])
@@ -115,22 +117,30 @@ def screen_stack(
     entry = max(int(stack.max()), -int(stack.min()))
     reach = max(abs(v) for d in window + order for v in d)
     dtype = np.int64 if entry * n * max(reach, 1) < 2 ** 62 else object
-    window_vecs = [np.array(d, dtype=dtype) for d in window]
-    order_vecs = [np.array(d, dtype=dtype) for d in order]
-    for lo in range(0, count, SCREEN_BLOCK):
-        block = slice(lo, lo + SCREEN_BLOCK)
+    vectors = np.array(window + order, dtype=dtype).reshape(-1, n).T
+    w = len(window)
+    rows = max(1, SCREEN_PAIRS // vectors.shape[1])
+    for lo in range(0, count, rows):
+        block = slice(lo, lo + rows)
         part = stack[block].astype(dtype)
-        for vec in window_vecs:
-            moved = part @ vec
-            tileable[block] &= (moved >= 0).all(axis=1)
-            nonzero = moved != 0
-            level = np.where(
-                nonzero.any(axis=1), nonzero.argmax(axis=1) + 1, m + 1
-            )
-            np.minimum(min_level[block], level, out=min_level[block])
-            level_sum[block] += level
-        for vec in order_vecs:
-            legal[block] &= _lex_positive(part @ vec)
+        # Row by row of T: the level of each T @ d's first nonzero
+        # component (m + 1 for none), its sign, and T @ d >= 0.
+        level = np.zeros((part.shape[0], vectors.shape[1]), dtype=np.int64)
+        positive = np.zeros(level.shape, dtype=bool)
+        nonnegative = np.ones(level.shape, dtype=bool)
+        for k in range(m):
+            moved = part[:, k, :] @ vectors
+            first = (level == 0) & (moved != 0)
+            level[first] = k + 1
+            positive |= first & (moved > 0)
+            nonnegative &= moved >= 0
+        level[level == 0] = m + 1
+        if w:
+            tileable[block] = nonnegative[:, :w].all(axis=1)
+            min_level[block] = level[:, :w].min(axis=1)
+            level_sum[block] = level[:, :w].sum(axis=1)
+        if order:
+            legal[block] = positive[:, w:].all(axis=1)
     return StackScreen(tileable, legal, min_level, level_sum)
 
 
@@ -141,19 +151,11 @@ def legal_matrices(
     return as_matrices(stack[screen_stack(stack, (), distances).legal])
 
 
-def _lex_positive(rows: np.ndarray) -> np.ndarray:
-    """Per row: the first nonzero entry is positive (the zero row is not)."""
-    nonzero = rows != 0
-    lead = np.take_along_axis(rows, nonzero.argmax(axis=1)[:, None], axis=1)
-    return nonzero.any(axis=1) & (lead[:, 0] > 0)
-
-
-#: ``(signature, array, kind/flags)`` -> distance vectors, and
-#: ``(signature, array, "dependences")`` -> one array's dependences.
-#: Dependence analysis is pure in the program, and the search re-derives
-#: the same distance sets for every candidate batch (and in every pool
-#: worker the program is re-pickled into), so a content-hash memo pays
-#: for itself immediately.  Bounded: dropped wholesale past the cap.
+#: ``(signature, array, kind/flags)`` -> distance vectors.  Dependence
+#: analysis is pure in the program, and the search re-derives the same
+#: distance sets for every candidate batch (and in every pool worker the
+#: program is re-pickled into), so a content-hash memo pays for itself
+#: immediately.  Bounded: dropped wholesale past the cap.
 _DISTANCE_CACHE: dict[tuple, tuple] = {}
 _DISTANCE_CACHE_LIMIT = 512
 
@@ -173,70 +175,53 @@ def _memo(key: tuple, compute) -> tuple:
     return cached
 
 
-def _array_dependences(program: Program, array: str) -> tuple[Dependence, ...]:
-    """One array's dependences, input ones included: the one analysis
-    that both its ordering and its reuse distances are read from."""
-    from repro.dependence.analysis import array_dependences
-
-    return _memo(
-        (program.signature(), array, "dependences"),
-        lambda: array_dependences(program, array, include_input=True),
-    )
-
-
-def _uniform_union(program: Program, per_array) -> list[tuple[int, ...]]:
-    """The union, in first-seen order, of ``per_array(name)`` over the
-    uniformly generated arrays: each array's memoized set is reused,
-    whichever set the caller asks for first."""
-    seen: dict[tuple[int, ...], None] = {}
-    for name in program.arrays:
-        if program.is_uniformly_generated(name):
-            seen.update(dict.fromkeys(per_array(name)))
-    return list(seen)
-
-
 def ordering_distances(
     program: Program,
     array: str | None = None,
     reductions_reorderable: bool = True,
 ) -> list[tuple[int, ...]]:
-    """Distance vectors that constrain ordering (flow/anti/output).
+    """Distance vectors that decide legality (flow/anti/output), exact in
+    the nest's bounds: a transformation keeps every such distance of the
+    nest lex-positive iff it keeps these lex-positive
+    (:func:`repro.dependence.analysis.ordering_vectors`, uniform arrays
+    and non-uniform ones alike).
 
     Input (read-read) dependences impose no ordering; the paper's legality
     constraints in Example 8 use exactly the flow, anti and output
     distances.  Dependences among scalar-in-nest accumulators are
     reduction updates and are excluded unless ``reductions_reorderable``
-    is False.  ``array=None`` collects over all uniformly generated
-    arrays.
+    is False.  ``array=None`` collects over every array.
     """
 
     def compute() -> Iterable[tuple[int, ...]]:
         if array is None:
-            return _uniform_union(
-                program,
-                lambda a: ordering_distances(program, a, reductions_reorderable),
+            # The union, in first-seen order, of the memoized array sets.
+            return dict.fromkeys(
+                d
+                for name in program.arrays
+                for d in ordering_distances(program, name, reductions_reorderable)
             )
-        if not program.is_uniformly_generated(array):
-            raise ValueError(f"{array}: non-uniform references")
-        return dict.fromkeys(
-            dep.distance
-            for dep in _array_dependences(program, array)
-            if dep.kind.constrains_order
-            and not (reductions_reorderable and dep.reduction)
-        )
+        return ordering_vectors(program, array, reductions_reorderable)
 
     key = (program.signature(), array, reductions_reorderable, "ordering")
     return list(_memo(key, compute))
 
 
 def reuse_distances(program: Program, array: str | None = None) -> list[tuple[int, ...]]:
-    """All reuse distances (including input dependences) — what the window
-    optimization must push to inner levels."""
+    """The paper's reuse distances (input dependences included), one
+    lex-smallest in-box member per dependence family — what the window
+    optimization must push to inner levels.  ``array=None`` collects
+    over the uniformly generated arrays."""
 
     def compute() -> Iterable[tuple[int, ...]]:
         if array is None:
-            return _uniform_union(program, lambda a: reuse_distances(program, a))
-        return dict.fromkeys(dep.distance for dep in _array_dependences(program, array))
+            return dict.fromkeys(
+                d
+                for name in program.arrays
+                if program.is_uniformly_generated(name)
+                for d in reuse_distances(program, name)
+            )
+        return array_distance_vectors(program, array)
 
     key = (program.signature(), array, "reuse")
     return list(_memo(key, compute))

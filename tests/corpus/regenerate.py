@@ -57,6 +57,31 @@ SEEDS = [
         note="shrunk by repro check from fuzz seed 182141",
     ),
     dict(
+        oracle="legality-exact",
+        seed=31,
+        source=(
+            "for i1 = 1 to 3 { for i2 = 1 to 4 { for i3 = 1 to 3 { "
+            "A0[2*i1 - 3*i2 - 2*i3 - 4] = A0[2*i1 - 3*i2 - 2*i3 - 1] "
+            "} } }"
+        ),
+        detail=(
+            "Kernel-dimension-2 legality bug: one access row in a 3-deep "
+            "nest leaves a 2-D kernel, where the endpoint emission added "
+            "no family members and a radius-64 grid, blind to the loop "
+            "bounds, picked (0, 2, -3) for the write's output family, a "
+            "distance no two iterations have.  The in-bounds output "
+            "distance (1, 0, 1) went unseen, and optimize_program chose "
+            "T=((0, 1, 0), (-1, 0, 0), (0, 0, 1)), which maps it to "
+            "(0, -1, 1), reporting a window of 7 for an illegal order "
+            "(legal optimum 10).  Fixed by one exact in-box family "
+            "enumeration (dependence/analysis.py: family_in_box)."
+        ),
+        note=(
+            "GeneratorConfig(depth=3, min_trip=3, max_trip=5) at seed 31, "
+            "pinned unshrunk"
+        ),
+    ),
+    dict(
         oracle="nonuniform-bounds-bracket",
         seed=0,
         source="for i1 = 1 to 6 { for i2 = 1 to 4 { A0[2*i1] = A0[i1 + i2] } }",
@@ -247,7 +272,7 @@ SEEDS = [
         ),
         detail=(
             "Leader-order pin for the 3-D level search: no bound-1 "
-            "matrix tiles A's five reuse distances, so its embedded "
+            "matrix tiles A's reuse distances, so its embedded "
             "seed ((1, 0, 0), (0, 1, 0), (0, 2, 1)) ranks alone, while "
             "B's seed ((0, 0, 1), (0, 1, 0), (1, 0, 0)) is also one of "
             "its 2,088 tileable stack matrices with the same level key, "
@@ -266,12 +291,31 @@ SEEDS = [
         ),
         detail=(
             "Level-sum pin for the 3-D leaders: A's two reuse distances "
-            "(0, 0, 1) and (1, -64, -64) leave many bound-1 matrices at "
+            "(0, 0, 1) and (1, -2, -2) leave many bound-1 matrices at "
             "the same deepest minimum level, and the level sum decides "
-            "which four are simulated.  Ranking the sum the wrong way "
-            "round picks T=((1, -1, 1), (0, -1, 0), (1, 0, 0)) with exact "
-            "MWS 4 where the per-matrix sort finds "
-            "T=((1, 0, 0), (0, -1, 0), (0, -1, 1)) with MWS 2."
+            "which four are simulated.  While a radius-64 grid gave "
+            "(1, -64, -64) instead of the in-box (1, -2, -2), ranking the "
+            "sum the wrong way round picked "
+            "T=((1, -1, 1), (0, -1, 0), (1, 0, 0)) with exact MWS 4 where "
+            "the per-matrix sort finds T=((1, 0, 0), (0, -1, 0), "
+            "(0, -1, 1)) with MWS 2; the signed-permutation pin below "
+            "witnesses that mutation now."
+        ),
+        note="conformance pin for the 3-D leaders' level-sum key",
+    ),
+    dict(
+        oracle="candidate-screen-reference",
+        seed=10,
+        source=(
+            "for i1 = 1 to 1 { for i2 = 1 to 2 { for i3 = 1 to 2 { "
+            "S1: A1[-3*i1 + i2]\n S2: A1[-3*i1 + i2 - 1] } } }"
+        ),
+        detail=(
+            "Level-sum pin on in-box distances: A1's reuse distances "
+            "(0, 0, 1) and (0, 1, -1) tie the signed permutations that "
+            "keep i1 outermost at one minimum level, so the level sum "
+            "orders the four leaders; ranking it the wrong way round "
+            "puts i3 before i2."
         ),
         note="mutation witness: level-sum sign flipped in the lexsort key",
     ),

@@ -324,6 +324,20 @@ class TestWarmFlag:
             == json.dumps(storeless.result)
 
 
+    @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "pooled"])
+    def test_cold_item_reads_its_record_once(self, workers, tmp_path, observer):
+        """The service's read before the item is the only read of a cold
+        request's answer record: the item computes and writes it."""
+        sources = (LOOP, LOOP.replace("A[i + j - 1]", "A[i + j - 2]"))
+        with AnalysisService(store=tmp_path, workers=workers) as svc:
+            for count, source in enumerate(sources, start=1):
+                request = build_request({"kind": "optimize", "source": source})
+                response = svc.submit(request)
+                assert response.ok and not response.warm
+                assert observer.counters["store.misses"] == count
+                assert observer.counters["store.writes"] == count
+
+
 # ----------------------------------------------------------------------
 # the service: pooled evaluation + the shared timeout path
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for dependence/reuse analysis against paper examples and oracles."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +23,15 @@ from repro.dependence import (
     reuse_vectors,
     self_reuse_distance,
 )
-from repro.dependence.analysis import iteration_pairs_sharing_element
+from repro.dependence.analysis import (
+    family_in_box,
+    iteration_pairs_sharing_element,
+)
 from repro.dependence.distance import is_lex_nonnegative, lex_compare
 from repro.dependence.graph import max_in_degree_sink
 from repro.ir import ArrayRef, NestBuilder, parse_program
+from repro.linalg import IntMatrix
+from repro.transform.legality import is_legal, is_tileable
 
 
 class TestLexOrder:
@@ -123,18 +131,10 @@ class TestProgramDependences:
             }
             """
         )
+        # One lex-smallest in-box member per family: the paper's printed
+        # set (legality reads the extreme members, ordering_distances).
         distances = sorted(array_distance_vectors(prog, "X"))
-        # Minimal representatives (the paper's printed set)...
-        for d in [(2, 0), (3, -2), (5, -2)]:
-            assert d in distances
-        # ...plus the farthest in-bounds member of each kernel family
-        # (needed for sound legality checks; lex-monotone endpoints).
-        # Every vector must solve 2*d1 + 5*d2 in {-4, 0, 4}, be lex
-        # positive, and fit inside the loop spans.
-        for d1, d2 in distances:
-            assert 2 * d1 + 5 * d2 in (-4, 0, 4)
-            assert is_lex_positive((d1, d2))
-            assert abs(d1) <= 24 and abs(d2) <= 9
+        assert distances == [(2, 0), (3, -2), (5, -2)]
 
     def test_example8_kinds(self):
         prog = parse_program(
@@ -204,6 +204,61 @@ class TestProgramDependences:
         a = ArrayRef.of("A", [[3, 7]], [-10])
         b = ArrayRef.of("A", [[4, -3]], [60])
         assert gcd_test(a, b)  # gcd(3,7,4,3) = 1 divides everything
+
+
+def _lex_positive_box(access, delta, spans):
+    """Every lex-positive in-box ``d`` with ``access @ d == delta``."""
+    return [
+        d
+        for d in itertools.product(*[range(-s, s + 1) for s in spans])
+        if is_lex_positive(d) and access.apply(d) == tuple(delta)
+    ]
+
+
+class TestFamilyInBox:
+    def test_example8_flow_family(self):
+        # 2 d1 + 5 d2 = -4 inside |d1| <= 24, |d2| <= 9: (3, -2) to (18, -8).
+        assert family_in_box(IntMatrix([[2, 5]]), (-4,), (24, 9)) == (
+            (3, -2), (18, -8),
+        )
+
+    def test_a_huge_line_costs_nothing(self):
+        assert family_in_box(IntMatrix([[1, -1]]), (0,), (2**70, 2**70)) == (
+            (1, 1), (2**70, 2**70),
+        )
+
+    def test_no_member_fits_the_box(self):
+        assert family_in_box(IntMatrix.identity(3), (2**62, 0, 0), (3, 3, 3)) == ()
+        assert family_in_box(IntMatrix([[2, 0]]), (1,), (5, 5)) == ()
+
+    def test_past_the_dense_budget(self, monkeypatch):
+        from repro.window.fast import DENSE_BUDGET_ENV
+
+        monkeypatch.setenv(DENSE_BUDGET_ENV, "10")
+        assert family_in_box(IntMatrix([[1, 1, 1]]), (0,), (4, 4, 4)) is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_decides_what_the_whole_family_decides(self, seed):
+        """Each result is made of members, starts at the lex-smallest
+        one, and is legal or tileable under a matrix exactly when every
+        member is."""
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(-3, 3) for _ in range(n)]
+                    for _ in range(rng.randint(1, n))]
+            access = IntMatrix(rows)
+            delta = [rng.randint(-4, 4) for _ in rows]
+            spans = [rng.randint(0, 4) for _ in range(n)]
+            got = family_in_box(access, delta, spans)
+            truth = _lex_positive_box(access, delta, spans)
+            assert set(got) <= set(truth)
+            assert got[:1] == tuple(sorted(truth)[:1])
+            for _ in range(20):
+                t = IntMatrix([[rng.randint(-2, 2) for _ in range(n)]
+                               for _ in range(n)])
+                assert is_legal(t, got) == is_legal(t, truth)
+                assert is_tileable(t, got) == is_tileable(t, truth)
 
 
 class TestReuse:

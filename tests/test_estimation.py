@@ -191,6 +191,29 @@ class TestNonUniform:
         with pytest.raises(ValueError):
             nonuniform_bounds(prog, "A")
 
+    def test_multidimensional_array_counts_exactly(self):
+        """The Section 3.2 bounds are 1-D; a non-uniform 2-D array gets
+        the dense engine's exact count, for ``analyze`` too."""
+        prog = parse_program(
+            "for i = 1 to 6 { for j = 1 to 6 { A[i][2*j] = A[j][i] + 1 } }"
+        )
+        est = estimate_distinct_accesses(prog, "A")
+        assert est.exact and est.method == "non-uniform exact (dense)"
+        truth = exact_distinct_accesses(prog, "A")
+        assert est.lower == est.upper == truth
+        assert estimate_program_memory(prog).footprint_total == truth
+
+    def test_multidimensional_array_past_the_dense_budget(self, monkeypatch):
+        from repro.window.fast import DENSE_BUDGET_ENV, clear_iteration_cache
+
+        prog = parse_program(
+            "for i = 1 to 7 { for j = 1 to 7 { A[i][2*j] = A[j][i] + 1 } }"
+        )
+        monkeypatch.setenv(DENSE_BUDGET_ENV, "10")
+        clear_iteration_cache()
+        with pytest.raises(ValueError, match=f"A: .*{DENSE_BUDGET_ENV}"):
+            estimate_distinct_accesses(prog, "A")
+
     @given(
         st.integers(1, 7), st.integers(-7, 7).filter(lambda v: v != 0),
         st.integers(1, 7), st.integers(-7, 7).filter(lambda v: v != 0),

@@ -23,7 +23,7 @@ from repro.ir import parse_program
 from repro.kernels import matmult, sor, two_point
 from repro.linalg import IntMatrix
 from repro.memory import MemoryHierarchy, MemoryTier, preset
-from repro.store import ResultStore
+from repro.store import SCHEMA_VERSION, ResultStore
 from repro.transform import (
     HierarchyPlan,
     default_candidates,
@@ -321,7 +321,8 @@ class TestStore:
         first = search_hierarchy(program, hierarchy)
         store = ResultStore(tmp_path)
         assert search_hierarchy(program, hierarchy, store=store) == first
-        assert len(list((tmp_path / "v2" / "hierarchy").glob("*.json"))) == 1
+        records = tmp_path / f"v{SCHEMA_VERSION}" / "hierarchy"
+        assert len(list(records.glob("*.json"))) == 1
         clear_search_cache()
         store.drop_memory()
         observer = obs.enable()
@@ -377,7 +378,8 @@ class TestStore:
         first = search_hierarchy(
             program, hierarchy, candidates=[None], store=store
         )
-        (record,) = (tmp_path / "v2" / "hierarchy").glob("*.json")
+        records = tmp_path / f"v{SCHEMA_VERSION}" / "hierarchy"
+        (record,) = records.glob("*.json")
         record.write_text(record.read_text()[:40])
         clear_search_cache()
         store.drop_memory()

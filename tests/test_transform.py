@@ -84,16 +84,33 @@ class TestLegality:
         # The extra vectors are far endpoints of the same families.
         for d1, d2 in distances:
             assert 2 * d1 + 5 * d2 in (-4, 0, 4)
+            assert abs(d1) <= 24 and abs(d2) <= 9
+
+    def test_ordering_distances_decide_every_in_bounds_distance(self):
+        """``A``'s output family has kernel dimension 2: its 24 in-bounds
+        distances ``(0, a, b)`` all constrain the order, and the exact
+        set decides each signed permutation as they do."""
+        prog = parse_program(
+            "for i = 1 to 4 { for j = 1 to 4 { for k = 1 to 4 { "
+            "A[i] = A[i] + B[i][j][k] } } }"
+        )
+        order = ordering_distances(prog, "A")
+        truth = [
+            (0, a, b) for a in range(4) for b in range(-3, 4) if (a, b) > (0, 0)
+        ]
+        assert len(truth) == 24
+        for t in signed_permutations(3):
+            assert is_legal(t, order) == is_legal(t, truth), t
 
     def test_ordering_excludes_input(self):
         prog = parse_program("for i = 1 to 9 { B[0] = A[i] + A[i-1] }")
         assert ordering_distances(prog, "A") == []
 
     def test_program_set_unions_the_memoized_array_sets(self, monkeypatch):
-        """Each array's dependences are analysed once, whichever set is
-        asked for first (the optimizer asks for the program's, then its
-        searches for each array's), and the reuse distances are read
-        from the same analysis as the ordering ones."""
+        """Each array's sets are computed once, whichever is asked for
+        first (the optimizer asks for the program's, then its searches
+        for each array's); the ordering ones come from the exact family
+        members, so only the reuse ones run ``array_dependences``."""
         import repro.dependence.analysis as analysis
         from repro.transform.legality import clear_distance_cache
 
