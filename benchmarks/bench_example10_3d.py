@@ -29,7 +29,9 @@ for i = 1 to 10 {
 
 def test_example10_reuse_vector(benchmark):
     program = parse_program(EXAMPLE_10)
-    vector = benchmark(self_reuse_distance, program.refs_to("A")[0])
+    vector = benchmark(
+        self_reuse_distance, program.refs_to("A")[0], program.nest.spans
+    )
     assert vector == (1, 3, -3)  # paper prints (1, 3, 3) unsigned
     record(benchmark, reuse_vector=str(vector))
 
@@ -73,7 +75,7 @@ def test_example10_reuse_level_pushed_inward(benchmark):
 
     program = parse_program(EXAMPLE_10)
     t = IntMatrix([[3, 0, 1], [0, 1, 1], [1, 0, 0]])
-    vector = self_reuse_distance(program.refs_to("A")[0])
+    vector = self_reuse_distance(program.refs_to("A")[0], program.nest.spans)
 
     def run():
         return reuse_level(vector), reuse_level(t.apply(vector))

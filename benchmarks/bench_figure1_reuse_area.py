@@ -49,7 +49,7 @@ def test_example_1b_reuse_area(benchmark):
     ref = program.refs_to("A")[0]
 
     def run():
-        vector = self_reuse_distance(ref)
+        vector = self_reuse_distance(ref, program.nest.spans)
         return vector, reuse_from_distances(program.nest.trip_counts, [vector])
 
     vector, reuse = benchmark(run)

@@ -365,7 +365,11 @@ class EstimateBracketsExact(Oracle):
         "enumerated count must sit inside [lower, upper], and a claimed "
         "exact estimate must hit it."
     )
-    config = GeneratorConfig(depth=2, min_trip=2, max_trip=8, uniform_only=True)
+    config = GeneratorConfig(min_trip=2, max_trip=8, uniform_only=True)
+
+    def generate(self, seed: int) -> Program:
+        # Depths 3 and 4 bring kernels of dimension 2 and more.
+        return random_program(seed, replace(self.config, depth=2 + seed % 3))
 
     def check(self, program: Program, seed: int = 0) -> Violation | None:
         from repro.estimation import (

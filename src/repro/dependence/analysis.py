@@ -16,9 +16,10 @@ vectors are the distinct differences of iteration pairs that share an
 element (:func:`sharing_differences`, array code over the dense engine;
 :func:`iteration_pairs_sharing_element` is the per-point reference), and
 :func:`gcd_test` is the classic existence filter.
-:func:`dependence_distance` and :func:`self_reuse_distance` keep the
-box-free smallest member for the paper's estimators, whose box is absent
-or symbolic.
+:func:`dependence_distance` and :func:`self_reuse_distance` give the
+paper's estimators one vector per family: the box-free smallest member
+where the kernel has dimension at most 1, the lex-smallest member in the
+box beyond.
 """
 
 from __future__ import annotations
@@ -90,105 +91,42 @@ class Dependence:
         return f"{self.kind} {self.array} d={self.distance}"
 
 
-def _smallest_lex_positive_in_family(
-    particular: Sequence[int],
-    kernel: Sequence[tuple[int, ...]],
-    search_radius: int = 64,
-) -> tuple[int, ...] | None:
-    """Smallest lex-positive vector in ``particular + span_Z(kernel)``.
-
-    Exact closed-form walk for kernel dimension 0 and 1 (the cases arising
-    from the paper's ``d >= n-1`` arrays); bounded enumeration for higher
-    kernel dimensions.
-    """
-    p = tuple(particular)
-    if not kernel:
-        return p if is_lex_positive(p) else None
-    if len(kernel) == 1:
-        return _smallest_on_line(p, kernel[0])
-    # Higher-dimensional kernel: bounded search over coefficients,
-    # smallest lex-positive found.  Radius is ample for loop-sized
-    # distances.  The whole (2r+1)^K coefficient grid is evaluated with
-    # one matmul; lex-positivity is a leading-nonzero sign test and the
-    # lex-minimum a lexsort, all vectorized.  Int64 is safe: candidate
-    # components are bounded by |p| + K * radius * max|kernel entry|.
-    kmat = np.asarray(kernel, dtype=np.int64)
-    pvec = np.asarray(p, dtype=np.int64)
-    axis = np.arange(-search_radius, search_radius + 1, dtype=np.int64)
-    side = axis.shape[0]
-    if side ** len(kernel) <= (1 << 22):
-        grids = np.meshgrid(*([axis] * len(kernel)), indexing="ij")
-        coeffs = np.stack([g.ravel() for g in grids], axis=1)
-        chunks: "Iterator[np.ndarray] | list[np.ndarray]" = [
-            coeffs @ kmat + pvec
-        ]
-    else:
-        # Kernel dimension >= 4 at the full radius: chunk over the first
-        # coefficient so each candidate block stays grid-of-the-rest
-        # sized.
-        grids = np.meshgrid(*([axis] * (len(kernel) - 1)), indexing="ij")
-        rest = np.stack([g.ravel() for g in grids], axis=1)
-        base = rest @ kmat[1:] + pvec
-        chunks = (base + c0 * kmat[0] for c0 in axis)
-    best: tuple[int, ...] | None = None
-    for cand in chunks:
-        nonzero = cand != 0
-        positive = nonzero.any(axis=1)
-        lead = np.argmax(nonzero, axis=1)
-        positive &= cand[np.arange(cand.shape[0]), lead] > 0
-        if not positive.any():
-            continue
-        selected = cand[positive]
-        # lexsort sorts by last key first; feed columns reversed.
-        order = np.lexsort(selected.T[::-1])
-        top = tuple(int(v) for v in selected[order[0]])
-        if best is None or top < best:
-            best = top
-    return best
-
-
 def _smallest_on_line(
-    p: tuple[int, ...], direction: tuple[int, ...]
+    p: tuple[int, ...], v: tuple[int, ...]
 ) -> tuple[int, ...] | None:
-    """Smallest lex-positive point of ``{p + t*v : t in Z}``.
+    """Smallest lex-positive point of ``{p + t*v : t in Z}``, or None.
 
-    ``v`` is primitive and lex-positive (nullspace normalization), so the
-    lex order along the line is monotone increasing in ``t``; the first
-    component pins ``t`` up to one boundary case.
+    ``v`` is lex-positive (nullspace normalization), so the lex order
+    along the line grows with ``t`` (:func:`_first_lex_positive`).  A
+    positive component of ``p`` before ``v``'s first nonzero one makes
+    every point lex-positive; the representative then reduces the
+    component at that lead to its smallest non-negative residue.
     """
-    v = direction
-    lead = next((k for k, x in enumerate(v) if x != 0), None)
-    if lead is None:
-        return p if is_lex_positive(p) else None
-    # Components before `lead` are fixed by p.  A nonzero prefix decides
-    # positivity outright; the canonical representative reduces the
-    # component at `lead` to its smallest non-negative residue.
-    for x in p[:lead]:
-        if x > 0:
-            t = -math.floor(p[lead] / v[lead])
-            return tuple(pv + t * vv for pv, vv in zip(p, v))
-        if x < 0:
-            return None
-    # Prefix is all zero: positivity is decided from component `lead` on.
-    vl = v[lead]
-    pl = p[lead]
-    if vl > 0:
-        t0 = ceil_div(-pl, vl)  # smallest t with component >= 0
-    else:
-        # v was normalized lex-positive, so vl > 0 always; guard anyway.
-        t0 = -ceil_div(pl, -vl)
-    for t in (t0, t0 + 1):
-        cand = tuple(pv + t * vv for pv, vv in zip(p, v))
-        if is_lex_positive(cand):
-            return cand
-    return None
+    t = _first_lex_positive(p, v)
+    if t == math.inf:
+        return None
+    if t == -math.inf:
+        lead = next(k for k, x in enumerate(v) if x != 0)
+        t = -(p[lead] // v[lead])
+    return tuple(pk + t * vk for pk, vk in zip(p, v))
 
 
 def dependence_distance(
-    src: ArrayRef, dst: ArrayRef
+    src: ArrayRef, dst: ArrayRef, spans: Sequence[int]
 ) -> tuple[int, ...] | None:
     """Smallest lex-positive ``d`` with ``dst`` at ``I + d`` touching the
     element ``src`` touches at ``I`` — or None.
+
+    By the kernel dimension ``K`` of the access matrix:
+
+    * ``K <= 1``: the paper's box-free vector.  The Section 3 formulas
+      clamp components past the box to zero, and the parametric base
+      must see distances past it.
+    * ``K >= 2``: the lex-smallest member inside the difference box
+      ``|d_k| <= spans[k]`` (:func:`family_in_box`), since without a box
+      the lex order has no smallest member.  Finding it past
+      ``REPRO_DENSE_BUDGET`` raises ``ValueError``: the answer is
+      unknown, and each reader takes its conservative branch.
 
     Requires uniformly generated references (same access matrix); raises
     otherwise, because no constant distance exists in general.
@@ -197,22 +135,41 @@ def dependence_distance(
         raise ValueError(
             "dependence_distance requires uniformly generated references"
         )
-    a = src.access
-    rhs = [bs - bd for bs, bd in zip(src.offset, dst.offset)]
-    particular = _particular_solution(a, rhs)
-    if particular is None:
-        return None
-    return _smallest_lex_positive_in_family(particular, _kernel(a))
+    return _smallest_member(src.access, _delta(src, dst), spans)
 
 
-def self_reuse_distance(ref: ArrayRef) -> tuple[int, ...] | None:
+def self_reuse_distance(
+    ref: ArrayRef, spans: Sequence[int]
+) -> tuple[int, ...] | None:
     """Smallest lex-positive ``d`` with ``A @ d = 0`` — the reuse vector of
-    a single reference (paper Example 4), or None for injective accesses."""
-    kernel = _kernel(ref.access)
-    if not kernel:
+    a single reference (paper Example 4) — or None for injective accesses
+    (and, at ``K >= 2``, for a box no such ``d`` fits).  The box rules
+    are :func:`dependence_distance`'s."""
+    if not _kernel(ref.access):
         return None
-    zero = tuple(0 for _ in range(ref.nest_depth))
-    return _smallest_lex_positive_in_family(zero, kernel)
+    return _smallest_member(ref.access, (0,) * ref.rank, spans)
+
+
+def _smallest_member(
+    access: IntMatrix, delta: Sequence[int], spans: Sequence[int]
+) -> tuple[int, ...] | None:
+    kernel = _kernel(access)
+    if len(kernel) >= 2:
+        members = family_in_box(access, delta, spans)
+        if members is None:
+            from repro.window.fast import DENSE_BUDGET_ENV
+
+            raise ValueError(
+                f"the lex-smallest member of a {len(kernel)}-D dependence "
+                f"family in the box {tuple(spans)} is past {DENSE_BUDGET_ENV}"
+            )
+        return members[0] if members else None
+    p = _particular_solution(access, delta)
+    if p is None:
+        return None
+    if not kernel:
+        return p if is_lex_positive(p) else None
+    return _smallest_on_line(p, kernel[0])
 
 
 #: Access matrix -> its Smith form: every pair of an array's references
@@ -539,10 +496,6 @@ def array_distance_vectors(
     return list(seen)
 
 
-def _spans(program: Program) -> tuple[int, ...]:
-    return tuple(loop.span for loop in program.nest.loops)
-
-
 def _delta(src: ArrayRef, dst: ArrayRef) -> tuple[int, ...]:
     """``dst`` at ``I + d`` touches what ``src`` touches at ``I`` iff
     ``access @ d == _delta(src, dst)``."""
@@ -568,7 +521,7 @@ def array_dependences(
             f"array {array} has non-uniformly generated references; "
             "constant distance vectors do not exist"
         )
-    spans = _spans(program)
+    spans = program.nest.spans
     out: list[Dependence] = []
     seen: set[tuple] = set()
 
@@ -615,7 +568,7 @@ def ordering_vectors(
     refs = program.refs_to(array)
     if not any(ref.is_write for ref in refs):
         return []
-    spans = _spans(program)
+    spans = program.nest.spans
     if not program.is_uniformly_generated(array):
         found = sharing_differences(program, array, reductions_reorderable)
         return lex_positive_cone(spans) if found is None else found
@@ -658,7 +611,7 @@ def sharing_differences(
         ids = np.concatenate(fast._element_state(program, array).ids)
     except ValueError:
         return None
-    spans = _spans(program)
+    spans = program.nest.spans
     radix = [2 * s + 1 for s in spans]
     if not fast.spans_fit_int64(radix):
         return None

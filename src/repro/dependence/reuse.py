@@ -10,6 +10,8 @@ inward: the deeper the carrying loop, the smaller the live window.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.dependence.analysis import (
     array_distance_vectors,
     dependence_distance,
@@ -20,11 +22,14 @@ from repro.ir.program import Program
 from repro.ir.reference import ArrayRef
 
 
-def reuse_vector(ref: ArrayRef) -> tuple[int, ...] | None:
+def reuse_vector(
+    ref: ArrayRef, spans: Sequence[int]
+) -> tuple[int, ...] | None:
     """The (single-reference) reuse vector: smallest lex-positive kernel
-    element of the access matrix, e.g. ``(5, -2)`` for ``A[2i + 5j + 1]``.
+    element of the access matrix, e.g. ``(5, -2)`` for ``A[2i + 5j + 1]``
+    (:func:`~repro.dependence.analysis.self_reuse_distance`).
     """
-    return self_reuse_distance(ref)
+    return self_reuse_distance(ref, spans)
 
 
 def reuse_vectors(program: Program, array: str) -> list[tuple[int, ...]]:
@@ -43,13 +48,15 @@ def reuse_level(vector: tuple[int, ...]) -> int | None:
 
 
 def group_reuse_distances(
-    refs: list[ArrayRef],
+    refs: list[ArrayRef], spans: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """Distance vectors from each reference to one designated sink.
 
     Section 3.1 computes reuse from the ``r - 1`` dependences into the
     sink reference; this returns those distances with the sink chosen to
     make all of them lex-positive (the lexicographically last reference).
+    ``spans`` is the nest's difference box
+    (:func:`~repro.dependence.analysis.dependence_distance`).
     """
     if len(refs) < 2:
         return []
@@ -63,7 +70,7 @@ def group_reuse_distances(
         for src in refs:
             if src is sink:
                 continue
-            d = dependence_distance(src, sink)
+            d = dependence_distance(src, sink, spans)
             if d is None:
                 ok = False
                 break

@@ -202,7 +202,7 @@ def certified_reuse(program: Program, array: str) -> bool | None:
         raise KeyError(array)
     from repro.dependence.analysis import family_in_box
 
-    spans = [loop.span for loop in program.nest.loops]
+    spans = program.nest.spans
     offsets = dict.fromkeys(ref.offset for ref in refs)
     undecided = False
     for ca in offsets:

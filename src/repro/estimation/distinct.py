@@ -12,7 +12,8 @@ The paper's Section 3 formulas:
   ``A_d = prod_j N_j - reuse``  (Examples 4, 5).
 
 Both are exact under the paper's assumptions; the estimator records which
-case fired and whether exactness is guaranteed.
+case fired and whether exactness is guaranteed, and counts the touched
+elements exactly where the paper gives no closed form.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def distinct_accesses_same_rank(
     r = len(refs)
     if r == 1:
         return DistinctAccessEstimate(array, total, total, "d==n single ref", True, 0)
-    distances = group_reuse_distances(refs)
+    distances = group_reuse_distances(refs, program.nest.spans)
     reuse = reuse_from_distances(trips, distances)
     value = r * total - reuse
     # The sink-based formula counts only the r-1 dependences into one sink
@@ -131,13 +132,17 @@ def distinct_accesses_single_ref(
 ) -> DistinctAccessEstimate:
     """Paper Section 3.2 (``d == n - 1``, single reference).
 
+    A kernel of dimension >= 2 takes its reuse vector inside the nest's
+    box, and raises ``ValueError`` when that is past ``REPRO_DENSE_BUDGET``
+    (:func:`~repro.dependence.analysis.self_reuse_distance`).
+
     >>> from repro.ir import NestBuilder
     >>> p = (NestBuilder().loop("i", 1, 20).loop("j", 1, 10)
     ...      .use("S1", ("A", [[2, 5]], [1])).build())
     >>> distinct_accesses_single_ref(p.references[0], p.nest).lower
     80
     """
-    v = self_reuse_distance(ref)
+    v = self_reuse_distance(ref, nest.spans)
     trips = nest.trip_counts
     total = nest.total_iterations
     if v is None:
@@ -160,34 +165,22 @@ def estimate_distinct_accesses(
 ) -> DistinctAccessEstimate:
     """Dispatch to the right Section 3 formula for one array.
 
-    Uniformly generated cases get exact closed forms; non-uniform 1-D
-    cases fall back to the Section 3.2 bounds (see
-    :func:`repro.estimation.bounds.nonuniform_bounds`), and non-uniform
-    multi-dimensional ones, which those bounds do not cover, get the
-    exact count of the dense engine's element ids (one row each in
-    :func:`repro.window.fast.lifetime_table`; past
-    ``REPRO_DENSE_BUDGET`` a ``ValueError``).  The mixed case —
-    multiple references *and* a non-trivial kernel — is not given a closed
-    form in the paper; we combine group and self reuse and flag the result
-    as not guaranteed exact.
+    Uniformly generated arrays get the paper's closed forms where it has
+    one: ``d == n`` (:func:`distinct_accesses_same_rank`), injective
+    accesses, a single reference with kernel reuse
+    (:func:`distinct_accesses_single_ref`), and our exact union for
+    several 1-D references in a 2-deep nest
+    (:mod:`repro.estimation.multiref`).  Non-uniform 1-D arrays get the
+    Section 3.2 bounds (:func:`repro.estimation.bounds.nonuniform_bounds`).
+    Every other array, which the paper leaves without a closed form, gets
+    the exact count of its touched elements (:func:`_counted`).
     """
     refs = list(program.refs_to(array))
     if not refs:
         raise KeyError(array)
     if not program.is_uniformly_generated(array):
         if any(ref.rank != 1 for ref in refs):
-            from repro.window.fast import lifetime_table
-
-            try:
-                count = len(lifetime_table(program, array).first)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{array}: non-uniform {refs[0].rank}-D references are "
-                    f"counted exactly on the dense engine: {exc}"
-                ) from None
-            return DistinctAccessEstimate(
-                array, count, count, "non-uniform exact (dense)", True, None
-            )
+            return _counted(program, array)
         from repro.estimation.bounds import nonuniform_bounds
 
         b = nonuniform_bounds(program, array)
@@ -206,15 +199,17 @@ def estimate_distinct_accesses(
         offsets = {ref.offset for ref in refs}
         if len(offsets) == 1:
             return DistinctAccessEstimate(array, total, total, "injective", True, 0)
-        distances = group_reuse_distances(refs)
+        distances = group_reuse_distances(refs, program.nest.spans)
         reuse = reuse_from_distances(trips, distances)
         value = len(refs) * total - reuse
         return DistinctAccessEstimate(array, value, value, "injective multi ref", True, reuse)
     if len(refs) == 1:
-        return distinct_accesses_single_ref(refs[0], program.nest)
-    # Multiple references with kernel reuse: exact union counting covers
-    # the common DSP shape (1-D array, 2-deep nest); see
-    # repro.estimation.multiref.
+        try:
+            return distinct_accesses_single_ref(refs[0], program.nest)
+        except ValueError:
+            # The reuse vector of a kernel of dimension >= 2 is past
+            # REPRO_DENSE_BUDGET: unknown, so count instead.
+            return _counted(program, array)
     from repro.estimation.multiref import (
         distinct_accesses_multiref_1d,
         supports_exact_multiref,
@@ -222,23 +217,19 @@ def estimate_distinct_accesses(
 
     if supports_exact_multiref(program, array):
         return distinct_accesses_multiref_1d(program, array)
-    # Remaining mixed cases: self reuse along the kernel plus group reuse.
-    # Estimate by composing both reuse sources; exactness not guaranteed
-    # (the paper leaves this case to future work).
-    trips = program.nest.trip_counts
-    total = program.nest.total_iterations
-    v = self_reuse_distance(refs[0])
-    self_reuse = reuse_from_distances(trips, [v]) if v is not None else 0
-    offsets = {ref.offset for ref in refs}
-    distances = group_reuse_distances(
-        [ref for k, ref in enumerate(refs) if ref.offset not in {r.offset for r in refs[:k]}]
-    )
-    group_reuse = reuse_from_distances(trips, distances)
-    per_ref_distinct = total - self_reuse
-    value = len(offsets) * per_ref_distinct - group_reuse
-    lower = max(per_ref_distinct, value)
-    upper = len(offsets) * per_ref_distinct
-    lower = min(lower, upper)
-    return DistinctAccessEstimate(
-        array, lower, upper, "d<n multi ref (composed)", False, self_reuse + group_reuse
-    )
+    return _counted(program, array)
+
+
+def _counted(program: Program, array: str) -> DistinctAccessEstimate:
+    """The exact count of the array's touched elements, on the engine the
+    nest's size selects: the dense engine's element ids within
+    ``REPRO_DENSE_BUDGET``, the streaming engine's lifetimes past it."""
+    from repro.window import fast, streaming
+    from repro.window.simulator import resolve_engine
+
+    if resolve_engine(program) == "fast":
+        count = len(fast._element_state(program, array).packed)
+    else:
+        ((ids, _, _),) = streaming._stream_lifetimes(program, (array,), None)
+        count = len(ids)
+    return DistinctAccessEstimate(array, count, count, "exact count", True, None)

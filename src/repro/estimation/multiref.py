@@ -7,8 +7,8 @@ generated 1-D references in a 2-D nest: each reference's image is the
 same structured set shifted by its offset (``repro.polyhedral.image_set``),
 and the union of shifted structured sets is computed exactly.
 
-For deeper nests / higher ranks the composed reuse estimate of
-:mod:`repro.estimation.distinct` remains the fallback (flagged inexact).
+For deeper nests / higher ranks :mod:`repro.estimation.distinct` counts
+the touched elements exactly.
 """
 
 from __future__ import annotations

@@ -252,35 +252,37 @@ def derivation_base(
     ``(8, 5, 7)`` between two writes with no common sink).  For the
     same reason the requirement is not capped: an expensive base makes
     :func:`derivation_feasible` decline rather than silently verifying
-    short of the regime boundary.
+    short of the regime boundary.  A kernel of dimension >= 2 has no
+    box-free smallest member; its vector is the one in the program's box
+    (the box itself past ``REPRO_DENSE_BUDGET``).
     """
     depth = program.nest.depth
     comp = [0] * depth
     arrays = (array,) if array is not None else program.arrays
+    spans = program.nest.spans
 
-    def fold(vector) -> None:
+    def fold(distance, *refs) -> None:
+        try:
+            vector = distance(*refs, spans) or ()
+        except ValueError:
+            # A kernel of dimension >= 2 past REPRO_DENSE_BUDGET: its
+            # vector lies in the box, so the box bounds it.
+            vector = spans
         for j, d in enumerate(vector):
             comp[j] = max(comp[j], abs(int(d)))
 
     for name in arrays:
         refs = list(program.refs_to(name))
         for ref in refs:
-            vector = self_reuse_distance(ref)
-            if vector is not None:
-                fold(vector)
+            fold(self_reuse_distance, ref)
         if len(refs) > 1 and program.is_uniformly_generated(name):
             # Both orientations: dependence_distance keeps only the lex-
             # positive family member, and with an empty kernel the
             # particular solution of one orientation is lex-negative.
             for i, src in enumerate(refs):
                 for sink in refs[i + 1:]:
-                    for pair in ((src, sink), (sink, src)):
-                        try:
-                            vector = dependence_distance(*pair)
-                        except (ValueError, KeyError):
-                            continue
-                        if vector is not None:
-                            fold(vector)
+                    fold(dependence_distance, src, sink)
+                    fold(dependence_distance, sink, src)
     bump = 0
     if transformation is not None:
         bump = 2 * max(abs(v) for row in transformation.rows for v in row)

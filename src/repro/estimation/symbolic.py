@@ -84,8 +84,10 @@ def symbolic_distinct_accesses(
 
     Dispatches like the numeric estimator: ``d == n`` multi-reference
     (``A_d = r * prod N - reuse``) and single-reference kernel reuse
-    (``A_d = prod N - reuse``).  Returns ``(expression, symbols)``;
-    substituting the numeric trip counts gives the numeric estimate.
+    (``A_d = prod N - reuse``), the distances read in the program's box
+    (:func:`~repro.dependence.analysis.dependence_distance`).  Returns
+    ``(expression, symbols)``; substituting the numeric trip counts gives
+    the numeric estimate.
 
     >>> from repro.ir import parse_program
     >>> p = parse_program('''
@@ -111,20 +113,21 @@ def symbolic_distinct_accesses(
     for n in trips:
         volume *= n
     has_kernel = bool(refs[0].reuse_directions())
+    spans = program.nest.spans
 
     if not has_kernel:
         if len(refs) == 1 or len({r.offset for r in refs}) == 1:
             return volume, trips
-        distances = group_reuse_distances(refs)
+        distances = group_reuse_distances(refs, spans)
         reuse = symbolic_reuse(distances, trips)
         return len(refs) * volume - reuse, trips
     if len(refs) == 1 or len({r.offset for r in refs}) == 1:
-        vector = self_reuse_distance(refs[0])
-        reuse = symbolic_reuse([vector], trips)
+        vector = self_reuse_distance(refs[0], spans)
+        reuse = symbolic_reuse([vector] if vector else [], trips)
         return volume - reuse, trips
     raise ValueError(
         f"{array}: no paper closed form for multiple kernel-reuse references; "
-        "use repro.estimation.multiref for the exact numeric count"
+        "estimate_distinct_accesses counts them exactly"
     )
 
 
@@ -202,7 +205,8 @@ def derive_parametric_reuse(program: Program, array: str, seed: int = 0):
     the access-matrix kernel, group reuse from offset differences) with
     ``Max(0, ...)`` clamps, so it is valid at *every* positive bound
     vector — the domain is all-ones.  ``None`` when the references admit
-    no constant distance vectors (non-uniform pairs).
+    no constant distance vectors (non-uniform pairs) or their kernel's
+    vector is past ``REPRO_DENSE_BUDGET``.
     """
     from repro.estimation.parametric import ParametricExpr
 
@@ -211,17 +215,16 @@ def derive_parametric_reuse(program: Program, array: str, seed: int = 0):
         raise KeyError(array)
     if not program.is_uniformly_generated(array):
         return None
-    distances: list[tuple[int, ...]] = []
-    vector = self_reuse_distance(refs[0])
-    if vector is not None:
-        distances.append(vector)
-    if len(refs) > 1:
-        offsets = {r.offset for r in refs}
-        if len(offsets) > 1:
-            try:
-                distances.extend(group_reuse_distances(refs))
-            except (KeyError, ValueError):
-                return None
+    spans = program.nest.spans
+    try:
+        vector = self_reuse_distance(refs[0], spans)
+        distances = [vector] if vector else []
+        if len({r.offset for r in refs}) > 1:
+            distances.extend(group_reuse_distances(refs, spans))
+    except ValueError:
+        # A kernel of dimension >= 2 whose vector is past
+        # REPRO_DENSE_BUDGET: no closed form.
+        return None
     trips = trip_symbols(program.nest.depth)
     expr = symbolic_reuse_clamped(distances, trips)
     return ParametricExpr(

@@ -83,6 +83,12 @@ class LoopNest:
         return tuple(lp.trip_count for lp in self.loops)
 
     @property
+    def spans(self) -> tuple[int, ...]:
+        """The difference box: two iterations differ by ``d`` iff
+        ``|d_k| <= spans[k]`` for every ``k``."""
+        return tuple(lp.span for lp in self.loops)
+
+    @property
     def total_iterations(self) -> int:
         out = 1
         for lp in self.loops:

@@ -33,7 +33,18 @@ def statement_dependence_graph(program: Program) -> dict[str, set[str]]:
     nothing).  Loop-independent (same-iteration) dependences follow
     textual order.
     """
-    from repro.dependence.analysis import dependence_distance
+    from repro.dependence.analysis import (
+        dependence_distance,
+        self_reuse_distance,
+    )
+
+    def carried(distance, *refs) -> bool:
+        """Whether the family has a lex-positive distance (in the nest's
+        box from kernel dimension 2 on); assumed past the dense budget."""
+        try:
+            return distance(*refs, program.nest.spans) is not None
+        except ValueError:
+            return True
 
     graph: dict[str, set[str]] = {stmt.label: set() for stmt in program.statements}
     order = {stmt.label: k for k, stmt in enumerate(program.statements)}
@@ -60,14 +71,11 @@ def statement_dependence_graph(program: Program) -> dict[str, set[str]]:
                         # same element is revisited at later iterations
                         # (kernel direction), carrying dependences both
                         # ways between the statements.
-                        from repro.dependence.analysis import self_reuse_distance
-
-                        if self_reuse_distance(src) is not None:
+                        if carried(self_reuse_distance, src):
                             graph[src_stmt.label].add(dst_stmt.label)
                             graph[dst_stmt.label].add(src_stmt.label)
                         continue
-                    d = dependence_distance(src, dst)
-                    if d is not None and any(v != 0 for v in d):
+                    if carried(dependence_distance, src, dst):
                         graph[src_stmt.label].add(dst_stmt.label)
     return graph
 

@@ -44,6 +44,7 @@ def can_fuse(first: Program, second: Program) -> tuple[bool, str]:
     # Fusion-preventing dependences: a value produced by `first` at I and
     # consumed by `second` at J needs J >= I after fusion (J executes the
     # merged body at iteration J; production of I happens at I).
+    spans = first.nest.spans
     for write in (r for s in first.statements for r in s.writes):
         for read in (r for s in second.statements for r in s.references):
             if read.array != write.array:
@@ -59,8 +60,14 @@ def can_fuse(first: Program, second: Program) -> tuple[bool, str]:
             # are all negative (consumer strictly before producer) or a
             # zero solution (same iteration - fine: first's statements
             # precede second's in the fused body).
-            forward = dependence_distance(write, read)
-            backward = dependence_distance(read, write)
+            try:
+                forward = dependence_distance(write, read, spans)
+                backward = dependence_distance(read, write, spans)
+            except ValueError:
+                return False, (
+                    f"dependence on {write.array} past the dense budget: "
+                    f"assumed fusion-preventing"
+                )
             if forward is None and backward is not None:
                 # Only consumer->producer direction exists: the consumer
                 # iteration precedes the producing one.

@@ -152,13 +152,17 @@ def mws_3d_estimate(reuse_vector: tuple[int, int, int], trips: tuple[int, int, i
 
 @obs.profiled("estimate.mws_3d_for_ref")
 def mws_3d_for_ref(ref: ArrayRef, nest: LoopNest) -> int:
-    """Section 4.3 estimate for a single reference in a 3-deep nest."""
+    """Section 4.3 estimate for a single reference in a 3-deep nest.
+
+    The reuse vector is :func:`self_reuse_distance`'s in the nest's box,
+    which raises ``ValueError`` for a 2-D kernel past
+    ``REPRO_DENSE_BUDGET``."""
     if ref.nest_depth != 3:
         raise ValueError("mws_3d_for_ref expects a 3-deep nest")
-    v = self_reuse_distance(ref)
+    v = self_reuse_distance(ref, nest.spans)
     if v is None:
-        # Injective access: each element is touched once; window never
-        # holds anything beyond the element in flight.
+        # No two iterations share an element: the window never holds
+        # anything beyond the element in flight.
         return 1
     trips = nest.trip_counts
     return mws_3d_estimate(v, trips)  # type: ignore[arg-type]

@@ -102,7 +102,7 @@ def _buggy_same_rank(program, array):
     r = len(refs)
     if r == 1:
         return DistinctAccessEstimate(array, total, total, "d==n single ref", True, 0)
-    distances = group_reuse_distances(refs)
+    distances = group_reuse_distances(refs, program.nest.spans)
     reuse = reuse_from_distances(trips, distances)
     value = r * total - reuse
     exact = r == 2

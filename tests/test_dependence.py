@@ -33,6 +33,10 @@ from repro.ir import ArrayRef, NestBuilder, parse_program
 from repro.linalg import IntMatrix
 from repro.transform.legality import is_legal, is_tileable
 
+#: A difference box for refs without a nest (kernel dimension <= 1
+#: ignores it).
+BOX = (9, 9)
+
 
 class TestLexOrder:
     def test_positive(self):
@@ -71,38 +75,38 @@ class TestDependenceDistance:
     def test_paper_example2(self):
         src = ArrayRef.of("A", [[1, 0], [0, 1]], [0, 0])
         dst = ArrayRef.of("A", [[1, 0], [0, 1]], [-1, 2])
-        assert dependence_distance(src, dst) == (1, -2)
+        assert dependence_distance(src, dst, BOX) == (1, -2)
 
     def test_no_integer_solution(self):
         src = ArrayRef.of("A", [[2, 0], [0, 2]], [0, 0])
         dst = ArrayRef.of("A", [[2, 0], [0, 2]], [1, 0])
-        assert dependence_distance(src, dst) is None
+        assert dependence_distance(src, dst, BOX) is None
 
     def test_wrong_direction_is_none(self):
         src = ArrayRef.of("A", [[1, 0], [0, 1]], [0, 0])
         dst = ArrayRef.of("A", [[1, 0], [0, 1]], [1, 0])
         # dst touches what src touched one iteration EARLIER: the positive
         # dependence goes dst -> src instead.
-        assert dependence_distance(src, dst) is None
-        assert dependence_distance(dst, src) == (1, 0)
+        assert dependence_distance(src, dst, BOX) is None
+        assert dependence_distance(dst, src, BOX) == (1, 0)
 
     def test_non_uniform_raises(self):
         src = ArrayRef.of("A", [[3, 7]], [0])
         dst = ArrayRef.of("A", [[4, -3]], [0])
         with pytest.raises(ValueError):
-            dependence_distance(src, dst)
+            dependence_distance(src, dst, BOX)
 
     def test_kernel_family_smallest(self):
         # X[2i+5j+c]: family p + t(5,-2); the smallest lex-positive member.
         src = ArrayRef.of("X", [[2, 5]], [1])
         dst = ArrayRef.of("X", [[2, 5]], [5])
-        assert dependence_distance(src, dst) == (3, -2)
-        assert dependence_distance(dst, src) == (2, 0)
+        assert dependence_distance(src, dst, BOX) == (3, -2)
+        assert dependence_distance(dst, src, BOX) == (2, 0)
 
     def test_self_reuse(self):
-        assert self_reuse_distance(ArrayRef.of("A", [[2, 5]], [1])) == (5, -2)
-        assert self_reuse_distance(ArrayRef.of("A", [[3, 0, 1], [0, 1, 1]], [0, 0])) == (1, 3, -3)
-        assert self_reuse_distance(ArrayRef.of("A", [[1, 0], [0, 1]], [0, 0])) is None
+        assert self_reuse_distance(ArrayRef.of("A", [[2, 5]], [1]), BOX) == (5, -2)
+        assert self_reuse_distance(ArrayRef.of("A", [[3, 0, 1], [0, 1, 1]], [0, 0]), BOX + (9,)) == (1, 3, -3)
+        assert self_reuse_distance(ArrayRef.of("A", [[1, 0], [0, 1]], [0, 0]), BOX) is None
 
     @given(
         st.integers(-4, 4), st.integers(-4, 4),
@@ -114,10 +118,41 @@ class TestDependenceDistance:
         # must solve a*d1 + b*d2 = c1 - c2 and be lex-positive.
         src = ArrayRef.of("A", [[a, b]], [c1])
         dst = ArrayRef.of("A", [[a, b]], [c2])
-        d = dependence_distance(src, dst)
+        d = dependence_distance(src, dst, BOX)
         if d is not None:
             assert a * d[0] + b * d[1] == c1 - c2
             assert is_lex_positive(d)
+
+    def test_line_residue_is_exact_past_float_precision(self):
+        # A positive component before the kernel's lead: the component at
+        # the lead reduces to its smallest non-negative residue, exactly
+        # past float64's 2**53.
+        src = ArrayRef.of("A", [[1, 0, 0], [0, 1, 1]], [3, 2**62 + 1])
+        dst = ArrayRef.of("A", [[1, 0, 0], [0, 1, 1]], [0, 0])
+        assert dependence_distance(src, dst, (4, 4, 4)) == (3, 0, 2**62 + 1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kernel_of_dimension_two_reads_the_box(self, seed):
+        """With a kernel of dimension >= 2 the distance is the
+        lex-smallest ``J - I`` of the iteration pairs that share an
+        element, or None when no pair does."""
+        from repro.ir.generate import GeneratorConfig, random_program
+
+        depth = 3 + seed % 2
+        program = random_program(seed, GeneratorConfig(
+            depth=depth, min_trip=2, max_trip=4, array_rank=depth - 2,
+        ))
+        for array in program.arrays:
+            refs = program.refs_to(array)
+            assert len(refs[0].reuse_directions()) >= 2
+            for src, dst in itertools.product(refs, repeat=2):
+                want = min(
+                    (tuple(j - i for i, j in zip(first, then)) for first, then
+                     in iteration_pairs_sharing_element(program.nest, src, dst)),
+                    default=None,
+                )
+                got = dependence_distance(src, dst, program.nest.spans)
+                assert got == want, (str(program), src, dst)
 
 
 class TestProgramDependences:
@@ -263,7 +298,7 @@ class TestFamilyInBox:
 
 class TestReuse:
     def test_reuse_vector(self):
-        assert reuse_vector(ArrayRef.of("A", [[2, 5]], [1])) == (5, -2)
+        assert reuse_vector(ArrayRef.of("A", [[2, 5]], [1]), BOX) == (5, -2)
 
     def test_reuse_vectors_program(self):
         prog = parse_program(
@@ -287,7 +322,7 @@ class TestReuse:
             }
             """
         )
-        distances = group_reuse_distances(list(prog.refs_to("A")))
+        distances = group_reuse_distances(list(prog.refs_to("A")), prog.nest.spans)
         assert sorted(distances) == [(0, 1), (1, 0), (1, 1)]
 
 
