@@ -825,6 +825,134 @@ class LegalityExact(Oracle):
         return None
 
 
+def order_truth(
+    nest: LoopNest, src: ArrayRef, dst: ArrayRef
+) -> tuple[bool, bool]:
+    """``pair_order``'s ``(later, same)`` enumerated point by point: an
+    iteration pair from
+    :func:`repro.dependence.analysis.iteration_pairs_sharing_element`,
+    and an iteration at which ``src`` and ``dst`` touch one element."""
+    from repro.dependence.analysis import iteration_pairs_sharing_element
+
+    later = next(iteration_pairs_sharing_element(nest, src, dst), None)
+    same = any(src.element(p) == dst.element(p) for p in nest.iterate())
+    return later is not None, same
+
+
+def _conflicting(first: Statement, second: Statement) -> list:
+    """Reference pairs of two statements on one array, one writing it."""
+    return [
+        (src, dst)
+        for src in first.references
+        for dst in second.references
+        if src.array == dst.array and (src.is_write or dst.is_write)
+    ]
+
+
+def statement_graph_truth(program: Program) -> dict[str, set[str]]:
+    """``statement_dependence_graph`` enumerated: ``S -> T`` when an
+    instance of ``T`` touches an element that an earlier instance of
+    ``S`` touched (a later iteration, or the same one with ``S`` first),
+    one of the two writing it."""
+    graph: dict[str, set[str]] = {s.label: set() for s in program.statements}
+    for (a, s), (b, t) in itertools.permutations(enumerate(program.statements), 2):
+        for src, dst in _conflicting(s, t):
+            later, same = order_truth(program.nest, src, dst)
+            if later or (same and a < b):
+                graph[s.label].add(t.label)
+    return graph
+
+
+def fusion_truth(first: Program, second: Program) -> bool:
+    """Whether fusing ``first`` then ``second`` keeps every dependence,
+    enumerated: no reference of ``second`` touches an element at an
+    earlier iteration than a reference of ``first`` does, one of the two
+    writing it."""
+    return not any(
+        order_truth(first.nest, src, dst)[0]
+        for late in second.statements
+        for early in first.statements
+        for src, dst in _conflicting(late, early)
+    )
+
+
+@register
+class StatementOrderExact(Oracle):
+    name = "statement-order-exact"
+    kind = "cross"
+    paper = (
+        "Distribution and fusion reorder statement instances, which is "
+        "legal when every flow, anti and output dependence keeps its "
+        "direction (Section 4): the statement graph and every fusion "
+        "verdict must equal pair-by-pair enumeration, and distribution "
+        "and every accepted fusion must leave the final arrays unchanged."
+    )
+
+    def generate(self, seed: int) -> Program:
+        """Depth 1-3 by ``seed % 3``, uniform references on even
+        ``seed // 3`` and non-uniform ones on odd, trips 2-5, up to three
+        statements."""
+        return random_program(seed, GeneratorConfig(
+            depth=1 + seed % 3,
+            min_trip=2,
+            max_trip=5,
+            max_statements=3,
+            uniform_only=(seed // 3) % 2 == 0,
+        ))
+
+    def check(self, program: Program, seed: int = 0) -> Violation | None:
+        from repro.ir.interpreter import execute, initial_state, states_equal
+        from repro.transform.distribution import (
+            distribute,
+            statement_dependence_graph,
+        )
+        from repro.transform.fusion import can_fuse, fuse
+
+        graph = statement_dependence_graph(program)
+        truth = statement_graph_truth(program)
+        if graph != truth:
+            return self.fail(
+                f"statement graph {graph}, enumerated {truth}", program
+            )
+        state = initial_state(program)
+        chained = state
+        for part in distribute(program).programs:
+            chained = execute(part, state=chained)
+        if not states_equal(chained, execute(program, state=state)):
+            return self.fail(
+                "the distributed nests, run in sequence, change the final "
+                "arrays",
+                program,
+            )
+        stmts = program.statements
+        # Every split into a first and a second nest, each in body order.
+        for mask in range(1, 2 ** len(stmts) - 1):
+            first = Program(program.nest, [
+                s for k, s in enumerate(stmts) if mask >> k & 1
+            ], name="first")
+            second = Program(program.nest, [
+                s for k, s in enumerate(stmts) if not mask >> k & 1
+            ], name="second")
+            ok, reason = can_fuse(first, second)
+            labels = [[s.label for s in p.statements] for p in (first, second)]
+            if ok != fusion_truth(first, second):
+                return self.fail(
+                    f"can_fuse{tuple(labels)} = {ok} ({reason}); "
+                    f"enumeration says {not ok}",
+                    program,
+                )
+            if ok and not states_equal(
+                execute(fuse(first, second), state=state),
+                execute(second, state=execute(first, state=state)),
+            ):
+                return self.fail(
+                    f"fusing {labels[0]} and {labels[1]} changes the final "
+                    f"arrays",
+                    program,
+                )
+        return None
+
+
 @register
 class TripExtensionMonotone(Oracle):
     name = "trip-extension-monotone"

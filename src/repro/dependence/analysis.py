@@ -15,7 +15,10 @@ Non-uniform pairs generally have no constant distance: their ordering
 vectors are the distinct differences of iteration pairs that share an
 element (:func:`sharing_differences`, array code over the dense engine;
 :func:`iteration_pairs_sharing_element` is the per-point reference), and
-:func:`gcd_test` is the classic existence filter.
+:func:`gcd_test` is the classic existence filter.  Fusion and
+distribution ask, per pair of references, whether one touches an element
+at a later iteration than the other, or at the same one
+(:func:`pair_order`).
 :func:`dependence_distance` and :func:`self_reuse_distance` give the
 paper's estimators one vector per family: the box-free smallest member
 where the kernel has dimension at most 1, the lex-smallest member in the
@@ -256,6 +259,47 @@ def iteration_pairs_sharing_element(
         for earlier in by_element.get(dst.element(point), ()):
             if earlier < point:
                 yield earlier, point
+
+
+def pair_order(
+    program: Program, src: ArrayRef, dst: ArrayRef
+) -> tuple[bool, bool]:
+    """``(later, same)`` for two references to one array of ``program``:
+    ``later`` when ``dst`` touches, at some iteration lex-after ``I``, an
+    element that ``src`` touches at ``I``; ``same`` when the two touch
+    one element at one iteration.  Exact inside the nest's box; past
+    ``REPRO_DENSE_BUDGET`` the answer is unknown and reads ``True``.
+
+    A uniformly generated pair reads :func:`family_in_box` (interval
+    arithmetic up to kernel dimension 1, so a huge nest costs nothing)
+    and its offsets.  Any other pair compares, over the dense engine's
+    element ids, the first native position (native order is lex order)
+    at which ``src`` touches each element with the last at which ``dst``
+    touches it.
+
+    >>> from repro.ir import parse_program
+    >>> p = parse_program("for i = 1 to 9 { for j = 1 to 9 { A[i][j] = A[i-1][j] } }")
+    >>> write, read = p.statements[0].writes[0], p.statements[0].reads[0]
+    >>> pair_order(p, write, read), pair_order(p, read, write)
+    ((True, False), (False, False))
+    """
+    if src.uniformly_generated_with(dst):
+        members = family_in_box(src.access, _delta(src, dst), program.nest.spans)
+        return members is None or bool(members), src.offset == dst.offset
+    from repro.window import fast
+
+    refs = program.refs_to(src.array)
+    try:
+        element = fast._element_state(program, src.array)
+    except ValueError:
+        return True, True
+    src_ids, dst_ids = element.ids[refs.index(src)], element.ids[refs.index(dst)]
+    positions = np.arange(src_ids.shape[0])
+    first = np.full(element.packed.shape[0], src_ids.shape[0])
+    np.minimum.at(first, src_ids, positions)
+    last = np.full(element.packed.shape[0], -1)
+    np.maximum.at(last, dst_ids, positions)
+    return bool((first < last).any()), bool((src_ids == dst_ids).any())
 
 
 #: Grid points :func:`family_in_box` enumerates per block.
@@ -502,13 +546,35 @@ def _delta(src: ArrayRef, dst: ArrayRef) -> tuple[int, ...]:
     return tuple(bs - bd for bs, bd in zip(src.offset, dst.offset))
 
 
+def reference_dependences(
+    program: Program, array: str, include_input: bool = True
+) -> Iterator[tuple[int, int, Dependence]]:
+    """Per ordered pair of references to a uniformly generated ``array``
+    (each reference with itself first, then the other pairs), as
+    positions in ``program.refs_to(array)``: the lex-smallest lex-positive
+    distance two iterations of the nest have, from :func:`family_in_box`,
+    when the pair has one.  A family past the dense budget yields nothing.
+    """
+    refs = program.refs_to(array)
+    spans = program.nest.spans
+    pairs = [(k, k) for k in range(len(refs))]
+    pairs += itertools.permutations(range(len(refs)), 2)
+    for s, d in pairs:
+        src, dst = refs[s], refs[d]
+        kind = DependenceKind.of(src.is_write, dst.is_write)
+        if not include_input and kind is DependenceKind.INPUT:
+            continue
+        members = family_in_box(src.access, _delta(src, dst), spans)
+        if members:
+            reduction = src.access.is_zero() and dst.access.is_zero()
+            yield s, d, Dependence(array, members[0], kind, src, dst, reduction)
+
+
 def array_dependences(
     program: Program, array: str, include_input: bool = True
 ) -> list[Dependence]:
-    """The paper's dependences for one array (uniform refs only): per
-    pair of references (a reference with itself included), the
-    lex-smallest lex-positive distance two iterations of the nest have,
-    from :func:`family_in_box`, or none.
+    """The paper's dependences for one array (uniform refs only): the
+    distances of :func:`reference_dependences`, one per distance and kind.
 
     A family past the dense budget contributes nothing here; legality
     reads :func:`ordering_vectors`, which stays sound there.
@@ -521,30 +587,15 @@ def array_dependences(
             f"array {array} has non-uniformly generated references; "
             "constant distance vectors do not exist"
         )
-    spans = program.nest.spans
     out: list[Dependence] = []
     seen: set[tuple] = set()
-
-    def emit(src: ArrayRef, dst: ArrayRef) -> None:
-        kind = DependenceKind.of(src.is_write, dst.is_write)
-        if not include_input and kind is DependenceKind.INPUT:
-            return
-        members = family_in_box(src.access, _delta(src, dst), spans)
-        if not members:
-            return
-        key = (members[0], kind)
-        if key in seen:
-            return
-        seen.add(key)
-        reduction = src.access.is_zero() and dst.access.is_zero()
-        out.append(Dependence(array, members[0], kind, src, dst, reduction))
-
-    for ref in refs:
-        emit(ref, ref)
-    for src, dst in itertools.permutations(refs, 2):
-        # Equal offsets give the self family, already covered above.
-        if src.offset != dst.offset:
-            emit(src, dst)
+    for s, d, dep in reference_dependences(program, array, include_input):
+        # Equal offsets give the self family, already covered.
+        if s != d and refs[s].offset == refs[d].offset:
+            continue
+        if (dep.distance, dep.kind) not in seen:
+            seen.add((dep.distance, dep.kind))
+            out.append(dep)
     return out
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.dependence.analysis import Dependence, program_dependences
+from repro.dependence.analysis import Dependence, reference_dependences
 from repro.ir.program import Program
-from repro.ir.reference import ArrayRef
 
 
 class DependenceGraph(NamedTuple):
@@ -25,27 +24,28 @@ class DependenceGraph(NamedTuple):
     edges: tuple[tuple[str, str, Dependence], ...]
 
 
-def _owner_label(program: Program, ref: ArrayRef) -> str:
-    for stmt in program.statements:
-        for candidate in stmt.references:
-            if candidate is ref:
-                return stmt.label
-    # Dependences synthesized outside the program carry equal-valued refs.
-    for stmt in program.statements:
-        for candidate in stmt.references:
-            if candidate == ref:
-                return stmt.label
-    raise ValueError(f"reference {ref} not found in program")
-
-
 def dependence_graph(program: Program, include_input: bool = True) -> DependenceGraph:
-    """Build the statement-level dependence multigraph."""
+    """Build the statement-level dependence multigraph over the uniformly
+    generated arrays: one edge per statement pair, array, distance and
+    kind."""
     out: dict[str, dict[str, list[Dependence]]] = {
         stmt.label: {} for stmt in program.statements
     }
-    for dep in program_dependences(program, include_input=include_input):
-        sinks = out[_owner_label(program, dep.source)]
-        sinks.setdefault(_owner_label(program, dep.sink), []).append(dep)
+    for array in program.arrays:
+        if not program.is_uniformly_generated(array):
+            continue
+        owners = [
+            stmt.label
+            for stmt in program.statements
+            for ref in stmt.references
+            if ref.array == array
+        ]
+        seen: set[tuple] = set()
+        for s, d, dep in reference_dependences(program, array, include_input):
+            key = (owners[s], owners[d], dep.distance, dep.kind)
+            if key not in seen:
+                seen.add(key)
+                out[owners[s]].setdefault(owners[d], []).append(dep)
     return DependenceGraph(
         tuple(out),
         tuple(

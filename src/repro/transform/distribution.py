@@ -25,59 +25,34 @@ from repro.ir.sequence import ProgramSequence
 
 
 def statement_dependence_graph(program: Program) -> dict[str, set[str]]:
-    """Statement-level graph with loop-carried and loop-independent edges,
-    as a map from each label (in statement order) to its successors.
+    """Statement-level graph, as a map from each label (in statement
+    order) to its successors.
 
-    Edge ``S -> T`` means some instance of ``T`` depends on an earlier-or-
-    equal instance of ``S`` (flow/anti/output; input reuse imposes
-    nothing).  Loop-independent (same-iteration) dependences follow
-    textual order.
+    Edge ``S -> T`` means some instance of ``T`` touches an element that
+    an earlier instance of ``S`` touched, one of the two writing it
+    (flow, anti or output; input reuse imposes nothing): at a later
+    iteration, or at the same one with ``S`` first in the body.  Exact
+    inside the nest's box (:func:`repro.dependence.analysis.pair_order`).
     """
-    from repro.dependence.analysis import (
-        dependence_distance,
-        self_reuse_distance,
-    )
+    from repro.dependence.analysis import pair_order
 
-    def carried(distance, *refs) -> bool:
-        """Whether the family has a lex-positive distance (in the nest's
-        box from kernel dimension 2 on); assumed past the dense budget."""
-        try:
-            return distance(*refs, program.nest.spans) is not None
-        except ValueError:
-            return True
+    def before(a: int, b: int) -> bool:
+        for src in program.statements[a].references:
+            for dst in program.statements[b].references:
+                if src.array != dst.array or not (src.is_write or dst.is_write):
+                    continue
+                later, same = pair_order(program, src, dst)
+                if later or (same and a < b):
+                    return True
+        return False
 
-    graph: dict[str, set[str]] = {stmt.label: set() for stmt in program.statements}
-    order = {stmt.label: k for k, stmt in enumerate(program.statements)}
-    for src_stmt in program.statements:
-        for dst_stmt in program.statements:
-            for src in src_stmt.references:
-                for dst in dst_stmt.references:
-                    if src.array != dst.array:
-                        continue
-                    if not (src.is_write or dst.is_write):
-                        continue
-                    if not src.uniformly_generated_with(dst):
-                        # Conservative: unknown distance, assume both ways.
-                        graph[src_stmt.label].add(dst_stmt.label)
-                        graph[dst_stmt.label].add(src_stmt.label)
-                        continue
-                    if src.offset == dst.offset:
-                        # Same element, same iteration: textual order...
-                        if order[src_stmt.label] < order[dst_stmt.label]:
-                            graph[src_stmt.label].add(dst_stmt.label)
-                        elif order[src_stmt.label] > order[dst_stmt.label]:
-                            graph[dst_stmt.label].add(src_stmt.label)
-                        # ...and, when the access matrix is singular, the
-                        # same element is revisited at later iterations
-                        # (kernel direction), carrying dependences both
-                        # ways between the statements.
-                        if carried(self_reuse_distance, src):
-                            graph[src_stmt.label].add(dst_stmt.label)
-                            graph[dst_stmt.label].add(src_stmt.label)
-                        continue
-                    if carried(dependence_distance, src, dst):
-                        graph[src_stmt.label].add(dst_stmt.label)
-    return graph
+    labels = [stmt.label for stmt in program.statements]
+    return {
+        labels[a]: {
+            labels[b] for b in range(len(labels)) if b != a and before(a, b)
+        }
+        for a in range(len(labels))
+    }
 
 
 def distribute(program: Program) -> ProgramSequence:

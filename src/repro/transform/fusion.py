@@ -7,22 +7,20 @@ consumption so only a small window of the intermediate array is ever
 live — the sequence-level analogue of the paper's transformation story.
 
 Fusion of two identically-bounded nests is legal when no *fusion-
-preventing* dependence exists: an element produced by nest 1 at iteration
-``I`` and consumed by nest 2 at iteration ``J`` with ``J`` lexicographically
-*before* ``I`` would, after fusion, read the value before it is written.
-For uniformly generated references this reduces to the usual distance
-test on the merged body.
+preventing* dependence exists: an element touched by nest 2 at iteration
+``J`` and by nest 1 at a lexicographically *later* iteration ``I``, one
+of the two writing it.  The fused body runs nest 2's instance at ``J``
+before nest 1's at ``I``, the reverse of the sequence.  Instances at one
+iteration keep their order, since nest 1's statements come first in the
+fused body.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dependence.analysis import dependence_distance
-from repro.dependence.distance import is_lex_nonnegative
 from repro.ir.program import Program
 from repro.ir.sequence import ProgramSequence, sequence_memory_report
-from repro.ir.statement import Statement
 
 
 class FusionError(ValueError):
@@ -32,8 +30,13 @@ class FusionError(ValueError):
 def can_fuse(first: Program, second: Program) -> tuple[bool, str]:
     """Check structural and dependence legality of fusing two nests.
 
-    Returns ``(ok, reason)``; ``reason`` explains a False verdict.
+    Returns ``(ok, reason)``; ``reason`` explains a False verdict.  The
+    dependence test is exact inside the nests' box
+    (:func:`repro.dependence.analysis.pair_order` on the fused body) and
+    refuses past ``REPRO_DENSE_BUDGET``.
     """
+    from repro.dependence.analysis import pair_order
+
     if first.nest != second.nest:
         return False, "loop nests differ (bounds or depth)"
     labels = {s.label for s in first.statements} & {
@@ -41,41 +44,34 @@ def can_fuse(first: Program, second: Program) -> tuple[bool, str]:
     }
     if labels:
         return False, f"duplicate statement labels: {sorted(labels)}"
-    # Fusion-preventing dependences: a value produced by `first` at I and
-    # consumed by `second` at J needs J >= I after fusion (J executes the
-    # merged body at iteration J; production of I happens at I).
-    spans = first.nest.spans
-    for write in (r for s in first.statements for r in s.writes):
-        for read in (r for s in second.statements for r in s.references):
-            if read.array != write.array:
+    try:
+        fused = _merged(first, second)
+    except ValueError as err:
+        return False, str(err)
+    for src in second.references:
+        for dst in first.references:
+            if src.array != dst.array or not (src.is_write or dst.is_write):
                 continue
-            if not write.uniformly_generated_with(read):
+            if pair_order(fused, src, dst)[0]:
                 return False, (
-                    f"non-uniform cross-nest references to {write.array}"
-                )
-            # Distance d = J - I with second's ref at J touching what
-            # first's wrote at I.  Fusion needs every such d >= 0 lex.
-            # dependence_distance returns the smallest lex-POSITIVE d of
-            # the family; the dangerous case is a family whose members
-            # are all negative (consumer strictly before producer) or a
-            # zero solution (same iteration - fine: first's statements
-            # precede second's in the fused body).
-            try:
-                forward = dependence_distance(write, read, spans)
-                backward = dependence_distance(read, write, spans)
-            except ValueError:
-                return False, (
-                    f"dependence on {write.array} past the dense budget: "
-                    f"assumed fusion-preventing"
-                )
-            if forward is None and backward is not None:
-                # Only consumer->producer direction exists: the consumer
-                # iteration precedes the producing one.
-                return False, (
-                    f"fusion-preventing dependence on {write.array}: "
-                    f"consumed {backward} before produced"
+                    f"fusion-preventing dependence on {src.array}: "
+                    f"{second.name} touches an element at an earlier "
+                    f"iteration than {first.name} does"
                 )
     return True, "ok"
+
+
+def _merged(first: Program, second: Program, name: str | None = None) -> Program:
+    """The fused nest: ``first``'s statements, then ``second``'s."""
+    decls = {d.name: d for d in first.decls}
+    for decl in second.decls:
+        decls.setdefault(decl.name, decl)
+    return Program(
+        first.nest,
+        [*first.statements, *second.statements],
+        tuple(decls.values()),
+        name=name or f"{first.name}+{second.name}",
+    )
 
 
 def fuse(first: Program, second: Program, name: str | None = None) -> Program:
@@ -94,16 +90,7 @@ def fuse(first: Program, second: Program, name: str | None = None) -> Program:
     ok, reason = can_fuse(first, second)
     if not ok:
         raise FusionError(reason)
-    statements: list[Statement] = list(first.statements) + list(second.statements)
-    decls = {d.name: d for d in first.decls}
-    for decl in second.decls:
-        decls.setdefault(decl.name, decl)
-    return Program(
-        first.nest,
-        statements,
-        tuple(decls.values()),
-        name=name or f"{first.name}+{second.name}",
-    )
+    return _merged(first, second, name)
 
 
 @dataclass(frozen=True)

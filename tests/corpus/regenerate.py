@@ -334,6 +334,41 @@ SEEDS = [
         ),
         note="conformance pin for the four window engines",
     ),
+    dict(
+        oracle="statement-order-exact",
+        seed=0,
+        source=(
+            "for i = 1 to 4 { for j = 1 to 4 { "
+            "S1: T[i + j] = A[i][j]\n S2: B[i][j] = T[i + j] } }"
+        ),
+        detail=(
+            "Fusion bug: can_fuse refused a cross-nest family only when "
+            "its box-free smallest member was lex-negative with no "
+            "lex-positive one, so T[i + j], whose family (1, -1) has "
+            "members both ways, passed.  Fusing S1's nest with S2's "
+            "accepted a fusion in which S2 at (1, 2) reads T[3] before "
+            "S1 writes it at (2, 1), so 9 elements of B differ from the "
+            "two nests run in sequence.  Fixed by one exact test on the "
+            "fused body (dependence/analysis.py: pair_order)."
+        ),
+        note="the fusion of S1's nest and S2's nest is refused",
+    ),
+    dict(
+        oracle="statement-order-exact",
+        seed=0,
+        source="for i = 1 to 8 { S1: B[i] = A[i - 1]\n S2: A[i] = C[i] }",
+        detail=(
+            "Fusion bug: can_fuse only paired the first nest's writes "
+            "with the second nest's references, so the anti dependence "
+            "from S1's read of A[i - 1] to S2's write of A[i] went "
+            "unseen.  Fusing S1's nest with S2's lets S2 at i - 1 "
+            "overwrite A[i - 1] before S1 reads it at i, so 7 elements "
+            "of B differ from the two nests run in sequence.  Fixed by "
+            "testing every reference pair with a write "
+            "(transform/fusion.py: can_fuse)."
+        ),
+        note="the fusion of S1's nest and S2's nest is refused",
+    ),
 ]
 
 

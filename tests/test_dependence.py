@@ -26,6 +26,7 @@ from repro.dependence import (
 from repro.dependence.analysis import (
     family_in_box,
     iteration_pairs_sharing_element,
+    pair_order,
 )
 from repro.dependence.distance import is_lex_nonnegative, lex_compare
 from repro.dependence.graph import max_in_degree_sink
@@ -395,3 +396,118 @@ class TestGraph:
         graph = dependence_graph(prog)
         assert max_in_degree_sink(graph, "A") == "S1"
         assert max_in_degree_sink(graph, "Z") is None
+
+    def test_edges_are_kept_per_statement_pair(self):
+        """S1 -> S2 and S1 -> S3 share one distance and kind on A, which
+        ``program_dependences`` lists once."""
+        prog = parse_program(
+            """
+            for i = 1 to 9 {
+              S1: A[i] = X[i]
+              S2: B[i] = A[i - 1]
+              S3: C[i] = A[i - 1]
+            }
+            """
+        )
+        edges = [(u, v, dep.distance) for u, v, dep in dependence_graph(prog).edges]
+        assert edges == [("S1", "S2", (1,)), ("S1", "S3", (1,))]
+        assert len(program_dependences(prog)) == 1
+
+    def test_equal_offsets_in_two_statements_keep_their_edges(self):
+        """The flow and anti families of ``A[i + j]`` in two statements
+        equal the self family, which ``program_dependences`` lists as
+        output and input only."""
+        prog = parse_program(
+            "for i = 1 to 4 { for j = 1 to 4 { "
+            "S1: A[i + j] = X[i][j]\n S2: B[i][j] = A[i + j] } }"
+        )
+        edges = {(u, v, dep.kind) for u, v, dep in dependence_graph(prog).edges}
+        assert ("S1", "S2", DependenceKind.FLOW) in edges
+        assert ("S2", "S1", DependenceKind.ANTI) in edges
+        assert {dep.kind for dep in program_dependences(prog)} == {
+            DependenceKind.OUTPUT, DependenceKind.INPUT
+        }
+
+
+def _pair(source, first, second):
+    """The program and two of its references, ``(statement, k)`` each
+    naming a statement's ``k``-th reference."""
+    prog = parse_program(source)
+    refs = [prog.statements[s].references[k] for s, k in (first, second)]
+    return prog, refs[0], refs[1]
+
+
+class TestPairOrder:
+    """``(later, same)`` against the per-point enumeration."""
+
+    def test_example6_pair_has_a_dependence(self):
+        prog, write, read = _pair(
+            """
+            for i = 1 to 12 {
+              for j = 1 to 12 {
+                S1: A[3*i + 7*j - 10] = 0
+                S2: B[0] = A[4*i - 3*j + 60]
+              }
+            }
+            """,
+            (0, 0), (1, 0),
+        )
+        assert not write.uniformly_generated_with(read)
+        later = next(iteration_pairs_sharing_element(prog.nest, write, read))
+        assert later and pair_order(prog, write, read) == (True, True)
+
+    def test_no_dependence(self):
+        prog, write, read = _pair(
+            "for i = 1 to 6 { S1: A[2*i] = 0\n S2: B[0] = A[2*i+1] }",
+            (0, 0), (1, 0),
+        )
+        assert pair_order(prog, write, read) == (False, False)
+        assert pair_order(prog, read, write) == (False, False)
+
+    def test_uniform_pair_is_later_one_way(self):
+        prog = parse_program(
+            "for i = 1 to 9 { for j = 1 to 9 { A[i][j] = A[i-1][j] } }"
+        )
+        write, read = prog.statements[0].writes[0], prog.statements[0].reads[0]
+        assert pair_order(prog, write, read) == (True, False)
+        assert pair_order(prog, read, write) == (False, False)
+
+    def test_uniform_distances_outside_the_box_are_not_later(self):
+        prog, write, read = _pair(
+            "for i = 1 to 6 { S1: T[i] = A[i]\n S2: B[i] = T[i + 9] }",
+            (0, 1), (1, 0),
+        )
+        assert pair_order(prog, write, read) == (False, False)
+        assert pair_order(prog, read, write) == (False, False)
+
+    def test_a_huge_nest_with_kernel_dimension_one_costs_nothing(self):
+        prog = parse_program(
+            "for i = 1 to 1000000000 { for j = 1 to 1000000000 { "
+            "A[i + j] = A[i + j - 3] } }"
+        )
+        write, read = prog.statements[0].writes[0], prog.statements[0].reads[0]
+        assert pair_order(prog, write, read) == (True, False)
+        assert pair_order(prog, read, write) == (True, False)
+
+    def test_past_the_dense_budget_reads_true(self, monkeypatch):
+        from repro.window.fast import DENSE_BUDGET_ENV
+
+        monkeypatch.setenv(DENSE_BUDGET_ENV, "10")
+        prog, write, read = _pair(
+            "for i = 1 to 7 { for j = 1 to 5 { "
+            "S1: T[i][2*j] = A[i][j]\n S2: B[i][j] = T[3*i][j] } }",
+            (0, 1), (1, 0),
+        )
+        assert pair_order(prog, write, read) == (True, True)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_enumeration(self, seed):
+        from repro.check.oracles import order_truth
+        from repro.ir.generate import GeneratorConfig, random_program
+
+        prog = random_program(seed, GeneratorConfig(
+            depth=1 + seed % 3, min_trip=2, max_trip=5, uniform_only=seed % 2 == 0
+        ))
+        for array in prog.arrays:
+            for src, dst in itertools.product(prog.refs_to(array), repeat=2):
+                assert pair_order(prog, src, dst) == order_truth(prog.nest, src, dst)

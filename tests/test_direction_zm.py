@@ -1,99 +1,11 @@
-"""Tests for direction vectors and the Zhao-Malik def-use comparator."""
+"""Tests for the Zhao-Malik def-use comparator."""
 
 import pytest
 
-from repro.dependence.direction import (
-    Direction,
-    DirectionVector,
-    nonuniform_direction,
-)
 from repro.ir import parse_program
 from repro.linalg import IntMatrix
 from repro.window import max_total_window, max_window_size
 from repro.window.zhao_malik import def_use_peak, zhao_malik_report
-
-
-class TestDirection:
-    def test_of(self):
-        assert Direction.of(3) is Direction.LT
-        assert Direction.of(0) is Direction.EQ
-        assert Direction.of(-1) is Direction.GT
-
-    def test_from_distance(self):
-        dv = DirectionVector.from_distance((3, 0, -2))
-        assert str(dv) == "(<, =, >)"
-
-    def test_merge(self):
-        dv = DirectionVector.from_distances([(1, 2), (1, -1)])
-        assert dv.components == (Direction.LT, Direction.ANY)
-
-    def test_merge_empty_raises(self):
-        with pytest.raises(ValueError):
-            DirectionVector.from_distances([])
-
-    def test_definitely_positive(self):
-        assert DirectionVector.from_distance((0, 1)).is_lex_positive_definitely()
-        assert DirectionVector.from_distance((1, -5)).is_lex_positive_definitely()
-        assert not DirectionVector.from_distances(
-            [(1, 0), (-1, 0)]
-        ).is_lex_positive_definitely()
-        assert not DirectionVector.from_distance((0, 0)).is_lex_positive_definitely()
-
-    def test_level(self):
-        assert DirectionVector.from_distance((0, 2, 1)).level() == 2
-        assert DirectionVector.from_distances([(1, 0), (-1, 0)]).level() is None
-
-    def test_row_dot_interval(self):
-        dv = DirectionVector.from_distance((1, -1))  # d1 in [1,s], d2 in [-s,-1]
-        lo, hi = dv.row_dot_interval((1, 1), (4, 4))
-        assert lo == 1 - 4 and hi == 4 - 1
-
-    def test_row_keeps_nonnegative(self):
-        dv = DirectionVector.from_distance((1, 0))
-        assert dv.row_keeps_nonnegative((1, 5), (9, 9))
-        assert not dv.row_keeps_nonnegative((-1, 0), (9, 9))
-
-    def test_arity_mismatch(self):
-        dv = DirectionVector.from_distance((1, 0))
-        with pytest.raises(ValueError):
-            dv.row_dot_interval((1,), (4, 4))
-
-
-class TestNonUniformDirection:
-    def test_example6_direction(self):
-        prog = parse_program(
-            """
-            for i = 1 to 12 {
-              for j = 1 to 12 {
-                S1: A[3*i + 7*j - 10] = 0
-                S2: B[0] = A[4*i - 3*j + 60]
-              }
-            }
-            """
-        )
-        write = prog.statements[0].writes[0]
-        read = prog.statements[1].reads[0]
-        dv = nonuniform_direction(prog.nest, write, read)
-        assert dv is not None
-        # Non-uniform pair: mixed directions expected.
-        assert Direction.ANY in dv.components or dv.level() is not None
-
-    def test_no_dependence(self):
-        prog = parse_program(
-            "for i = 1 to 6 { S1: A[2*i] = 0\n S2: B[0] = A[2*i+1] }"
-        )
-        write = prog.statements[0].writes[0]
-        read = prog.statements[1].reads[0]
-        assert nonuniform_direction(prog.nest, write, read) is None
-
-    def test_uniform_pair_recovers_sign(self):
-        prog = parse_program(
-            "for i = 1 to 9 { for j = 1 to 9 { A[i][j] = A[i-1][j] } }"
-        )
-        write = prog.statements[0].writes[0]
-        read = prog.statements[0].reads[0]
-        dv = nonuniform_direction(prog.nest, write, read)
-        assert dv.components == (Direction.LT, Direction.EQ)
 
 
 class TestZhaoMalik:

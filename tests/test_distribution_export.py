@@ -102,6 +102,33 @@ class TestDistribute:
         assert labels == ["S1", "S2", "S3"]
 
 
+class TestExactGraph:
+    """The statement graph equals enumeration, so distribution splits as
+    finely as the nest allows."""
+
+    @pytest.mark.parametrize("source,parts", [
+        # B[i - 5] never meets B[i] inside the box.
+        ("for i = 1 to 4 { S1: A[i] = B[i - 5]\n S2: B[i] = A[i] }",
+         [["S1"], ["S2"]]),
+        # S2 reads T[2i][2j] at (i, 2j), before S1 writes it at (2i, j).
+        ("for i = 1 to 6 { for j = 1 to 6 { "
+         "S1: T[i][2*j] = A[i][j]\n S2: B[i][j] = T[2*i][j] } }",
+         [["S2"], ["S1"]]),
+    ], ids=["distance-outside-the-box", "non-uniform"])
+    def test_distributes_finely(self, source, parts):
+        from repro.check.oracles import statement_graph_truth
+
+        prog = parse_program(source, name="exact")
+        assert statement_dependence_graph(prog) == statement_graph_truth(prog)
+        seq = distribute(prog)
+        assert [[s.label for s in p.statements] for p in seq.programs] == parts
+        state = initial_state(prog)
+        chained = state
+        for part in seq.programs:
+            chained = execute(part, state=chained)
+        assert states_equal(chained, execute(prog, state=state))
+
+
 class TestGoldens:
     """Partitions, nest order and legality as the graph library the
     component sort replaced gave them."""

@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.check.oracles import fusion_truth
 from repro.ir import parse_program
-from repro.ir.interpreter import execute, initial_state, states_equal
+from repro.ir.interpreter import (
+    differing_elements,
+    execute,
+    initial_state,
+    states_equal,
+)
+from repro.ir.program import Program
 from repro.ir.sequence import ProgramSequence, sequence_memory_report
 from repro.transform.fusion import (
     FusionError,
@@ -58,6 +65,59 @@ class TestCanFuse:
         b = parse_program("for i = 1 to 8 { C1: B[i] = T[i] }")
         ok, _ = can_fuse(a, b)
         assert ok
+
+
+#: name -> (first nest, second nest, elements the fused body changes).
+#: Each of these fusions is legal exactly when it changes none.
+VERDICTS = {
+    "family-with-members-both-ways": (
+        "for i = 1 to 4 { for j = 1 to 4 { S1: T[i + j] = A[i][j] } }",
+        "for i = 1 to 4 { for j = 1 to 4 { S2: B[i][j] = T[i + j] } }",
+        9,
+    ),
+    "anti-dependence": (
+        "for i = 1 to 8 { S1: B[i] = A[i - 1] }",
+        "for i = 1 to 8 { S2: A[i] = C[i] }",
+        7,
+    ),
+    "distance-outside-the-box": (
+        "for i = 1 to 6 { S1: T[i] = A[i] }",
+        "for i = 1 to 6 { S2: B[i] = T[i + 9] }",
+        0,
+    ),
+    "non-uniform": (
+        "for i = 1 to 6 { S1: T[2*i] = A[i] }",
+        "for i = 1 to 6 { S2: B[i] = T[i] }",
+        0,
+    ),
+}
+
+
+class TestExactVerdict:
+    @pytest.mark.parametrize(
+        "first,second,changed", VERDICTS.values(), ids=list(VERDICTS)
+    )
+    def test_verdict_equals_enumeration(self, first, second, changed):
+        a, b = parse_program(first, name="a"), parse_program(second, name="b")
+        ok, reason = can_fuse(a, b)
+        assert ok == fusion_truth(a, b) == (changed == 0), reason
+        merged = Program(a.nest, a.statements + b.statements)
+        state = initial_state(merged)
+        sequence = execute(b, state=execute(a, state=state))
+        interleaved = execute(merged, state=state)
+        assert len(differing_elements(interleaved, sequence)) == changed
+        if ok:
+            assert states_equal(execute(fuse(a, b), state=state), sequence)
+        else:
+            assert "fusion-preventing" in reason
+
+    def test_inconsistent_ranks_are_refused(self):
+        a = parse_program("for i = 1 to 6 { S1: B[i] = A[i] }")
+        b = parse_program("for i = 1 to 6 { S2: C[i] = A[i][i] }")
+        ok, reason = can_fuse(a, b)
+        assert not ok and "inconsistent ranks" in reason
+        with pytest.raises(FusionError, match="inconsistent ranks"):
+            fuse(a, b)
 
 
 class TestFuse:
