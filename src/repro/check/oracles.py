@@ -1606,6 +1606,129 @@ class TileFootprintsReference(Oracle):
 
 
 # ----------------------------------------------------------------------
+# loop symmetries: the quotient the cascade and hierarchy search read
+# ----------------------------------------------------------------------
+
+#: Small copies of the hierarchy nests' bodies (loops i, j, k).
+_HIERARCHY_BODIES = (
+    "C[i][j] = C[i][j] + A[i][k] * B[k][j]",
+    "C[i][j] = C[i][j] + X[k][i] * X[k][j]",
+    "S[i][j] = S[i][j] + Q[i][k] * K[j][k]",
+)
+
+
+def symmetric_programs() -> list[Program]:
+    """Small copies of the seven Figure-2 kernels and of the three
+    hierarchy bodies: each has loop symmetries besides the identity."""
+    from repro.ir import parse_program
+    from repro.kernels.suite import (
+        full_search,
+        matmult,
+        rasta_flt,
+        sor,
+        three_point,
+        threestep_log,
+        two_point,
+    )
+
+    programs = [
+        two_point(4), three_point(4), sor(4), matmult(3),
+        threestep_log(frame=8, block=2, stride=2),
+        full_search(frame=6, block=2), rasta_flt(frames=3, bands=2, taps=3),
+    ]
+    for body in _HIERARCHY_BODIES:
+        loops = "".join(f"for {v} = 1 to 3 {{\n" for v in "ijk")
+        programs.append(parse_program(f"{loops}S1: {body}\n}}\n}}\n}}\n"))
+    return programs
+
+
+@register
+class SymmetryInvariance(Oracle):
+    name = "symmetry-invariance"
+    kind = "metamorphic"
+    paper = (
+        "Section 2.3's window and Section 4.1's tile footprints depend "
+        "only on when each element is touched; a loop symmetry P maps "
+        "the iterations touching each element onto those touching "
+        "another, so T @ P has T's window (in total and per array up to "
+        "the array map) and T's tile footprints."
+    )
+    config = GeneratorConfig(min_trip=2, max_trip=5)
+
+    def generate(self, seed: int) -> Program:
+        if seed % 4 == 0:
+            programs = symmetric_programs()
+            return programs[(seed // 4) % len(programs)]
+        depth = 1 + (seed // 4) % 4
+        return random_program(seed, replace(
+            self.config,
+            depth=depth,
+            max_trip=4 if depth == 4 else 5,
+            uniform_only=seed % 2 == 0,
+        ))
+
+    def check(self, program: Program, seed: int = 0) -> Violation | None:
+        from repro.transform.symmetry import symmetries
+        from repro.transform.tiling import tile_footprints
+        from repro.window.batched import batched_mws
+        from repro.window.simulator import max_total_window, max_window_size
+
+        found = symmetries(program)
+        rng = random.Random(seed * 65537 + 3)
+        tile = tuple(rng.randint(1, trip) for trip in program.nest.trip_counts)
+        arrays = [None, *program.arrays]
+        depth = program.nest.depth
+        perm = _seed_transformation(program, seed)
+        skew = _seed_skew(depth, seed)
+        for t in (perm, skew, skew @ perm):
+            images = [t @ s.matrix for s in found]
+            for array in arrays:
+                want = batched_mws(program, [t], array=array)[0]
+                for s, tp in zip(found, images):
+                    image = None if array is None else s.image(array)
+                    got = {
+                        "batched": batched_mws(program, [tp], array=image)[0],
+                        "reference": (
+                            max_total_window(program, tp, engine="reference")
+                            if image is None else max_window_size(
+                                program, image, tp, engine="reference"
+                            )
+                        ),
+                    }
+                    for engine, value in got.items():
+                        if value != want:
+                            return self.fail(
+                                f"P={s.matrix.rows} sigma={s.arrays} "
+                                f"T={t.rows}: {engine} window of "
+                                f"{image or '<total>'} under T @ P is "
+                                f"{value}, of {array or '<total>'} under T "
+                                f"{want}",
+                                program,
+                            )
+            before = tile_footprints(program, tile, t)
+            for s, tp in zip(found, images):
+                after = tile_footprints(program, tile, tp)
+                mapped = {
+                    field: {
+                        s.image(a): v for a, v in getattr(before, field).items()
+                    }
+                    for field in ("per_array", "written_per_array",
+                                  "fetch_words", "writeback_words")
+                }
+                if (
+                    (after.n_cells, after.total) != (before.n_cells, before.total)
+                    or any(getattr(after, f) != v for f, v in mapped.items())
+                ):
+                    return self.fail(
+                        f"P={s.matrix.rows} sigma={s.arrays} T={t.rows} "
+                        f"tile {tile}: footprints {after} under T @ P, "
+                        f"{before} under T",
+                        program,
+                    )
+        return None
+
+
+# ----------------------------------------------------------------------
 # the access trace: the array code against a per-point reference
 # ----------------------------------------------------------------------
 

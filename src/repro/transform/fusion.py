@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.ir.array import ArrayDecl
 from repro.ir.program import Program
 from repro.ir.sequence import ProgramSequence, sequence_memory_report
 
@@ -62,10 +63,23 @@ def can_fuse(first: Program, second: Program) -> tuple[bool, str]:
 
 
 def _merged(first: Program, second: Program, name: str | None = None) -> Program:
-    """The fused nest: ``first``'s statements, then ``second``'s."""
+    """The fused nest: ``first``'s statements, then ``second``'s.  An
+    array both nests use is declared over the bounding box of its two
+    declarations, so the fused nest touches nothing outside it."""
     decls = {d.name: d for d in first.decls}
     for decl in second.decls:
-        decls.setdefault(decl.name, decl)
+        kept = decls.setdefault(decl.name, decl)
+        if kept is not decl and kept.rank == decl.rank:
+            lows = tuple(map(min, kept.origins, decl.origins))
+            highs = tuple(
+                max(o1 + e1, o2 + e2)
+                for o1, e1, o2, e2 in zip(
+                    kept.origins, kept.extents, decl.origins, decl.extents
+                )
+            )
+            decls[decl.name] = ArrayDecl(
+                decl.name, tuple(h - lo for h, lo in zip(highs, lows)), lows
+            )
     return Program(
         first.nest,
         [*first.statements, *second.statements],

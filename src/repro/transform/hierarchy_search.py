@@ -36,12 +36,18 @@ could improve the incumbent:
 * **placement prune** — after a tile's footprints are measured, its DMA
   energy is fixed; if even the cheapest placement (everything in tier 1)
   cannot beat the incumbent, the placement enumeration is skipped.
+* **symmetry prune** — a candidate ``T @ P`` for an earlier candidate
+  ``T`` and an exact loop symmetry ``P``
+  (:func:`repro.transform.symmetry.first_of_class`) with the same tile
+  list has the same footprints, tile by tile, up to a relabeling of the
+  arrays, so every one of its plans costs what one of ``T``'s does; it
+  is skipped.
 
-Both prunes are admissible, so ``prune=True`` and ``prune=False`` return
-identical winners (the cascade-parity property test).  The phase-refined
-bound at the stack's total capacity is admissible against the *simulated*
-transfers (the ``hierarchy-bound-admissible`` oracle) and is reported as
-the result's certified off-chip floor.
+All three prunes are admissible, so ``prune=True`` and ``prune=False``
+return identical winners (the cascade-parity property test).  The
+phase-refined bound at the stack's total capacity is admissible against
+the *simulated* transfers (the ``hierarchy-bound-admissible`` oracle)
+and is reported as the result's certified off-chip floor.
 
 Instrumentation: span ``search.hierarchy`` (one ``tiling.footprints``
 child per measured tile), counters ``search.hierarchy.{lb_evals,pruned,
@@ -65,6 +71,7 @@ from repro.transform import journal
 from repro.transform.elementary import signed_permutation_stack
 from repro.transform.legality import legal_matrices, ordering_distances
 from repro.transform.search import cached_search
+from repro.transform.symmetry import first_of_class
 from repro.transform.tiling import is_fully_permutable, tile_footprints
 
 
@@ -336,6 +343,8 @@ def _search(
     best: HierarchyPlan | None = None
     flat: HierarchyPlan | None = None
     configs = evaluated = pruned = 0
+    firsts = first_of_class(program, candidates) if prune else None
+    first_tiles: dict[int, list[tuple[int, ...]]] = {}
 
     def consider(plan: HierarchyPlan, is_flat: bool) -> None:
         nonlocal best, flat
@@ -344,7 +353,7 @@ def _search(
         if is_flat and (flat is None or plan.energy_pj < flat.energy_pj):
             flat = plan
 
-    for t in candidates:
+    for idx, t in enumerate(candidates):
         # Floor prune: the incumbent already meets the certified floor,
         # so no remaining configuration can strictly improve on it.  The
         # flat incumbent must meet it too, or a flat-only improvement
@@ -367,8 +376,28 @@ def _search(
                     estimate=int(floor_energy),
                 )
             continue
+        tiles = tile_candidates(program, t, max_tile)
+        if firsts is not None:
+            # Symmetry prune: an earlier candidate of this class, over
+            # the same tiles, already offered every plan this one has.
+            first = firsts[idx]
+            if first != idx and first_tiles.get(first) == tiles:
+                obs.counter("search.hierarchy.pruned")
+                pruned += 1
+                if jr is not None:
+                    jr.record(
+                        "hierarchy",
+                        None if t is None else t.rows,
+                        "pruned",
+                        reason=(f"hierarchy_symmetry: same plans as "
+                                f"candidate {first} (T @ P for a loop "
+                                f"symmetry P)"),
+                        estimate=int(floor_energy),
+                    )
+                continue
+            first_tiles[idx] = tiles
         best_for_t: HierarchyPlan | None = None
-        for tile in tile_candidates(program, t, max_tile):
+        for tile in tiles:
             fp = tile_footprints(program, tile, t)
             fetch = sum(fp.fetch_words.values())
             writeback = sum(fp.writeback_words.values())

@@ -37,7 +37,10 @@ simulation: tier 1 applies transformation-invariant certified facts
 floor under *any* ordering).  A candidate is only simulated when that
 floor beats the running incumbent; the tier never prunes a candidate
 that could strictly improve on the incumbent, so the winner is
-identical to evaluating everything.
+identical to evaluating everything.  Of the survivors, only the first
+of each class under the program's exact loop symmetries
+(:mod:`repro.transform.symmetry`) is simulated: the others have its
+window.
 
 Every whole result — the per-array searches here,
 :func:`repro.core.optimizer.optimize_program`,
@@ -57,7 +60,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
@@ -82,6 +85,7 @@ from repro.transform.legality import (
     reuse_distances,
     screen_stack,
 )
+from repro.transform.symmetry import first_of_class
 from repro.window.batched import BATCH_SIZE
 from repro.window.mws import mws_2d_estimate, mws_2d_estimate_batch
 
@@ -252,11 +256,12 @@ def evaluate_exact(
 class CascadeOutcome:
     """Per-candidate verdict of :func:`evaluate_cascade`.
 
-    ``exact`` — ``value`` is the true MWS (simulated, cached, or tier-1
-    certified zero).  Otherwise ``value`` is the tier-1 floor and the
-    candidate was pruned: its true MWS is >= ``value`` >= the incumbent
-    at its turn, so it cannot strictly beat the winner.  ``tier`` is
-    ``"cache" | "tier1" | "simulated"``.
+    ``exact`` — ``value`` is the true MWS (simulated, cached, tier-1
+    certified zero, or that of an earlier candidate of its symmetry
+    class).  Otherwise ``value`` is the tier-1 floor and the candidate
+    was pruned: its true MWS is >= ``value`` >= the incumbent at its
+    turn, so it cannot strictly beat the winner.  ``tier`` is
+    ``"cache" | "tier1" | "symmetry" | "simulated"``.
     """
 
     value: int
@@ -279,17 +284,23 @@ def evaluate_cascade(
     candidate once the incumbent reaches it.  The prune is admissible,
     so the strict-< first-wins winner is identical to
     :func:`evaluate_exact` over all candidates.  The first candidate
-    is never pruned, so at least one outcome is exact.  Survivors are
-    simulated in windows of :data:`repro.window.batched.BATCH_SIZE`
+    is never pruned, so at least one outcome is exact.  A survivor that
+    is not the first of its class under the program's loop symmetries
+    (:func:`repro.transform.symmetry.first_of_class`) is not scored: it
+    has its first's window, so it is never the first strict minimum,
+    and its outcome is its first's value with ``tier="symmetry"``.  The
+    others are simulated in windows of
+    :data:`repro.window.batched.BATCH_SIZE`
     through the batched engine (the first window is a single candidate,
     so the incumbent exists before batching); a window sees the
     incumbent as of the last flush, which can only *add* simulations
     relative to the sequential cascade, never change a reported value or
     the winner.
 
-    Counters: ``search.cascade.{pruned,simulated}``; each prune also
-    writes a stage-``"cascade"`` journal record, so ``repro explain``
-    reconciles them.  Whole search results are cached by the searches
+    Counters: ``search.cascade.{pruned,simulated,symmetric}`` (a
+    symmetric candidate counts as pruned too); each prune also writes a
+    stage-``"cascade"`` journal record, so ``repro explain`` reconciles
+    them.  Whole search results are cached by the searches
     themselves (:func:`cached_search`).
     """
     sig = program.signature()
@@ -325,25 +336,31 @@ def evaluate_cascade(
     # incumbent as of the last flush (plus cache hits), so the windowed
     # cascade simulates a superset of the sequential one; every reported
     # exact value is the true MWS either way, and the strict-< first-wins
-    # winner is identical.
+    # winner is identical.  A survivor skipped for symmetry still takes
+    # its place in a window: its first is earlier and has its value, so
+    # every flush sees the incumbent it would have seen had the skipped
+    # candidate been simulated, and tier 1 prunes exactly as it would.
     incumbent: int | None = None
     pruned = simulated = 0
     outcomes: list[CascadeOutcome | None] = [None] * len(candidates)
     pending: list[int] = []
     window = 1
+    waiting = 0
+    firsts: list[int] | None = None
+    symmetric: list[tuple[int, int]] = []
 
     def _flush() -> None:
-        nonlocal incumbent, window
-        if not pending:
-            return
-        values = evaluate_exact(
-            program, [candidates[i] for i in pending], array=array
-        )
-        for i, value in zip(pending, values):
-            outcomes[i] = CascadeOutcome(value, True, "simulated")
-            if incumbent is None or value < incumbent:
-                incumbent = value
-        pending.clear()
+        nonlocal incumbent, window, waiting
+        if pending:
+            values = evaluate_exact(
+                program, [candidates[i] for i in pending], array=array
+            )
+            for i, value in zip(pending, values):
+                outcomes[i] = CascadeOutcome(value, True, "simulated")
+                if incumbent is None or value < incumbent:
+                    incumbent = value
+            pending.clear()
+        waiting = 0
         window = BATCH_SIZE
 
     for idx, t in enumerate(candidates):
@@ -367,12 +384,29 @@ def evaluate_cascade(
                 )
             outcomes[idx] = CascadeOutcome(tier1_floor, False, "tier1")
             continue
-        simulated += 1
-        pending.append(idx)
-        if len(pending) >= window:
+        if firsts is None:
+            firsts = first_of_class(program, candidates, array)
+        if firsts[idx] != idx:
+            # An earlier candidate of its class survived tier 1 too (the
+            # incumbent only falls), so its outcome is exact.
+            symmetric.append((idx, firsts[idx]))
+            if jr is not None:
+                jr.record(
+                    "cascade", _t_key(t), "pruned",
+                    reason=(f"symmetry: same window as candidate "
+                            f"{firsts[idx]} (T @ P for a loop symmetry P)"),
+                )
+        else:
+            simulated += 1
+            pending.append(idx)
+        waiting += 1
+        if waiting >= window:
             _flush()
     _flush()
-    obs.counter("search.cascade.pruned", pruned)
+    for idx, first in symmetric:
+        outcomes[idx] = replace(outcomes[first], tier="symmetry")
+    obs.counter("search.cascade.pruned", pruned + len(symmetric))
+    obs.counter("search.cascade.symmetric", len(symmetric))
     obs.counter("search.cascade.simulated", simulated)
     return outcomes
 

@@ -160,3 +160,35 @@ class TestFuse:
         seq_report = sequence_memory_report(seq)
         fusion_report = fusion_memory_report(producer(), consumer())
         assert fusion_report.unfused_requirement == seq_report.requirement
+
+
+class TestMergedDeclarations:
+    """An array both nests use is declared over the bounding box of the
+    two nests' declarations."""
+
+    def test_dsp_chain_intermediate_allocates(self):
+        """With only the smoothing nest's declaration, T[1:32][1:32],
+        allocation raised IndexError on the gradient's T[i][j - 1] at
+        j = 1."""
+        import runpy
+        from pathlib import Path
+
+        from repro.transform.window_allocation import allocate_window
+
+        example = runpy.run_path(
+            str(Path(__file__).resolve().parents[1] / "examples" / "dsp_chain.py")
+        )
+        fused = fuse(
+            parse_program(example["PRODUCE"], name="smooth"),
+            parse_program(example["CONSUME"], name="gradient"),
+        )
+        decl = fused.decl("T")
+        assert (decl.origins, decl.extents) == ((1, 0), (32, 33))
+        allocation = allocate_window(fused, "T")
+        assert allocation.mws == 1
+
+    def test_disjoint_ranges_are_covered(self):
+        a = parse_program("for i = 1 to 6 { T[i] = A[i] }", name="a")
+        b = parse_program("for i = 1 to 6 { S2: B[i] = T[i + 9] }", name="b")
+        decl = fuse(a, b).decl("T")
+        assert (decl.origins, decl.extents) == ((1,), (15,))

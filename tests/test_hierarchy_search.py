@@ -249,7 +249,9 @@ class TestJournalAndCounters:
             r.reason for r in jr.by_stage("hierarchy") if r.status == "pruned"
         }
         assert all(
-            r.startswith(("hierarchy_floor", "hierarchy_tile_lb"))
+            r.startswith(
+                ("hierarchy_floor", "hierarchy_tile_lb", "hierarchy_symmetry")
+            )
             for r in reasons
         )
 
